@@ -28,6 +28,7 @@ from .errors import (
     DuplicateTarget,
     IndexOutOfRange,
     MissingDelayEntry,
+    QbscError,
 )
 
 # Barrier labels the comparator builder uses to bracket one-bit-compare blocks.
@@ -92,6 +93,10 @@ class ClassicalCondition:
             )
 
     def holds(self, clbits: Sequence[int]) -> bool:
+        if self.mask and self.mask[-1] >= len(clbits):
+            raise IndexOutOfRange(
+                f"condition reads clbit {self.mask[-1]} of a {len(clbits)}-bit register"
+            )
         value = 0
         for j, b in enumerate(self.mask):
             value |= clbits[b] << j
@@ -208,11 +213,6 @@ class Circuit:
 def new_circuit(num_qubits: int, num_clbits: int) -> Circuit:
     """Empty circuit with fixed register widths."""
     return Circuit(num_qubits, num_clbits)
-
-
-def append(circuit: Circuit, instr: Instruction) -> Circuit:
-    """Free-function alias for :meth:`Circuit.append`."""
-    return circuit.append(instr)
 
 
 @dataclass(frozen=True)
@@ -361,20 +361,28 @@ def circuit_to_json(circuit: Circuit) -> dict:
 
 
 def circuit_from_json(doc: dict) -> Circuit:
-    labels = None
-    if "labels" in doc:
-        labels = {int(q): name for q, name in doc["labels"].items()}
-    circuit = Circuit(int(doc["qubits"]), int(doc["clbits"]), labels=labels)
-    for entry in doc["instr"]:
-        if "g" in entry:
-            condition = None
-            if "if" in entry:
-                condition = ClassicalCondition(tuple(entry["if"]["mask"]), int(entry["if"]["eq"]))
-            circuit.append(GateOp(GateKind(entry["g"]), tuple(entry["t"]), condition))
-        elif "m" in entry:
-            circuit.append(MeasureOp(int(entry["m"][0]), int(entry["m"][1])))
-        elif "b" in entry:
-            circuit.append(BarrierOp(entry["b"]))
-        else:
-            raise CircuitError(f"unrecognized instruction entry: {entry!r}")
+    """Inverse of :func:`circuit_to_json`; a malformed document raises
+    :class:`CircuitError`."""
+    try:
+        labels = None
+        if "labels" in doc:
+            labels = {int(q): name for q, name in doc["labels"].items()}
+        circuit = Circuit(int(doc["qubits"]), int(doc["clbits"]), labels=labels)
+        for entry in doc["instr"]:
+            if "g" in entry:
+                condition = None
+                if "if" in entry:
+                    condition = ClassicalCondition(tuple(entry["if"]["mask"]),
+                                                   int(entry["if"]["eq"]))
+                circuit.append(GateOp(GateKind(entry["g"]), tuple(entry["t"]), condition))
+            elif "m" in entry:
+                circuit.append(MeasureOp(int(entry["m"][0]), int(entry["m"][1])))
+            elif "b" in entry:
+                circuit.append(BarrierOp(entry["b"]))
+            else:
+                raise CircuitError(f"unrecognized instruction entry: {entry!r}")
+    except QbscError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise CircuitError(f"malformed circuit JSON ({type(exc).__name__}: {exc})") from exc
     return circuit

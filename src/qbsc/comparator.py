@@ -26,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .circuit import (
     BLOCK_BEGIN,
     BLOCK_END,
@@ -37,7 +39,7 @@ from .circuit import (
     MeasureOp,
 )
 from .errors import DuplicateTarget, EmptyOperand, InvalidBitstring
-from .simulate import ClassicalRunner, DenseRunner, select_backend
+from .simulate import MAX_LANES, ClassicalRunner, DenseRunner, select_backend
 
 
 class ComparisonClass(Enum):
@@ -225,57 +227,127 @@ def _int_to_bits(value: int, n: int) -> tuple[int, ...]:
     return tuple((value >> (n - 1 - k)) & 1 for k in range(n))
 
 
-def _make_runner(circuit: Circuit, backend: str):
-    return ClassicalRunner(circuit) if backend == "classical" else DenseRunner(circuit)
+def _dense_mismatches(body: Circuit, n: int, variant: BuilderVariant, pairs) -> int:
+    """Per-pair check on the dense backend: pairs failing either oracle."""
+    runner = DenseRunner(body)
+    mismatches = 0
+    for a, b in pairs:
+        a_bits, b_bits = _int_to_bits(a, n), _int_to_bits(b, n)
+        r0, r1 = runner.run(a_bits + b_bits + (0, 0)).classical_bits
+        if interpret(r0, r1) is not _classify_ints(a, b):
+            mismatches += 1
+        elif (r0, r1) != reference_flags(Operands(a_bits, b_bits), variant):
+            mismatches += 1
+    return mismatches
 
 
-def _run_flags(runner, bits) -> tuple[int, int]:
-    if isinstance(runner, ClassicalRunner):
-        cl = runner.run_bits(bits)
-    else:
-        cl = runner.run(bits).classical_bits
-    return cl[0], cl[1]
+def _lane_mask(flags: np.ndarray) -> int:
+    """Boolean array as a lane int: element l becomes bit l."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+
+def _reference_flag_lanes(a_lanes: list[int], b_lanes: list[int], full: int,
+                          variant: BuilderVariant) -> tuple[int, int]:
+    """:func:`reference_flags` over lane ints (bit l of each is lane l)."""
+    sites = _correction_sites(len(a_lanes), variant)
+    r0 = r1 = 0
+    for i, (a_i, b_i) in enumerate(zip(a_lanes, b_lanes)):
+        still_open = full & ~(r0 | r1)
+        r0 |= still_open & a_i & ~b_i
+        r1 |= still_open & ~a_i & b_i
+        if i in sites:
+            r0 |= r1  # a (0, 1) reading becomes (1, 1)
+    return r0, r1
+
+
+def _lane_mismatches(runner: ClassicalRunner, a_lanes: list[int], b_lanes: list[int],
+                     lanes: int, less: int, greater: int, variant: BuilderVariant) -> int:
+    """Run one chunk of lanes and count those failing either oracle.
+
+    ``less`` and ``greater`` are the lane masks of a < b and a > b from
+    integer comparison of the operand values.
+    """
+    _, (r0, r1) = runner.run_lanes(a_lanes + b_lanes + [0, 0], lanes)
+    ref0, ref1 = _reference_flag_lanes(a_lanes, b_lanes, (1 << lanes) - 1, variant)
+    class_bad = (r1 ^ less) | ((r0 & ~r1) ^ greater)  # interpret(), lane-wise
+    flags_bad = (r0 ^ ref0) | (r1 ^ ref1)
+    return (class_bad | flags_bad).bit_count()
+
+
+def _index_bit_lanes(k: int, start: int, lanes: int) -> int:
+    """Lane int of bit k of the index start + l over lanes l < ``lanes``.
+
+    ``lanes`` is a power of two and ``start`` a multiple of it, so a low bit
+    is 2^k zeros then 2^k ones, repeated, and a high bit is constant.
+    """
+    half = 1 << k
+    if half >= lanes:
+        return (1 << lanes) - 1 if start >> k & 1 else 0
+    repeats = ((1 << lanes) - 1) // ((1 << 2 * half) - 1)  # 1 every 2^(k+1) bits
+    return (((1 << half) - 1) << half) * repeats
+
+
+def _transpose(values: list[int], n: int) -> list[int]:
+    """Lane ints of n-bit values, MSB first: bit l of entry i is bit
+    n-1-i of values[l]."""
+    rows = [format(v, f"0{n}b") for v in reversed(values)]
+    return [int("".join(column), 2) for column in zip(*rows)]
 
 
 def soundness_check_exhaustive(n: int, variant: BuilderVariant = BuilderVariant.FIGURE,
                                backend: str = "classical") -> tuple[int, int]:
     """All 4^n operand pairs at width n against the integer-comparison and
-    flag oracles; returns (pairs checked, mismatches)."""
+    flag oracles; returns (pairs checked, mismatches).
+
+    The classical backend runs the pairs bit-sliced, lane a*2^n + b holding
+    the pair (a, b), at most ``MAX_LANES`` lanes per pass; any other backend
+    runs them one at a time.
+    """
     body = build_gqbsc(Operands((0,) * n, (0,) * n), variant)
-    runner = _make_runner(body, backend)
-    patterns = [_int_to_bits(v, n) for v in range(1 << n)]
+    total = 1 << 2 * n
+    if backend != "classical":
+        every_pair = ((a, b) for a in range(1 << n) for b in range(1 << n))
+        return total, _dense_mismatches(body, n, variant, every_pair)
+    runner = ClassicalRunner(body)
+    lanes = min(total, MAX_LANES)
+    rows, width = max(lanes >> n, 1), min(lanes, 1 << n)
+    dtype = np.min_scalar_type((1 << n) - 1)
     mismatches = 0
-    pairs = 0
-    for a in range(1 << n):
-        a_bits = patterns[a]
-        for b in range(1 << n):
-            b_bits = patterns[b]
-            r0, r1 = _run_flags(runner, a_bits + b_bits + (0, 0))
-            pairs += 1
-            if interpret(r0, r1) is not _classify_ints(a, b):
-                mismatches += 1
-            elif (r0, r1) != reference_flags(Operands(a_bits, b_bits), variant):
-                mismatches += 1
-    return pairs, mismatches
+    for start in range(0, total, lanes):
+        index_bits = [_index_bit_lanes(k, start, lanes) for k in range(2 * n)]
+        a_lanes = [index_bits[2 * n - 1 - i] for i in range(n)]
+        b_lanes = [index_bits[n - 1 - i] for i in range(n)]
+        a0, b0 = start >> n, start & ((1 << n) - 1)
+        a = np.repeat(np.arange(a0, a0 + rows, dtype=dtype), width)
+        b = np.tile(np.arange(b0, b0 + width, dtype=dtype), rows)
+        mismatches += _lane_mismatches(runner, a_lanes, b_lanes, lanes,
+                                       _lane_mask(a < b), _lane_mask(a > b), variant)
+    return total, mismatches
 
 
 def soundness_check_random(n: int, samples: int, seed: int = 0,
                            variant: BuilderVariant = BuilderVariant.FIGURE,
                            backend: str = "classical") -> tuple[int, int]:
-    """Seeded random operand pairs at width n; returns (pairs, mismatches)."""
+    """Seeded random operand pairs at width n; returns (pairs, mismatches).
+
+    Pairs are drawn a then b, pair by pair, whatever the backend; the
+    classical backend checks them in bit-sliced chunks of ``MAX_LANES``.
+    """
     import random
 
     rng = random.Random(seed)
     body = build_gqbsc(Operands((0,) * n, (0,) * n), variant)
-    runner = _make_runner(body, backend)
+    if backend != "classical":
+        drawn = ((rng.getrandbits(n), rng.getrandbits(n)) for _ in range(samples))
+        return samples, _dense_mismatches(body, n, variant, drawn)
+    runner = ClassicalRunner(body)
     mismatches = 0
-    for _ in range(samples):
-        a = rng.getrandbits(n)
-        b = rng.getrandbits(n)
-        a_bits, b_bits = _int_to_bits(a, n), _int_to_bits(b, n)
-        r0, r1 = _run_flags(runner, a_bits + b_bits + (0, 0))
-        if interpret(r0, r1) is not _classify_ints(a, b):
-            mismatches += 1
-        elif (r0, r1) != reference_flags(Operands(a_bits, b_bits), variant):
-            mismatches += 1
+    for start in range(0, samples, MAX_LANES):
+        lanes = min(MAX_LANES, samples - start)
+        pairs = [(rng.getrandbits(n), rng.getrandbits(n)) for _ in range(lanes)]
+        less = _lane_mask(np.array([a < b for a, b in pairs]))
+        greater = _lane_mask(np.array([a > b for a, b in pairs]))
+        mismatches += _lane_mismatches(runner, _transpose([a for a, _ in pairs], n),
+                                       _transpose([b for _, b in pairs], n),
+                                       lanes, less, greater, variant)
     return samples, mismatches

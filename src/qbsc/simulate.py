@@ -10,8 +10,13 @@ Both backends honor the same dynamic-circuit semantics:
 The classical backend is valid only for permutation gates (X/CX/CCX) on basis
 inputs, where every intermediate state stays a basis state; it runs in
 O(instructions) time and O(width) memory, which is what makes 1000-bit
-operands practical. The dense backend holds all 2^n amplitudes and is capped
-(default 24 qubits).
+operands practical. It is bit-sliced: every qubit and clbit is a Python int
+whose bit l is lane l's value, a lane being one input, so one pass of the
+program runs up to ``MAX_LANES`` inputs (a single run is one lane). A
+condition becomes the mask of lanes where it holds, and X/CX/CCX become XOR
+updates under that mask. Noisy trajectories stay one scalar shot at a time,
+since per-shot draws are what keep them identical to dense. The dense
+backend holds all 2^n amplitudes and is capped (default 24 qubits).
 
 Noise is a stochastic trajectory model: after each fired gate every touched
 qubit is depolarized with probability p (a uniformly random Pauli X/Y/Z is
@@ -23,6 +28,7 @@ pure phase) and reproduces the dense backend draw-for-draw under one seed.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +51,12 @@ _BASIS_EPS = 1e-12
 _NORM_TOL = 1e-6
 
 _OP_X, _OP_CX, _OP_CCX, _OP_MEASURE, _OP_CV, _OP_CVDG = range(6)
+_COUNTER_KEYS = ("x", "cx", "ccx", "m", "cv", "cvdg")
+_GATE_OPCODES = {GateKind.X: _OP_X, GateKind.CX: _OP_CX, GateKind.CCX: _OP_CCX,
+                 GateKind.CV: _OP_CV, GateKind.CVDG: _OP_CVDG}
+
+#: Most lanes (inputs) one bit-sliced ``ClassicalRunner.run_lanes`` call takes.
+MAX_LANES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -116,15 +128,22 @@ class _UniformStream:
 def _coerce_bits(initial_bits, num_qubits: int) -> tuple[int, ...]:
     if initial_bits is None:
         return (0,) * num_qubits
-    if isinstance(initial_bits, str):
-        bits = tuple(int(ch) for ch in initial_bits)
-    else:
-        bits = tuple(int(b) for b in initial_bits)
+    try:
+        if isinstance(initial_bits, str):
+            bits = tuple("01".index(ch) for ch in initial_bits)
+        else:
+            bits = tuple(operator.index(b) for b in initial_bits)
+    except (TypeError, ValueError):
+        raise SimulationError(f"initial bits must be 0/1: {initial_bits!r}") from None
     if len(bits) != num_qubits:
         raise SimulationError(f"initial bits length {len(bits)} != {num_qubits} qubits")
     if any(b not in (0, 1) for b in bits):
         raise SimulationError(f"initial bits must be 0/1: {initial_bits!r}")
     return bits
+
+
+def _new_counters() -> dict[str, int]:
+    return dict.fromkeys(_COUNTER_KEYS + ("cond_x",), 0)
 
 
 def _census_from_counters(circuit: Circuit, static: GateCensus, counters: dict) -> GateCensus:
@@ -144,27 +163,27 @@ def _census_from_counters(circuit: Circuit, static: GateCensus, counters: dict) 
 
 
 def _compile(circuit: Circuit):
-    """Flatten instructions to opcode tuples (barriers drop out)."""
+    """Flatten instructions to opcode tuples (barriers drop out).
+
+    A condition compiles to (clbit, flip) pairs, flip 0 where the bit must
+    read 1 and -1 where it must read 0, so the gate fires in the lanes of the
+    AND over pairs of ``cl[clbit] ^ flip``; an unconditioned op gets None.
+    """
     prog = []
+    compiled: dict = {None: None}  # one shared tuple per distinct condition
     for instr in circuit.instructions:
         if isinstance(instr, BarrierOp):
             continue
         if isinstance(instr, MeasureOp):
-            prog.append((_OP_MEASURE, instr.qubit, instr.clbit, -1, None, 0))
+            prog.append((_OP_MEASURE, instr.qubit, instr.clbit, -1, None))
             continue
         cond = instr.condition
-        mask, value = (cond.mask, cond.value) if cond is not None else (None, 0)
-        t = instr.targets
-        if instr.gate is GateKind.X:
-            prog.append((_OP_X, t[0], -1, -1, mask, value))
-        elif instr.gate is GateKind.CX:
-            prog.append((_OP_CX, t[0], t[1], -1, mask, value))
-        elif instr.gate is GateKind.CCX:
-            prog.append((_OP_CCX, t[0], t[1], t[2], mask, value))
-        elif instr.gate is GateKind.CV:
-            prog.append((_OP_CV, t[0], t[1], -1, mask, value))
-        else:
-            prog.append((_OP_CVDG, t[0], t[1], -1, mask, value))
+        if cond not in compiled:
+            compiled[cond] = tuple((mb, (cond.value >> j & 1) - 1)
+                                   for j, mb in enumerate(cond.mask))
+        cond = compiled[cond]
+        t = instr.targets + (-1, -1)
+        prog.append((_GATE_OPCODES[instr.gate], t[0], t[1], t[2], cond))
     return prog
 
 
@@ -182,83 +201,67 @@ class ClassicalRunner:
         from .circuit import static_census  # local to avoid import-order knots
         self._static = static_census(circuit)
 
+    def run_lanes(self, qubits, lanes: int) -> tuple[list[int], list[int]]:
+        """Run ``lanes`` basis inputs at once, bit-sliced.
+
+        ``qubits[q]`` is an int whose bit l is qubit q's initial value in
+        lane l. Returns the final qubit and clbit lane ints in the same form.
+        At most ``MAX_LANES`` lanes per call.
+        """
+        if not 1 <= lanes <= MAX_LANES:
+            raise SimulationError(f"lane count {lanes} outside [1, {MAX_LANES}]")
+        q = list(qubits)
+        if len(q) != self.num_qubits:
+            raise SimulationError(f"{len(q)} qubit lane ints != {self.num_qubits} qubits")
+        if any(not isinstance(v, int) or v < 0 or v >> lanes for v in q):
+            raise SimulationError(f"qubit lane ints must lie in [0, 2^{lanes})")
+        return self._run_lanes(q, lanes)
+
+    def _run_lanes(self, q: list[int], lanes: int, counters=None, trace=None):
+        """The interpreter. A condition becomes the mask of lanes where it
+        holds; ``counters`` adds the lanes each gate fired in, ``trace`` gets
+        (clbit, lane int) per measurement."""
+        full = (1 << lanes) - 1
+        cl = [0] * self.num_clbits
+        for op, a0, a1, a2, cond in self._prog:
+            act = full
+            if cond is not None:
+                for mb, flip in cond:
+                    act &= cl[mb] ^ flip
+                if not act:
+                    continue
+            if op == _OP_X:
+                q[a0] ^= act
+            elif op == _OP_CCX:
+                q[a2] ^= act & q[a0] & q[a1]
+            elif op == _OP_MEASURE:
+                cl[a1] = q[a0]
+                if trace is not None:
+                    trace.append((a1, q[a0]))
+            else:  # _OP_CX
+                q[a1] ^= act & q[a0]
+            if counters is not None:
+                fired = act.bit_count()
+                counters[_COUNTER_KEYS[op]] += fired
+                if op == _OP_X and cond is not None:
+                    counters["cond_x"] += fired
+        return q, cl
+
     def run_bits(self, initial_bits=None) -> tuple[int, ...]:
         """Fast path: final classical bits only."""
-        bits = list(_coerce_bits(initial_bits, self.num_qubits))
-        cl = [0] * self.num_clbits
-        for op, a0, a1, a2, mask, value in self._prog:
-            if mask is not None:
-                r = 0
-                for j, mb in enumerate(mask):
-                    r |= cl[mb] << j
-                if r != value:
-                    continue
-            if op == _OP_X:
-                bits[a0] ^= 1
-            elif op == _OP_CCX:
-                if bits[a0] and bits[a1]:
-                    bits[a2] ^= 1
-            elif op == _OP_MEASURE:
-                cl[a1] = bits[a0]
-            else:  # _OP_CX
-                if bits[a0]:
-                    bits[a1] ^= 1
-        return tuple(cl)
+        return tuple(self._run_lanes(list(_coerce_bits(initial_bits, self.num_qubits)), 1)[1])
 
     def run(self, initial_bits=None) -> RunResult:
-        bits = list(_coerce_bits(initial_bits, self.num_qubits))
-        cl = [0] * self.num_clbits
+        counters = _new_counters()
         trace: list[tuple[int, int]] = []
-        counters = {"x": 0, "cx": 0, "ccx": 0, "cv": 0, "cvdg": 0, "m": 0, "cond_x": 0}
-        for op, a0, a1, a2, mask, value in self._prog:
-            if mask is not None:
-                r = 0
-                for j, mb in enumerate(mask):
-                    r |= cl[mb] << j
-                if r != value:
-                    continue
-            if op == _OP_X:
-                bits[a0] ^= 1
-                counters["x"] += 1
-                if mask is not None:
-                    counters["cond_x"] += 1
-            elif op == _OP_CCX:
-                if bits[a0] and bits[a1]:
-                    bits[a2] ^= 1
-                counters["ccx"] += 1
-            elif op == _OP_MEASURE:
-                cl[a1] = bits[a0]
-                trace.append((a1, bits[a0]))
-                counters["m"] += 1
-            else:
-                if bits[a0]:
-                    bits[a1] ^= 1
-                counters["cx"] += 1
+        _, cl = self._run_lanes(list(_coerce_bits(initial_bits, self.num_qubits)), 1,
+                                counters, trace)
         return RunResult(tuple(cl), tuple(trace),
                          _census_from_counters(self.circuit, self._static, counters))
 
     def final_qubits(self, initial_bits=None) -> tuple[int, ...]:
         """Qubit values after the run (used to check operand preservation)."""
-        bits = list(_coerce_bits(initial_bits, self.num_qubits))
-        cl = [0] * self.num_clbits
-        for op, a0, a1, a2, mask, value in self._prog:
-            if mask is not None:
-                r = 0
-                for j, mb in enumerate(mask):
-                    r |= cl[mb] << j
-                if r != value:
-                    continue
-            if op == _OP_X:
-                bits[a0] ^= 1
-            elif op == _OP_CCX:
-                if bits[a0] and bits[a1]:
-                    bits[a2] ^= 1
-            elif op == _OP_MEASURE:
-                cl[a1] = bits[a0]
-            else:
-                if bits[a0]:
-                    bits[a1] ^= 1
-        return tuple(bits)
+        return tuple(self._run_lanes(list(_coerce_bits(initial_bits, self.num_qubits)), 1)[0])
 
     def run_value(self, initial_bits, rng: np.random.Generator | None,
                   noise: NoiseModel | None) -> int:
@@ -270,12 +273,12 @@ class ClassicalRunner:
         stream = _UniformStream(rng)
         bits = list(_coerce_bits(initial_bits, self.num_qubits))
         cl = [0] * self.num_clbits
-        for op, a0, a1, a2, mask, value in self._prog:
-            if mask is not None:
-                r = 0
-                for j, mb in enumerate(mask):
-                    r |= cl[mb] << j
-                if r != value:
+        for op, a0, a1, a2, cond in self._prog:
+            if cond is not None:
+                fire = 1
+                for mb, flip in cond:
+                    fire &= cl[mb] ^ flip
+                if not fire:
                     continue
             if op == _OP_X:
                 bits[a0] ^= 1
@@ -399,12 +402,12 @@ class DenseRunner:
         p = noise.depolarizing_per_gate if noise is not None else 0.0
         q_flip = noise.readout_flip if noise is not None else 0.0
 
-        for op, a0, a1, a2, mask, value in self._prog:
-            if mask is not None:
-                r = 0
-                for j, mb in enumerate(mask):
-                    r |= cl[mb] << j
-                if r != value:
+        for op, a0, a1, a2, cond in self._prog:
+            if cond is not None:
+                fire = 1
+                for mb, flip in cond:
+                    fire &= cl[mb] ^ flip
+                if not fire:
                     continue
             if op == _OP_MEASURE:
                 outcome = self._measure(state, a0, n, stream)
@@ -422,7 +425,7 @@ class DenseRunner:
                 touched = (a0,)
                 if counters is not None:
                     counters["x"] += 1
-                    if mask is not None:
+                    if cond is not None:
                         counters["cond_x"] += 1
             elif op == _OP_CX:
                 self._apply_cx(state, a0, a1, n)
@@ -463,7 +466,7 @@ class DenseRunner:
     def run(self, initial_bits=None, seed: int | None = None,
             noise: NoiseModel | None = None) -> RunResult:
         rng = np.random.default_rng(seed) if (seed is not None or noise is not None) else None
-        counters = {"x": 0, "cx": 0, "ccx": 0, "cv": 0, "cvdg": 0, "m": 0, "cond_x": 0}
+        counters = _new_counters()
         trace: list[tuple[int, int]] = []
         cl = self._execute(initial_bits, rng, noise, counters, trace)
         return RunResult(tuple(cl), tuple(trace),

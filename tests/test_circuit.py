@@ -114,6 +114,10 @@ class TestClassicalCondition:
         with pytest.raises(CircuitError):
             ClassicalCondition((1, 0), 0)
 
+    def test_short_register_is_out_of_range(self):
+        with pytest.raises(IndexOutOfRange):
+            ClassicalCondition((0, 2), 0).holds([0, 1])
+
 
 class TestCensus:
     def test_empty_circuit_all_zero(self):
@@ -289,3 +293,18 @@ class TestJsonInterchange:
     def test_unknown_entry_rejected(self):
         with pytest.raises(CircuitError):
             circuit_from_json({"qubits": 1, "clbits": 0, "instr": [{"z": 1}]})
+
+    @pytest.mark.parametrize("doc", [
+        {"qubits": 1, "clbits": 0},                                  # missing "instr"
+        {"qubits": 1, "clbits": 0, "instr": [{"g": "x", "t": 5}]},   # targets not a list
+        {"qubits": 1, "clbits": 0, "instr": [{"g": "h", "t": [0]}]},  # unknown gate
+        {"qubits": "two", "clbits": 0, "instr": []},
+        {"qubits": 1, "clbits": 0, "instr": ["x"]},
+    ])
+    def test_malformed_documents_raise_circuit_error(self, doc):
+        with pytest.raises(CircuitError):
+            circuit_from_json(doc)
+
+    def test_typed_errors_keep_their_class(self):
+        with pytest.raises(IndexOutOfRange):
+            circuit_from_json({"qubits": 1, "clbits": 0, "instr": [{"g": "x", "t": [3]}]})

@@ -322,3 +322,69 @@ class TestSoundnessSweeps:
         first = soundness_check_random(64, 50, seed=9)
         second = soundness_check_random(64, 50, seed=9)
         assert first == second == (50, 0)
+
+
+def _drop_first_ccx(circuit: Circuit) -> Circuit:
+    ccx = [i for i, ins in enumerate(circuit.instructions)
+           if isinstance(ins, GateOp) and ins.gate is GateKind.CCX]
+    instructions = list(circuit.instructions)
+    del instructions[ccx[0]]
+    return Circuit(circuit.num_qubits, circuit.num_clbits, instructions)
+
+
+def _retarget_last_ccx(circuit: Circuit) -> Circuit:
+    ccx = [i for i, ins in enumerate(circuit.instructions)
+           if isinstance(ins, GateOp) and ins.gate is GateKind.CCX]
+    instructions = list(circuit.instructions)
+    last = instructions[ccx[-1]]
+    r0 = circuit.num_qubits - 2
+    instructions[ccx[-1]] = GateOp(GateKind.CCX, last.targets[:2] + (r0,), last.condition)
+    return Circuit(circuit.num_qubits, circuit.num_clbits, instructions)
+
+
+def _patch_builder(monkeypatch, mutate):
+    import qbsc.comparator as comparator
+
+    original = comparator.build_gqbsc
+    monkeypatch.setattr(comparator, "build_gqbsc",
+                        lambda ops, variant=FIGURE: mutate(original(ops, variant)))
+
+
+class TestSweepsCatchBrokenCircuits:
+    """The sweeps must be able to fail: a comparator with one gate dropped or
+    retargeted has to show mismatches on every backend."""
+
+    @pytest.mark.parametrize("variant", [FIGURE, ALGORITHMIC])
+    @pytest.mark.parametrize("mutate", [_drop_first_ccx, _retarget_last_ccx])
+    def test_exhaustive_sweeps_report_mismatches(self, monkeypatch, mutate, variant):
+        _patch_builder(monkeypatch, mutate)
+        assert soundness_check_exhaustive(4, variant)[1] > 0
+        assert soundness_check_exhaustive(3, variant, "dense")[1] > 0
+
+    @pytest.mark.parametrize("variant", [FIGURE, ALGORITHMIC])
+    def test_random_sweep_reports_dropped_gate(self, monkeypatch, variant):
+        _patch_builder(monkeypatch, _drop_first_ccx)
+        assert soundness_check_random(64, 50, seed=9, variant=variant)[1] > 0
+
+    @pytest.mark.parametrize("variant", [FIGURE, ALGORITHMIC])
+    def test_random_sweep_reports_retargeted_last_block(self, monkeypatch, variant):
+        # Uniform pairs reach the last block only when every earlier bit ties
+        # (probability 2^-(n-1)), so this mutant needs a narrow width.
+        _patch_builder(monkeypatch, _retarget_last_ccx)
+        assert soundness_check_random(3, 50, seed=9, variant=variant)[1] > 0
+
+    @pytest.mark.parametrize("mutate", [_drop_first_ccx, _retarget_last_ccx])
+    def test_lane_chunks_count_like_one_pass(self, monkeypatch, mutate):
+        import qbsc.comparator as comparator
+
+        _patch_builder(monkeypatch, mutate)
+        whole = [soundness_check_exhaustive(n) for n in (3, 4, 5)]
+        drawn = soundness_check_random(3, 100, seed=4)
+        monkeypatch.setattr(comparator, "MAX_LANES", 16)
+        assert [soundness_check_exhaustive(n) for n in (3, 4, 5)] == whole
+        assert soundness_check_random(3, 100, seed=4) == drawn
+        assert soundness_check_exhaustive(3, FIGURE, "dense") == whole[0]
+        assert soundness_check_random(3, 100, 4, FIGURE, "dense") == drawn
+
+    def test_exhaustive_across_several_chunks(self):
+        assert soundness_check_exhaustive(9) == (4 ** 9, 0)

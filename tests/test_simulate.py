@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbsc.circuit import ClassicalCondition, new_circuit
+from qbsc.circuit import ClassicalCondition, GateKind, GateOp, new_circuit
 from qbsc.comparator import Operands, build_gqbsc, encode_operands
 from qbsc.errors import NonClassicalGate, SimulationError, TooManyQubits
 from qbsc.gates import lower_circuit
 from qbsc.simulate import (
+    MAX_LANES,
     ClassicalRunner,
     DenseRunner,
     Histogram,
@@ -137,6 +138,64 @@ class TestClassicalBackend:
             bits = bits_for(a, b, n)
             final = runner.final_qubits(bits)
             assert final[:2 * n] == bits[:2 * n]
+
+    @pytest.mark.parametrize("bits", [[0.5, 0], "0x", ["0", "1"], 5, [0, 2]])
+    def test_malformed_initial_bits_rejected(self, bits):
+        c = new_circuit(2, 0)
+        with pytest.raises(SimulationError):
+            run_classical(c, bits)
+
+
+@st.composite
+def permutation_circuits(draw, max_qubits=6, max_clbits=3, max_len=24):
+    """Random X/CX/CCX circuits with conditions and mid-circuit measurements."""
+    nq = draw(st.integers(1, max_qubits))
+    nc = draw(st.integers(0, max_clbits))
+    circuit = new_circuit(nq, nc)
+    kinds = [k for k in (GateKind.X, GateKind.CX, GateKind.CCX) if k.arity <= nq]
+    for _ in range(draw(st.integers(0, max_len))):
+        if nc and draw(st.integers(0, 3)) == 0:
+            circuit.measure(draw(st.integers(0, nq - 1)), draw(st.integers(0, nc - 1)))
+            continue
+        kind = draw(st.sampled_from(kinds))
+        targets = draw(st.permutations(range(nq)))[:kind.arity]
+        condition = None
+        if nc and draw(st.booleans()):
+            mask = sorted(draw(st.sets(st.integers(0, nc - 1), min_size=1)))
+            condition = ClassicalCondition(tuple(mask), draw(st.integers(0, (1 << len(mask)) - 1)))
+        circuit.append(GateOp(kind, tuple(targets), condition))
+    return circuit
+
+
+class TestLaneInterpreter:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_every_lane_matches_dense(self, data):
+        circuit = data.draw(permutation_circuits())
+        nq = circuit.num_qubits
+        batch = data.draw(st.lists(st.tuples(*[st.integers(0, 1)] * nq), min_size=1, max_size=20))
+        lane_ints = [sum(bits[q] << lane for lane, bits in enumerate(batch)) for q in range(nq)]
+        classical, dense = ClassicalRunner(circuit), DenseRunner(circuit)
+        final_q, cl = classical.run_lanes(lane_ints, len(batch))
+        for lane, bits in enumerate(batch):
+            expected = dense.run(bits)
+            assert tuple((c >> lane) & 1 for c in cl) == expected.classical_bits
+            assert tuple((q >> lane) & 1 for q in final_q) == classical.final_qubits(bits)
+        one, reference = classical.run(batch[0]), dense.run(batch[0])
+        assert one.executed_census == reference.executed_census
+        assert one.measurement_trace == reference.measurement_trace
+
+    def test_lane_count_capped(self):
+        runner = ClassicalRunner(new_circuit(1, 0))
+        runner.run_lanes([0], MAX_LANES)
+        for lanes in (0, MAX_LANES + 1):
+            with pytest.raises(SimulationError):
+                runner.run_lanes([0], lanes)
+
+    @pytest.mark.parametrize("qubits", [[0], [0, 4], [0, -1], [0, 1.0]])
+    def test_lane_ints_validated(self, qubits):
+        with pytest.raises(SimulationError):
+            ClassicalRunner(new_circuit(2, 0)).run_lanes(qubits, 2)
 
 
 class TestBackendAgreement:
