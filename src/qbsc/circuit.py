@@ -18,6 +18,7 @@ Conventions fixed here and asserted by the test suite:
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, Sequence, Union
@@ -81,6 +82,9 @@ class ClassicalCondition:
 
     def __post_init__(self):
         object.__setattr__(self, "mask", tuple(self.mask))
+        for b in self.mask + (self.value,):  # typed here; append only range-checks
+            if type(b) is not int:
+                _check_int(b, "condition clbit or value")
         if len(set(self.mask)) != len(self.mask):
             raise DuplicateTarget(f"condition mask repeats a clbit: {self.mask}")
         if any(b < 0 for b in self.mask):
@@ -135,6 +139,17 @@ class BarrierOp:
 Instruction = Union[GateOp, MeasureOp, BarrierOp]
 
 
+def _check_int(value, what: str, size: int | None = None) -> None:
+    """Slow path of the width and index checks: ``value`` must be an integer
+    (numpy's too) and, given ``size``, lie in [0, size)."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise CircuitError(f"{what} must be an integer, got {value!r}") from None
+    if size is not None and not 0 <= value < size:
+        raise IndexOutOfRange(f"{what} {value} outside [0, {size})")
+
+
 @dataclass(eq=True)
 class Circuit:
     """Ordered dynamic circuit over ``num_qubits`` qubits and ``num_clbits`` bits.
@@ -149,26 +164,33 @@ class Circuit:
     labels: dict[int, str] | None = field(default=None, compare=False)
 
     def __post_init__(self):
+        _check_int(self.num_qubits, "qubit width")
+        _check_int(self.num_clbits, "clbit width")
         if self.num_qubits < 0 or self.num_clbits < 0:
             raise CircuitError("register widths must be non-negative")
 
     # -- construction --------------------------------------------------------
 
     def append(self, instr: Instruction) -> "Circuit":
-        """Validate ``instr`` against the declared widths and append it."""
+        """Validate ``instr`` against the declared widths and append it.
+
+        Indices must be integers (numpy's too) in range; condition clbits were
+        type-checked when the condition was made.
+        """
+        nq, nc = self.num_qubits, self.num_clbits
         if isinstance(instr, GateOp):
             for q in instr.targets:
-                if not 0 <= q < self.num_qubits:
-                    raise IndexOutOfRange(f"qubit {q} outside [0, {self.num_qubits})")
+                if type(q) is not int or not 0 <= q < nq:
+                    _check_int(q, "qubit", nq)
             if instr.condition is not None:
                 for b in instr.condition.mask:
-                    if not 0 <= b < self.num_clbits:
-                        raise IndexOutOfRange(f"clbit {b} outside [0, {self.num_clbits})")
+                    if not 0 <= b < nc:
+                        raise IndexOutOfRange(f"clbit {b} outside [0, {nc})")
         elif isinstance(instr, MeasureOp):
-            if not 0 <= instr.qubit < self.num_qubits:
-                raise IndexOutOfRange(f"qubit {instr.qubit} outside [0, {self.num_qubits})")
-            if not 0 <= instr.clbit < self.num_clbits:
-                raise IndexOutOfRange(f"clbit {instr.clbit} outside [0, {self.num_clbits})")
+            if type(instr.qubit) is not int or not 0 <= instr.qubit < nq:
+                _check_int(instr.qubit, "qubit", nq)
+            if type(instr.clbit) is not int or not 0 <= instr.clbit < nc:
+                _check_int(instr.clbit, "clbit", nc)
         elif not isinstance(instr, BarrierOp):
             raise CircuitError(f"not an instruction: {instr!r}")
         self.instructions.append(instr)
@@ -367,16 +389,17 @@ def circuit_from_json(doc: dict) -> Circuit:
         labels = None
         if "labels" in doc:
             labels = {int(q): name for q, name in doc["labels"].items()}
-        circuit = Circuit(int(doc["qubits"]), int(doc["clbits"]), labels=labels)
+        circuit = Circuit(doc["qubits"], doc["clbits"], labels=labels)
         for entry in doc["instr"]:
             if "g" in entry:
                 condition = None
                 if "if" in entry:
                     condition = ClassicalCondition(tuple(entry["if"]["mask"]),
-                                                   int(entry["if"]["eq"]))
+                                                   entry["if"]["eq"])
                 circuit.append(GateOp(GateKind(entry["g"]), tuple(entry["t"]), condition))
             elif "m" in entry:
-                circuit.append(MeasureOp(int(entry["m"][0]), int(entry["m"][1])))
+                qubit, clbit = entry["m"]
+                circuit.append(MeasureOp(qubit, clbit))
             elif "b" in entry:
                 circuit.append(BarrierOp(entry["b"]))
             else:

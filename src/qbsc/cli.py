@@ -40,6 +40,7 @@ from .resources import (
     sweep,
     sweep_notes,
 )
+from .simulate import check_dense_width
 
 DEFAULT_SEED = 1234
 _SWEEP_GRID = (1, 80, 160, 240, 320, 400, 480, 560, 640, 720, 800, 880, 960, 1000)
@@ -250,14 +251,16 @@ def cmd_verify(max_bits, samples, exhaustive_limit, variant, backend, seed, fmt,
     variants = ([BuilderVariant.FIGURE, BuilderVariant.ALGORITHMIC]
                 if variant == "both" else [BuilderVariant(variant)])
     backend = "classical" if backend == "auto" else backend
+    widths = [(n, True) for n in range(1, min(max_bits, exhaustive_limit) + 1)]
+    if samples > 0:
+        widths += [(n, False) for n in _random_widths(exhaustive_limit, max_bits)]
     started = time.monotonic()
     per_n = []
     total_pairs = total_mismatches = 0
     try:
+        if backend == "dense":  # refuse before the first run, not at the widest width
+            check_dense_width(2 * max((n for n, _ in widths), default=0) + 2)
         for v in variants:
-            widths = [(n, True) for n in range(1, min(max_bits, exhaustive_limit) + 1)]
-            if samples > 0:
-                widths += [(n, False) for n in _random_widths(exhaustive_limit, max_bits)]
             for n, exhaustive in widths:
                 if exhaustive:
                     pairs, bad = soundness_check_exhaustive(n, v, backend)

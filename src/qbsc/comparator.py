@@ -86,7 +86,7 @@ def _bits_of(value) -> tuple[int, ...]:
         if any(ch not in "01" for ch in value):
             raise InvalidBitstring(f"operand contains non-binary characters: {value!r}")
         return tuple(int(ch) for ch in value)
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         if value < 0:
             raise InvalidBitstring(f"operands must be non-negative: {value}")
         return tuple(int(ch) for ch in format(value, "b"))

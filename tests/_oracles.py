@@ -6,9 +6,15 @@ code paths, so the tests check the implementation against something else.
 """
 from __future__ import annotations
 
+import dataclasses
+import math
+
 import numpy as np
 
-from qbsc.circuit import BarrierOp, Circuit, GateOp, MeasureOp
+from qbsc.circuit import BarrierOp, Circuit, GateKind, GateOp, MeasureOp, static_census
+from qbsc.errors import NormDrift, SimulationError
+from qbsc.gates import V, VDG
+from qbsc.simulate import _BASIS_EPS, _NORM_TOL, Histogram, RunResult, _UniformStream
 
 
 def embed_unitary(matrix: np.ndarray, targets: tuple[int, ...], n: int) -> np.ndarray:
@@ -90,3 +96,166 @@ def int_compare_class(a: int, b: int) -> str:
     if a > b:
         return "Greater"
     return "Equal"
+
+
+# -- full numpy statevector: the reference for simulate.DenseRunner -----------
+#
+# All 2^n amplitudes as an n-axis array, qubit i on tensor axis i. Gates are
+# slice swaps and 2x2 mixes over whole half-spaces, so nothing here shares
+# code with the package's amplitude-map engine; only the uniform stream (the
+# seed contract) is the package's own.
+
+def _sl(n: int, axis: int, v: int):
+    idx = [slice(None)] * n
+    idx[axis] = v
+    return tuple(idx)
+
+
+def _apply_x(state, q, n):
+    sl0, sl1 = _sl(n, q, 0), _sl(n, q, 1)
+    tmp = state[sl0].copy()
+    state[sl0] = state[sl1]
+    state[sl1] = tmp
+
+
+def _apply_y(state, q, n):
+    sl0, sl1 = _sl(n, q, 0), _sl(n, q, 1)
+    tmp = state[sl0].copy()
+    state[sl0] = -1j * state[sl1]
+    state[sl1] = 1j * tmp
+
+
+def _apply_z(state, q, n):
+    state[_sl(n, q, 1)] *= -1.0
+
+
+def _apply_2x2(state, c, t, m, n):
+    sub = state[_sl(n, c, 1)]
+    t_adj = t - 1 if t > c else t
+    sl0, sl1 = _sl(n - 1, t_adj, 0), _sl(n - 1, t_adj, 1)
+    s0 = sub[sl0].copy()
+    s1 = sub[sl1].copy()
+    sub[sl0] = m[0, 0] * s0 + m[0, 1] * s1
+    sub[sl1] = m[1, 0] * s0 + m[1, 1] * s1
+
+
+def _apply_cx(state, c, t, n):
+    sub = state[_sl(n, c, 1)]
+    t_adj = t - 1 if t > c else t
+    sl0, sl1 = _sl(n - 1, t_adj, 0), _sl(n - 1, t_adj, 1)
+    tmp = sub[sl0].copy()
+    sub[sl0] = sub[sl1]
+    sub[sl1] = tmp
+
+
+def _apply_ccx(state, c1, c2, t, n):
+    sub = state[_sl(n, c1, 1)]
+    c2_adj = c2 - 1 if c2 > c1 else c2
+    sub = sub[_sl(n - 1, c2_adj, 1)]
+    t_adj = t - (1 if t > c1 else 0) - (1 if t > c2 else 0)
+    sl0, sl1 = _sl(n - 2, t_adj, 0), _sl(n - 2, t_adj, 1)
+    tmp = sub[sl0].copy()
+    sub[sl0] = sub[sl1]
+    sub[sl1] = tmp
+
+
+def _measure(state, q, n, stream: _UniformStream | None):
+    p1 = float(np.sum(np.abs(state[_sl(n, q, 1)]) ** 2))
+    probabilistic = _BASIS_EPS < p1 < 1.0 - _BASIS_EPS
+    if probabilistic:
+        if stream is None:
+            raise SimulationError("measurement of a superposed qubit needs a seed")
+        outcome = 1 if stream.next() < p1 else 0
+    else:
+        outcome = 1 if p1 >= 0.5 else 0
+    prob = p1 if outcome == 1 else 1.0 - p1
+    state[_sl(n, q, 1 - outcome)] = 0.0
+    if prob != 1.0:
+        state *= 1.0 / math.sqrt(prob)
+    if probabilistic:
+        norm = float(np.linalg.norm(state.ravel()))
+        if abs(norm - 1.0) > _NORM_TOL:
+            raise NormDrift(f"norm {norm} after measuring qubit {q}")
+    return outcome
+
+
+class NumpyStatevector:
+    """Reference runner with DenseRunner's ``run``/``run_value`` contract.
+
+    Under noise it draws from the stream in the documented order: per fired
+    gate, for each touched qubit one depolarizing draw and, when it fires, one
+    draw choosing X/Y/Z; per measurement one Born draw if the outcome is
+    uncertain, then one readout-flip draw.
+    """
+
+    def __init__(self, circuit: Circuit):
+        self.circuit = circuit
+
+    def _execute(self, initial_bits, rng, noise, counts=None, trace=None) -> list[int]:
+        circuit = self.circuit
+        n = circuit.num_qubits
+        bits = tuple(initial_bits) if initial_bits is not None else (0,) * n
+        state = np.zeros((2,) * n, dtype=complex)
+        state[bits] = 1.0
+        cl = [0] * circuit.num_clbits
+        stream = _UniformStream(rng) if rng is not None else None
+        counts = {} if counts is None else counts
+        for instr in circuit.instructions:
+            if isinstance(instr, BarrierOp):
+                continue
+            if isinstance(instr, MeasureOp):
+                outcome = _measure(state, instr.qubit, n, stream)
+                if noise is not None and stream.next() < noise.readout_flip:
+                    outcome ^= 1
+                cl[instr.clbit] = outcome
+                if trace is not None:
+                    trace.append((instr.clbit, outcome))
+                counts["measure_count"] = counts.get("measure_count", 0) + 1
+                continue
+            if instr.condition is not None and not instr.condition.holds(cl):
+                continue
+            t = instr.targets
+            if instr.gate is GateKind.X:
+                _apply_x(state, t[0], n)
+            elif instr.gate is GateKind.CX:
+                _apply_cx(state, t[0], t[1], n)
+            elif instr.gate is GateKind.CCX:
+                _apply_ccx(state, t[0], t[1], t[2], n)
+            else:
+                _apply_2x2(state, t[0], t[1], V if instr.gate is GateKind.CV else VDG, n)
+            counts[instr.gate.value] = counts.get(instr.gate.value, 0) + 1
+            if instr.gate is GateKind.X and instr.condition is not None:
+                counts["conditional_x_count"] = counts.get("conditional_x_count", 0) + 1
+            if noise is not None:
+                for q in t:
+                    if stream.next() < noise.depolarizing_per_gate:
+                        pauli = int(stream.next() * 3)
+                        (_apply_x, _apply_y, _apply_z)[pauli](state, q, n)
+        norm = float(np.linalg.norm(state.ravel()))
+        if abs(norm - 1.0) > _NORM_TOL:
+            raise NormDrift(f"final norm {norm}")
+        return cl
+
+    def run(self, initial_bits=None, seed=None, noise=None) -> RunResult:
+        rng = np.random.default_rng(seed) if (seed is not None or noise is not None) else None
+        counts: dict = {}
+        trace: list = []
+        cl = self._execute(initial_bits, rng, noise, counts, trace)
+        executed = dict.fromkeys(("x", "cx", "ccx", "cv", "cvdg", "measure_count",
+                                  "conditional_x_count"), 0)
+        census = dataclasses.replace(static_census(self.circuit), **{**executed, **counts})
+        return RunResult(tuple(cl), tuple(trace), census)
+
+    def run_value(self, initial_bits, rng, noise) -> int:
+        return sum(b << k for k, b in enumerate(self._execute(initial_bits, rng, noise)))
+
+
+def reference_sample(circuit: Circuit, initial_bits, shots: int, noise, seed: int) -> Histogram:
+    """``simulate.sample`` on the reference runner: shot s draws from the
+    generator seeded with (seed, s)."""
+    runner = NumpyStatevector(circuit)
+    counts: dict[int, int] = {}
+    for s in range(shots):
+        value = runner.run_value(initial_bits, np.random.default_rng([seed, s]), noise)
+        counts[value] = counts.get(value, 0) + 1
+    return Histogram(shots, dict(sorted(counts.items())))

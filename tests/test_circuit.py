@@ -308,3 +308,46 @@ class TestJsonInterchange:
     def test_typed_errors_keep_their_class(self):
         with pytest.raises(IndexOutOfRange):
             circuit_from_json({"qubits": 1, "clbits": 0, "instr": [{"g": "x", "t": [3]}]})
+
+
+class TestIntegerIndices:
+    def test_non_integer_width_rejected(self):
+        with pytest.raises(CircuitError):
+            Circuit(2.5, 0)
+
+    @pytest.mark.parametrize("instr", [
+        GateOp(GateKind.X, (0.5,)),
+        GateOp(GateKind.CX, (0, "1")),
+        MeasureOp(0.5, 0),
+        MeasureOp(0, "1"),
+    ])
+    def test_non_integer_index_rejected(self, instr):
+        with pytest.raises(CircuitError):
+            Circuit(2, 2).append(instr)
+
+    @pytest.mark.parametrize("mask", [(0.5,), ("1",)])
+    def test_non_integer_condition_clbit_rejected(self, mask):
+        with pytest.raises(CircuitError):
+            ClassicalCondition(mask, 1)
+
+    def test_numpy_integer_indices_accepted(self):
+        np = pytest.importorskip("numpy")
+        c = Circuit(np.int64(2), np.int32(1))
+        c.append(GateOp(GateKind.CX, (np.int64(0), np.int64(1))))
+        c.append(MeasureOp(np.int16(1), np.int8(0)))
+        assert c == Circuit(2, 1, [GateOp(GateKind.CX, (0, 1)), MeasureOp(1, 0)])
+
+    def test_numpy_index_out_of_range_rejected(self):
+        np = pytest.importorskip("numpy")
+        with pytest.raises(IndexOutOfRange):
+            Circuit(2, 0).append(GateOp(GateKind.X, (np.int64(2),)))
+
+    @pytest.mark.parametrize("entry", [
+        {"g": "x", "t": [0.5]},
+        {"m": [0, 0.5]},
+        {"g": "x", "t": [0], "if": {"mask": [0.5], "eq": 1}},
+        {"g": "x", "t": [0], "if": {"mask": [0], "eq": 0.5}},
+    ])
+    def test_json_non_integer_index_rejected(self, entry):
+        with pytest.raises(CircuitError):
+            circuit_from_json({"qubits": 1, "clbits": 1, "instr": [entry]})

@@ -192,3 +192,18 @@ class TestDeterminism:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "class: Greater" in proc.stdout
+
+
+class TestDenseVerify:
+    def test_refuses_widths_beyond_cap_before_running(self, runner):
+        result = runner.invoke(main, ["verify", "--backend", "dense"])
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert "2002 qubits exceeds dense cap 24" in result.stderr
+
+    def test_runs_up_to_the_cap(self, runner):
+        result = invoke(runner, "verify", "--backend", "dense", "--max-bits", "11",
+                        "--exhaustive-limit", "2", "--samples", "3", "--format", "json")
+        payload = json.loads(result.output)
+        assert [row["n"] for row in payload["per_n"]] == [1, 2, 3, 6, 11]
+        assert payload["mismatches"] == 0

@@ -388,3 +388,10 @@ class TestSweepsCatchBrokenCircuits:
 
     def test_exhaustive_across_several_chunks(self):
         assert soundness_check_exhaustive(9) == (4 ** 9, 0)
+
+
+class TestOperandTypes:
+    @pytest.mark.parametrize("a, b", [(True, 0), (0, False)])
+    def test_bool_operand_rejected(self, a, b):
+        with pytest.raises(InvalidBitstring):
+            compare(a, b)
