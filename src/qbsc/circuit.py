@@ -51,10 +51,13 @@ class GateKind(Enum):
     CV = "cv"
     CVDG = "cvdg"
 
+    # Members are singletons, so identity hashing is exact; Enum's own hash
+    # is a Python-level call on every lookup in a kind-keyed table.
+    __hash__ = object.__hash__
+
     @property
     def arity(self) -> int:
-        return {GateKind.X: 1, GateKind.CX: 2, GateKind.CCX: 3,
-                GateKind.CV: 2, GateKind.CVDG: 2}[self]
+        return _ARITY[self]
 
     @property
     def unit_cost(self) -> int:
@@ -64,6 +67,10 @@ class GateKind(Enum):
     def unit_delay(self) -> int:
         return self.unit_cost
 
+
+_ARITY = {GateKind.X: 1, GateKind.CX: 2, GateKind.CCX: 3, GateKind.CV: 2, GateKind.CVDG: 2}
+#: Gate kinds by their serialized names (JSON "g", QASM statement head).
+GATE_NAMES: dict[str, GateKind] = {kind.value: kind for kind in GateKind}
 
 #: Default per-kind delay table for structural_depth.
 DEFAULT_DELAYS: dict[GateKind, int] = {kind: kind.unit_delay for kind in GateKind}
@@ -114,13 +121,19 @@ class GateOp:
     condition: ClassicalCondition | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "targets", tuple(self.targets))
-        if len(self.targets) != self.gate.arity:
+        targets = self.targets
+        if type(targets) is not tuple:
+            targets = tuple(targets)
+            object.__setattr__(self, "targets", targets)
+        arity = _ARITY.get(self.gate)
+        if arity != len(targets):
+            if arity is None:
+                raise CircuitError(f"not a gate kind: {self.gate!r}")
             raise ArityMismatch(
-                f"{self.gate.value} takes {self.gate.arity} qubits, got {len(self.targets)}"
+                f"{self.gate.value} takes {arity} qubits, got {len(targets)}"
             )
-        if len(set(self.targets)) != len(self.targets):
-            raise DuplicateTarget(f"repeated qubit in {self.gate.value}{self.targets}")
+        if arity > 1 and len(set(targets)) != arity:
+            raise DuplicateTarget(f"repeated qubit in {self.gate.value}{targets}")
 
 
 @dataclass(frozen=True)
@@ -175,17 +188,18 @@ class Circuit:
         """Validate ``instr`` against the declared widths and append it.
 
         Indices must be integers (numpy's too) in range; condition clbits were
-        type-checked when the condition was made.
+        type-checked, and the mask checked ascending, when the condition was
+        made.
         """
         nq, nc = self.num_qubits, self.num_clbits
         if isinstance(instr, GateOp):
             for q in instr.targets:
                 if type(q) is not int or not 0 <= q < nq:
                     _check_int(q, "qubit", nq)
-            if instr.condition is not None:
-                for b in instr.condition.mask:
-                    if not 0 <= b < nc:
-                        raise IndexOutOfRange(f"clbit {b} outside [0, {nc})")
+            mask = instr.condition.mask if instr.condition is not None else ()
+            if mask and mask[-1] >= nc:  # ascending and non-negative by construction
+                b = next(b for b in mask if b >= nc)
+                raise IndexOutOfRange(f"clbit {b} outside [0, {nc})")
         elif isinstance(instr, MeasureOp):
             if type(instr.qubit) is not int or not 0 <= instr.qubit < nq:
                 _check_int(instr.qubit, "qubit", nq)
@@ -382,26 +396,51 @@ def circuit_to_json(circuit: Circuit) -> dict:
     return doc
 
 
+def _labels_from_json(labels: dict, num_qubits: int) -> dict[int, str]:
+    """Qubit labels keyed by index: a key must be an integer (or its decimal
+    string) in [0, num_qubits), a name a string."""
+    out = {}
+    for key, name in labels.items():
+        q = int(key) if isinstance(key, str) else key
+        _check_int(q, "label qubit", num_qubits)
+        if not isinstance(name, str):
+            raise CircuitError(f"label of qubit {q} must be a string, got {name!r}")
+        out[q] = name
+    return out
+
+
 def circuit_from_json(doc: dict) -> Circuit:
     """Inverse of :func:`circuit_to_json`; a malformed document raises
-    :class:`CircuitError`."""
+    :class:`CircuitError`.
+
+    Gates sharing one condition share one :class:`ClassicalCondition`.
+    """
     try:
-        labels = None
+        circuit = Circuit(doc["qubits"], doc["clbits"])
         if "labels" in doc:
-            labels = {int(q): name for q, name in doc["labels"].items()}
-        circuit = Circuit(doc["qubits"], doc["clbits"], labels=labels)
+            circuit.labels = _labels_from_json(doc["labels"], circuit.num_qubits)
+        # Keyed with the value types too: 1.0 and True hash like 1, and a
+        # cached condition must not let a rejected form through.
+        conditions: dict[tuple, ClassicalCondition] = {}
+        append = circuit.append
         for entry in doc["instr"]:
             if "g" in entry:
+                kind = GATE_NAMES.get(entry["g"])
+                if kind is None:
+                    raise CircuitError(f"unknown gate {entry['g']!r}")
                 condition = None
                 if "if" in entry:
-                    condition = ClassicalCondition(tuple(entry["if"]["mask"]),
-                                                   entry["if"]["eq"])
-                circuit.append(GateOp(GateKind(entry["g"]), tuple(entry["t"]), condition))
+                    mask, eq = tuple(entry["if"]["mask"]), entry["if"]["eq"]
+                    key = (mask, eq, tuple(map(type, mask)), type(eq))
+                    condition = conditions.get(key)
+                    if condition is None:
+                        condition = conditions[key] = ClassicalCondition(mask, eq)
+                append(GateOp(kind, tuple(entry["t"]), condition))
             elif "m" in entry:
                 qubit, clbit = entry["m"]
-                circuit.append(MeasureOp(qubit, clbit))
+                append(MeasureOp(qubit, clbit))
             elif "b" in entry:
-                circuit.append(BarrierOp(entry["b"]))
+                append(BarrierOp(entry["b"]))
             else:
                 raise CircuitError(f"unrecognized instruction entry: {entry!r}")
     except QbscError:

@@ -23,7 +23,6 @@ from . import qasm
 from .circuit import circuit_to_json
 from .comparator import (
     BuilderVariant,
-    Operands,
     build_gqbsc,
     compare,
     encode_operands,
@@ -117,11 +116,9 @@ def cmd_compare(a_text, b_text, variant, backend, seed, fmt, out):
     try:
         a, b = _parse_operand(a_text), _parse_operand(b_text)
         outcome = compare(a, b, backend=backend, variant=BuilderVariant(variant), seed=seed)
-        ops = encode_operands(a, b)
-        # resource numbers refer to the value-independent body, executed with
-        # the operands as the initial state (prep gates excluded throughout)
-        body = build_gqbsc(Operands((0,) * ops.n, (0,) * ops.n), BuilderVariant(variant))
-        measured = measured_report(body, ops)
+        # resource numbers refer to the value-independent body compare() ran
+        # once, with the operands as the initial state (no prep gates)
+        measured = measured_report(outcome.body, run=outcome.run)
     except OperandError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_BAD_INPUT)

@@ -23,7 +23,9 @@ the answer is "less", which is why only the class and r1 are contractual.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+import random
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -39,7 +41,7 @@ from .circuit import (
     MeasureOp,
 )
 from .errors import DuplicateTarget, EmptyOperand, InvalidBitstring
-from .simulate import MAX_LANES, ClassicalRunner, DenseRunner, select_backend
+from .simulate import MAX_LANES, ClassicalRunner, DenseRunner, RunResult, select_backend
 
 
 class ComparisonClass(Enum):
@@ -77,6 +79,10 @@ class ComparisonOutcome:
     backend: str
     variant: BuilderVariant
     n: int
+    #: The value-independent body that ran, and its run with the operands as
+    #: the initial qubits (executed census and measurement trace).
+    body: Circuit | None = field(default=None, compare=False, repr=False)
+    run: RunResult | None = field(default=None, compare=False, repr=False)
 
 
 def _bits_of(value) -> tuple[int, ...]:
@@ -201,16 +207,20 @@ def reference_flags(ops: Operands, variant: BuilderVariant = BuilderVariant.FIGU
 def compare(a, b, backend: str = "auto",
             variant: BuilderVariant = BuilderVariant.FIGURE,
             seed: int | None = None) -> ComparisonOutcome:
-    """Encode, build, run, and interpret in one call."""
+    """Encode, build, run, and interpret in one call.
+
+    Builds the value-independent body once and runs it once with the operand
+    bits as the initial qubits; the outcome carries both.
+    """
     ops = encode_operands(a, b)
-    circuit = build_gqbsc(ops, variant)
-    chosen = select_backend(circuit, backend)
+    body = build_gqbsc(Operands((0,) * ops.n, (0,) * ops.n), variant)
+    chosen = select_backend(body, backend)
     if chosen == "classical":
-        cl = ClassicalRunner(circuit).run_bits()
+        run = ClassicalRunner(body).run(ops.initial_qubit_bits())
     else:
-        cl = tuple(DenseRunner(circuit).run(seed=seed).classical_bits)
-    r0, r1 = cl[0], cl[1]
-    return ComparisonOutcome(r0, r1, interpret(r0, r1), chosen, variant, ops.n)
+        run = DenseRunner(body).run(ops.initial_qubit_bits(), seed=seed)
+    r0, r1 = run.classical_bits[:2]
+    return ComparisonOutcome(r0, r1, interpret(r0, r1), chosen, variant, ops.n, body, run)
 
 
 # -- verification sweeps -------------------------------------------------------
@@ -325,26 +335,48 @@ def soundness_check_exhaustive(n: int, variant: BuilderVariant = BuilderVariant.
     return total, mismatches
 
 
+def _random_pairs(n: int, samples: int, seed: int):
+    """Seeded operand pairs at width n, the same draws for every backend.
+
+    Even draws are uniform pairs. Uniform pairs tie on their first k bits
+    with probability 2^-k, so at wide widths a late block never decides
+    them; each odd draw therefore ties on a prefix of exactly k bits and
+    differs at bit k, its verdict block. Over the odd draws k spreads
+    evenly across 0..n-1, each k taken once with a < b and then with a > b.
+    """
+    rng = random.Random(seed)
+    strata = (samples // 2 + 1) // 2  # distinct k among the odd draws
+    for j in range(samples):
+        if j % 2 == 0:
+            yield rng.getrandbits(n), rng.getrandbits(n)
+            continue
+        s = j // 2
+        k = (s // 2) * (n - 1) // (strata - 1) if strata > 1 else n - 1
+        low = n - 1 - k
+        prefix = rng.getrandbits(k) << (low + 1)
+        lo = prefix | rng.getrandbits(low)
+        hi = prefix | 1 << low | rng.getrandbits(low)
+        yield (lo, hi) if s % 2 == 0 else (hi, lo)
+
+
 def soundness_check_random(n: int, samples: int, seed: int = 0,
                            variant: BuilderVariant = BuilderVariant.FIGURE,
                            backend: str = "classical") -> tuple[int, int]:
-    """Seeded random operand pairs at width n; returns (pairs, mismatches).
+    """Seeded operand pairs at width n (see :func:`_random_pairs`); returns
+    (pairs, mismatches).
 
-    Pairs are drawn a then b, pair by pair, whatever the backend; the
-    classical backend checks them in bit-sliced chunks of ``MAX_LANES``.
+    The classical backend checks them in bit-sliced chunks of ``MAX_LANES``;
+    any other backend runs them one at a time.
     """
-    import random
-
-    rng = random.Random(seed)
     body = build_gqbsc(Operands((0,) * n, (0,) * n), variant)
+    drawn = _random_pairs(n, samples, seed)
     if backend != "classical":
-        drawn = ((rng.getrandbits(n), rng.getrandbits(n)) for _ in range(samples))
         return samples, _dense_mismatches(body, n, variant, drawn)
     runner = ClassicalRunner(body)
     mismatches = 0
     for start in range(0, samples, MAX_LANES):
         lanes = min(MAX_LANES, samples - start)
-        pairs = [(rng.getrandbits(n), rng.getrandbits(n)) for _ in range(lanes)]
+        pairs = list(itertools.islice(drawn, lanes))
         less = _lane_mask(np.array([a < b for a, b in pairs]))
         greater = _lane_mask(np.array([a > b for a, b in pairs]))
         mismatches += _lane_mismatches(runner, _transpose([a for a, _ in pairs], n),

@@ -23,7 +23,10 @@ Dialect notes, both load-bearing for round-tripping:
 """
 from __future__ import annotations
 
+import re
+
 from .circuit import (
+    GATE_NAMES,
     BarrierOp,
     Circuit,
     ClassicalCondition,
@@ -38,8 +41,10 @@ from .errors import (
     UnsupportedInstruction,
 )
 
-_GATE_NAMES = {k.value: k for k in GateKind}
 _INDENT = "  "
+# The scanner's freedom between tokens, and its (ASCII) decimal integer.
+_WS = "[ \t]*"
+_INT = "([0-9]+)"
 
 
 def export(circuit: Circuit) -> str:
@@ -134,7 +139,7 @@ class _Scanner:
     def integer(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if self.pos == start:
             raise self.error("not a number", "decimal integer")
@@ -156,9 +161,15 @@ class _Parser:
         self.condition: ClassicalCondition | None = None
         self.saw_version = False
         self.saw_statement = False
+        # Whole-line patterns for gate and measure statements, made once the
+        # registers they name are declared (see _compile_patterns).
+        self.gate_line: re.Pattern | None = None
+        self.measure_line: re.Pattern | None = None
 
     def parse(self) -> Circuit:
         for line_no, raw in enumerate(self.lines, start=1):
+            if self.gate_line is not None and self._matched_statement(raw):
+                continue
             stripped = raw.strip()
             if not stripped:
                 continue
@@ -170,10 +181,48 @@ class _Parser:
             raise QasmSyntaxError("empty document", 1, 1, "'OPENQASM 3.0;'")
         if self.condition is not None:
             raise QasmSyntaxError("unterminated if block", len(self.lines), 1, "'}'")
-        circuit = Circuit(self.num_qubits, self.num_clbits)
-        for instr in self.instructions:
-            circuit.append(instr)
-        return circuit
+        # every index was range-checked against the declarations above
+        return Circuit(self.num_qubits, self.num_clbits, self.instructions)
+
+    def _compile_patterns(self):
+        """Patterns accepting exactly what the scanner accepts for a gate or
+        measure line: the same tokens, ``[ \\t]*`` between them, and at
+        least one blank between a gate name and the register name, which
+        the scanner would otherwise read as one identifier."""
+        ref = re.escape(self.qreg) + f"{_WS}\\[{_WS}{_INT}{_WS}\\]"
+        more = f"(?:{_WS},{_WS}{ref})?"
+        self.gate_line = re.compile(f"{_WS}([a-z]+)[ \\t]+{ref}{more}{more}{_WS};{_WS}")
+        # A bit register named like a statement keyword never heads a measure.
+        if self.creg is not None and self.creg not in GATE_NAMES \
+                and self.creg not in ("qubit", "bit", "if"):
+            self.measure_line = re.compile(
+                f"{_WS}{re.escape(self.creg)}{_WS}\\[{_WS}{_INT}{_WS}\\]{_WS}={_WS}"
+                f"measure{_WS}{ref}{_WS};{_WS}")
+
+    def _matched_statement(self, raw: str) -> bool:
+        """Take a well-formed, in-range gate or measure line by pattern.
+
+        False leaves the line to the scanner, which parses it the same way or
+        raises the error with its position.
+        """
+        m = self.gate_line.fullmatch(raw)
+        if m is not None:
+            kind = GATE_NAMES.get(m[1])
+            targets = tuple(int(t) for t in m.groups()[1:] if t is not None)
+            if kind is None or len(targets) != kind.arity or max(targets) >= self.num_qubits:
+                return False
+            self.saw_statement = True
+            self.instructions.append(GateOp(kind, targets, self.condition))
+            return True
+        m = self.measure_line.fullmatch(raw) if self.measure_line is not None else None
+        if m is None:
+            return False
+        clbit, qubit = int(m[1]), int(m[2])
+        if clbit >= self.num_clbits or qubit >= self.num_qubits:
+            return False
+        self.saw_statement = True
+        self.instructions.append(MeasureOp(qubit, clbit))
+        return True
 
     def _comment(self, stripped: str):
         body = stripped[2:].strip()
@@ -203,8 +252,8 @@ class _Parser:
             self._declaration(sc, head)
         elif head == "if":
             self._open_if(sc)
-        elif head in _GATE_NAMES:
-            self._gate(sc, _GATE_NAMES[head])
+        elif head in GATE_NAMES:
+            self._gate(sc, GATE_NAMES[head])
         elif sc.peek() == "[":
             self._measure(sc, head)
         else:
@@ -227,6 +276,8 @@ class _Parser:
             if self.creg is not None:
                 raise sc.error("second bit register", "a single bit register")
             self.creg, self.num_clbits = name, size
+        if self.qreg is not None:
+            self._compile_patterns()
 
     def _qubit_ref(self, sc: _Scanner) -> int:
         name = sc.ident()

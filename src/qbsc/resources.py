@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 from .circuit import Circuit, GateCensus, static_census, structural_depth
 from .comparator import BuilderVariant, Operands, build_gqbsc
 from .errors import UnknownMethod
-from .simulate import ClassicalRunner
+from .simulate import ClassicalRunner, RunResult
 
 
 class Method(Enum):
@@ -128,20 +128,22 @@ def formula_report(method, n: int, case: Case | None = None) -> ResourceEstimate
     return ResourceEstimate(method, n, case, 2, 14 * n + extra, 4 * n + extra)
 
 
-def measured_report(circuit: Circuit, inputs: Operands | None = None) -> MeasuredResources:
+def measured_report(circuit: Circuit, inputs: Operands | None = None,
+                    run: RunResult | None = None) -> MeasuredResources:
     """Census, static cost, structural delay, and (with inputs) executed cost.
 
     ``executed_cost`` runs the classical backend with the operand bits as the
     initial qubit assignment and sums unit costs over the gates that fired.
     Pass the value-independent body (zero-operand build) together with
     ``inputs``; a circuit that already embeds input-prep X gates would apply
-    them on top of the initial bits and cancel the encoding.
+    them on top of the initial bits and cancel the encoding. A ``run`` of
+    ``circuit`` already at hand (``compare(...).run``) is used instead of
+    running it again.
     """
     census = static_census(circuit)
-    executed_cost = None
-    if inputs is not None:
-        executed = ClassicalRunner(circuit).run(inputs.initial_qubit_bits()).executed_census
-        executed_cost = executed.total_unit_cost
+    if run is None and inputs is not None:
+        run = ClassicalRunner(circuit).run(inputs.initial_qubit_bits())
+    executed_cost = None if run is None else run.executed_census.total_unit_cost
     return MeasuredResources(
         census=census,
         static_cost=census.total_unit_cost,

@@ -68,9 +68,11 @@ class TestConstruction:
         with pytest.raises(DuplicateTarget):
             c.cx(5, 5)
 
-    def test_arity_mismatch_rejected(self):
-        with pytest.raises(ArityMismatch):
-            GateOp(GateKind.CCX, (0, 1))
+    @pytest.mark.parametrize("kind", list(GateKind))
+    def test_arity_mismatch_rejected(self, kind):
+        for count in (kind.arity - 1, kind.arity + 1):
+            with pytest.raises(ArityMismatch):
+                GateOp(kind, tuple(range(count)))
 
     def test_qubit_index_out_of_range(self):
         c = new_circuit(2, 0)
@@ -351,3 +353,83 @@ class TestIntegerIndices:
     def test_json_non_integer_index_rejected(self, entry):
         with pytest.raises(CircuitError):
             circuit_from_json({"qubits": 1, "clbits": 1, "instr": [entry]})
+
+
+class TestTableDrivenChecks:
+    def test_arity_table(self):
+        assert {k.value: k.arity for k in GateKind} == {
+            "x": 1, "cx": 2, "ccx": 3, "cv": 2, "cvdg": 2}
+
+    @pytest.mark.parametrize("gate", ["x", None])
+    def test_gate_that_is_not_a_kind_rejected(self, gate):
+        with pytest.raises(CircuitError):
+            GateOp(gate, (0,))
+
+    def test_targets_become_a_tuple(self):
+        assert GateOp(GateKind.CCX, [0, 1, 2]).targets == (0, 1, 2)
+
+    @pytest.mark.parametrize("targets", [(1, 1, 0), (0, 1, 0), (0, 1, 1)])
+    def test_duplicate_target_at_any_position(self, targets):
+        with pytest.raises(DuplicateTarget):
+            GateOp(GateKind.CCX, targets)
+
+    def test_condition_clbit_out_of_range_names_the_first(self):
+        with pytest.raises(IndexOutOfRange, match="clbit 2 outside"):
+            Circuit(1, 2).append(GateOp(GateKind.X, (0,), ClassicalCondition((0, 2, 3), 0)))
+
+
+class TestJsonLoading:
+    def _doc(self, instr=(), **extra):
+        return {"qubits": 2, "clbits": 2, "instr": list(instr), **extra}
+
+    def test_conditions_shared_per_distinct_mask_and_value(self):
+        gate = {"g": "x", "t": [0], "if": {"mask": [0, 1], "eq": 2}}
+        other = {"g": "x", "t": [1], "if": {"mask": [0, 1], "eq": 0}}
+        loaded = circuit_from_json(self._doc([gate, other, gate, other]))
+        conditions = [op.condition for op in loaded.instructions]
+        assert conditions[0] is conditions[2] and conditions[1] is conditions[3]
+        assert conditions[0] == ClassicalCondition((0, 1), 2)
+        assert conditions[1] == ClassicalCondition((0, 1), 0)
+
+    @pytest.mark.parametrize("eq", [1.0, 1.5])
+    def test_float_value_rejected_after_an_equal_int(self, eq):
+        first = {"g": "x", "t": [0], "if": {"mask": [0], "eq": 1}}
+        second = {"g": "x", "t": [0], "if": {"mask": [0], "eq": eq}}
+        with pytest.raises(CircuitError):
+            circuit_from_json(self._doc([first, second]))
+
+    def test_float_mask_rejected_after_an_equal_int(self):
+        first = {"g": "x", "t": [0], "if": {"mask": [1], "eq": 1}}
+        second = {"g": "x", "t": [0], "if": {"mask": [1.0], "eq": 1}}
+        with pytest.raises(CircuitError):
+            circuit_from_json(self._doc([first, second]))
+
+    @pytest.mark.parametrize("name", ["h", "X", ["x"], None])
+    def test_unknown_gate_name_rejected(self, name):
+        with pytest.raises(CircuitError):
+            circuit_from_json(self._doc([{"g": name, "t": [0]}]))
+
+    def test_labels_load_by_index(self):
+        loaded = circuit_from_json(self._doc(labels={"1": "b", "0": "a"}))
+        assert loaded.labels == {1: "b", 0: "a"}
+
+    def test_label_key_beyond_register_rejected(self):
+        with pytest.raises(IndexOutOfRange):
+            circuit_from_json(self._doc(labels={"99": "a"}))
+
+    def test_negative_label_key_rejected(self):
+        with pytest.raises(IndexOutOfRange):
+            circuit_from_json(self._doc(labels={"-1": "a"}))
+
+    def test_non_string_label_name_rejected(self):
+        with pytest.raises(CircuitError):
+            circuit_from_json(self._doc(labels={"0": 5}))
+
+    @pytest.mark.parametrize("key", ["one", "0.5", 0.5])
+    def test_non_integer_label_key_rejected(self, key):
+        with pytest.raises(CircuitError):
+            circuit_from_json(self._doc(labels={key: "a"}))
+
+    def test_labels_not_a_mapping_rejected(self):
+        with pytest.raises(CircuitError):
+            circuit_from_json(self._doc(labels=["a"]))

@@ -207,3 +207,67 @@ class TestDenseVerify:
         payload = json.loads(result.output)
         assert [row["n"] for row in payload["per_n"]] == [1, 2, 3, 6, 11]
         assert payload["mismatches"] == 0
+
+
+def _reference_compare_payload(a: str, b: str, variant: str, backend: str) -> str:
+    """``compare --format json`` stdout composed the two-build way: compare()
+    for the verdict, measured_report of a separately built body for the
+    resources."""
+    from qbsc.comparator import BuilderVariant, Operands, build_gqbsc, compare, encode_operands
+    from qbsc.resources import measured_report
+
+    outcome = compare(a, b, backend=backend, variant=BuilderVariant(variant), seed=1234)
+    ops = encode_operands(a, b)
+    body = build_gqbsc(Operands((0,) * ops.n, (0,) * ops.n), BuilderVariant(variant))
+    measured = measured_report(body, ops)
+    return json.dumps({
+        "class": outcome.comparison.value,
+        "r0": outcome.r0,
+        "r1": outcome.r1,
+        "n": outcome.n,
+        "backend": outcome.backend,
+        "variant": outcome.variant.value,
+        "resources": {
+            "qubits": measured.qubits,
+            "width": measured.width_total,
+            "ancilla": 2,
+            "static_cost": measured.static_cost,
+            "executed_cost": measured.executed_cost,
+            "structural_delay": measured.structural_delay,
+        },
+    }, indent=2, sort_keys=True) + "\n"
+
+
+def _compare_cases():
+    import random
+
+    rng = random.Random(11)
+    for n in (1, 2, 3, 17, 1000):
+        pairs = [(format(rng.getrandbits(n), f"0{n}b"), format(rng.getrandbits(n), f"0{n}b")),
+                 ("1" * n, "1" * (n - 1) + "0"), ("0" * (n - 1) + "1", "1" * n)]
+        backends = ("auto", "classical", "dense") if n <= 3 else ("auto", "classical")
+        for variant in ("figure", "algorithmic"):
+            for backend in backends:
+                for a, b in pairs:
+                    yield pytest.param(a, b, variant, backend, id=f"{n}-{variant}-{backend}")
+
+
+class TestCompareRunsOnce:
+    @pytest.mark.parametrize("a, b, variant, backend", _compare_cases())
+    def test_json_equals_two_build_reference(self, runner, a, b, variant, backend):
+        result = invoke(runner, "compare", "--a", "bin:" + a, "--b", "bin:" + b,
+                        "--variant", variant, "--backend", backend, "--format", "json")
+        assert result.exit_code == 0
+        assert result.stdout == _reference_compare_payload(a, b, variant, backend)
+
+    def test_one_build_per_compare(self, runner, monkeypatch):
+        import qbsc.cli as cli
+        import qbsc.comparator as comparator
+
+        calls = []
+        build = comparator.build_gqbsc
+        for module in (comparator, cli):  # every binding the command can reach
+            monkeypatch.setattr(module, "build_gqbsc",
+                                lambda *args: calls.append(args) or build(*args))
+        assert invoke(runner, "compare", "--a", "700", "--b", "420").exit_code == 0
+        assert len(calls) == 1

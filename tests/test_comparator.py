@@ -395,3 +395,33 @@ class TestOperandTypes:
     def test_bool_operand_rejected(self, a, b):
         with pytest.raises(InvalidBitstring):
             compare(a, b)
+
+
+class TestRandomLadderReachesLateBlocks:
+    @pytest.mark.parametrize("variant", [FIGURE, ALGORITHMIC])
+    def test_retargeted_last_block_shows_at_width_64(self, monkeypatch, variant):
+        _patch_builder(monkeypatch, _retarget_last_ccx)
+        assert soundness_check_random(64, 50, seed=9, variant=variant)[1] > 0
+
+    @pytest.mark.parametrize("n, samples", [(1, 5), (9, 100), (64, 50), (1000, 100)])
+    def test_tied_prefixes_cover_both_ends_and_every_verdict(self, n, samples):
+        from qbsc.comparator import _random_pairs
+
+        pairs = list(_random_pairs(n, samples, seed=3))
+        assert len(pairs) == samples
+        assert all(0 <= v < 1 << n for pair in pairs for v in pair)
+        tied = pairs[1::2]
+        first_difference = {n - (a ^ b).bit_length() for a, b in tied}
+        assert {0, n - 1} <= first_difference
+        if samples >= 4 * n:
+            assert first_difference == set(range(n))
+        # a tie length is drawn with a < b first, then with a > b
+        verdicts = {k: {a < b for a, b in tied if n - (a ^ b).bit_length() == k}
+                    for k in (0, n - 1)}
+        assert verdicts[0] == {True, False} and True in verdicts[n - 1]
+
+    def test_draws_depend_only_on_seed(self):
+        from qbsc.comparator import _random_pairs
+
+        assert list(_random_pairs(40, 30, 7)) == list(_random_pairs(40, 30, 7))
+        assert list(_random_pairs(40, 30, 7)) != list(_random_pairs(40, 30, 8))

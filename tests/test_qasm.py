@@ -1,6 +1,7 @@
 """Text serialization: exporter output, parser errors, and roundtrips."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,9 @@ from hypothesis import strategies as st
 
 from qbsc.circuit import ClassicalCondition, new_circuit
 from qbsc.comparator import BuilderVariant, Operands, build_gqbsc, encode_operands
+from qbsc import qasm
 from qbsc.errors import (
+    DuplicateTarget,
     IndexOutOfRange,
     QasmSyntaxError,
     UndeclaredRegister,
@@ -158,3 +161,133 @@ class TestRoundtrip:
     @given(circuit_strategy())
     def test_random_circuits_roundtrip(self, circuit):
         assert parse(export(circuit)) == circuit
+
+
+# Malformed gate and measure lines after HEADER, with the error each raises:
+# (line, class, column, expected) for syntax errors, (line, class, None,
+# message) otherwise. The values are those of the scanner-only parser.
+MALFORMED_LINES = [
+    ("cx q[0] q[1];", QasmSyntaxError, 9, "','"),
+    ("cx q[0], q[1]", QasmSyntaxError, 14, "';'"),
+    ("cx q[0, q[1];", QasmSyntaxError, 7, "']'"),
+    ("cx q[0], q1];", UndeclaredRegister, None, "unknown qubit register 'q1'"),
+    ("ccx q[0], q[1] q[2];", QasmSyntaxError, 16, "','"),
+    ("x q[0]", QasmSyntaxError, 7, "';'"),
+    ("x q[0;", QasmSyntaxError, 6, "']'"),
+    ("x q0];", UndeclaredRegister, None, "unknown qubit register 'q0'"),
+    ("x\tq[ 0 ]  ;x", QasmSyntaxError, 12, "end of line"),
+    ("cx q[0],, q[1];", QasmSyntaxError, 9, "identifier"),
+    ("ccx q[0], q[1];", QasmSyntaxError, 15, "','"),
+    ("cx q[0], r[1];", UndeclaredRegister, None, "unknown qubit register 'r'"),
+    ("cx r[0], q[1];", UndeclaredRegister, None, "unknown qubit register 'r'"),
+    ("ccx q[0], q[1], p[2];", UndeclaredRegister, None, "unknown qubit register 'p'"),
+    ("ccx q[3], q[1], q[2];", IndexOutOfRange, None, "q[3] outside declared qubit[3]"),
+    ("ccx q[0], q[3], q[2];", IndexOutOfRange, None, "q[3] outside declared qubit[3]"),
+    ("ccx q[0], q[1], q[3];", IndexOutOfRange, None, "q[3] outside declared qubit[3]"),
+    ("cx q[0], q[1], q[2];", QasmSyntaxError, 14, "';'"),
+    ("xq[0];", UndeclaredRegister, None, "unknown bit register 'xq'"),
+    ("x q[0]; x q[1];", QasmSyntaxError, 9, "end of line"),
+    ("cx q[0], q[0];", DuplicateTarget, None, "repeated qubit in cx(0, 0)"),
+    ("cr[0] measure q[0];", QasmSyntaxError, 7, "'='"),
+    ("cr[0] = measure q[0]", QasmSyntaxError, 21, "';'"),
+    ("cr[0 = measure q[0];", QasmSyntaxError, 6, "']'"),
+    ("cr[0] = measure q[0;", QasmSyntaxError, 20, "']'"),
+    ("cr[0] = measure r[0];", UndeclaredRegister, None, "unknown qubit register 'r'"),
+    ("c[0] = measure q[0];", UndeclaredRegister, None, "unknown bit register 'c'"),
+    ("cr[2] = measure q[0];", IndexOutOfRange, None, "cr[2] outside declared bit[2]"),
+    ("cr[0] = measure q[3];", IndexOutOfRange, None, "q[3] outside declared qubit[3]"),
+    ("cr[0] = measur q[0];", QasmSyntaxError, 9, "'measure'"),
+    ("cr[0], = measure q[0];", QasmSyntaxError, 6, "'='"),
+    ("cr[0] == measure q[0];", QasmSyntaxError, 8, "'measure'"),
+]
+
+
+class TestMalformedStatementLines:
+    HEADER = TestParseErrors.HEADER
+
+    @pytest.mark.parametrize("in_block", [False, True])
+    @pytest.mark.parametrize("line, error, column, detail", MALFORMED_LINES)
+    def test_error_class_and_position(self, line, error, column, detail, in_block):
+        text = self.HEADER + ("if (cr == 0) {\n  " + line + "\n}\n" if in_block else line + "\n")
+        line_no, indent = (5, 2) if in_block else (4, 0)
+        with pytest.raises(error) as err:
+            parse(text)
+        if column is None:
+            prefix = "" if error is DuplicateTarget else f"line {line_no}: "
+            assert str(err.value) == prefix + detail
+        else:
+            assert (err.value.line, err.value.column, err.value.expected) == (
+                line_no, column + indent, detail)
+
+    # superscript two passes str.isdigit but not int(); Arabic-Indic one
+    # passes both, and must still not count as 1
+    @pytest.mark.parametrize("digit", ["\u00b2", "\u0661"])
+    @pytest.mark.parametrize("line", ["x q[{}];", "cr[0] = measure q[{}];"])
+    def test_non_ascii_digit_in_index(self, line, digit):
+        with pytest.raises(QasmSyntaxError) as err:
+            parse(TestParseErrors.HEADER + line.format(digit) + "\n")
+        assert (err.value.line, err.value.column, err.value.expected) == (
+            4, line.index("{") + 1, "decimal integer")
+
+    def test_non_ascii_digit_in_declaration(self):
+        with pytest.raises(QasmSyntaxError) as err:
+            parse("OPENQASM 3.0;\nqubit[\u00b2] q;\n")
+        assert (err.value.line, err.value.column, err.value.expected) == (2, 7, "decimal integer")
+
+
+_TOKEN = re.compile(r"==|[A-Za-z_][A-Za-z0-9_]*|[0-9]+(?:\.[0-9]+)?|\S")
+_WORDISH = re.compile(r"[A-Za-z0-9_]")
+
+
+def _respace(text: str, rnd: random.Random) -> str:
+    """Random spaces and tabs around and between the tokens of every
+    statement line; two word-like tokens keep at least one blank."""
+    blanks = ("", " ", "\t", "  ", " \t ")
+    lines = []
+    for line in text.split("\n"):
+        if not line.strip() or line.lstrip().startswith("//"):
+            lines.append(line)
+            continue
+        out = rnd.choice(blanks)
+        tokens = _TOKEN.findall(line)
+        for left, right in zip(tokens, tokens[1:] + [""]):
+            out += left
+            if right:
+                gap = rnd.choice(blanks)
+                if not gap and _WORDISH.match(left[-1]) and _WORDISH.match(right[0]):
+                    gap = " "
+                out += gap
+        lines.append(out + rnd.choice(blanks))
+    return "\n".join(lines)
+
+
+class _RecordingParser(qasm._Parser):
+    """Notes the lines left to the scanner."""
+
+    def __init__(self, text):
+        super().__init__(text)
+        self.scanned = []
+
+    def _statement(self, sc):
+        self.scanned.append(sc.text.strip())
+        super()._statement(sc)
+
+
+class TestStatementPatterns:
+    @settings(max_examples=80, deadline=None)
+    @given(circuit_strategy(), st.randoms(use_true_random=False))
+    def test_blanks_between_tokens_roundtrip(self, circuit, rnd):
+        text = _respace(export(circuit), rnd)
+        assert parse(text) == circuit
+        recording = _RecordingParser(text)
+        assert recording.parse() == circuit
+        # gate and measure lines never reach the scanner
+        heads = {_TOKEN.search(line).group() for line in recording.scanned}
+        assert heads <= {"OPENQASM", "qubit", "bit", "if", "}"}
+
+    def test_register_named_like_a_gate(self):
+        text = "OPENQASM 3.0;\nqubit[2] x;\nbit[1] cx;\nx x[0];\ncx x[0], x[1];\n"
+        circuit = parse(text)
+        assert len(circuit.instructions) == 2
+        with pytest.raises(QasmSyntaxError):
+            parse(text + "cx[0] = measure x[1];\n")

@@ -224,3 +224,17 @@ class TestGateGrowth:
         algo = gate_growth([10], BuilderVariant.ALGORITHMIC)[0]
         assert algo.x_gates == 4 * 10 + 9
         assert figure.x_gates == 4 * 10 + 5
+
+
+class TestReportFromARun:
+    @pytest.mark.parametrize("backend", ["classical", "dense"])
+    @pytest.mark.parametrize("a, b", [("1010", "1001"), ("0110", "0111"), ("1111", "1111")])
+    def test_compare_run_gives_the_same_report(self, a, b, backend):
+        from qbsc.comparator import compare
+
+        for variant in BuilderVariant:
+            outcome = compare(a, b, backend=backend, variant=variant)
+            ops = encode_operands(a, b)
+            assert outcome.body == build_gqbsc(Operands((0,) * ops.n, (0,) * ops.n), variant)
+            assert measured_report(outcome.body, run=outcome.run) == \
+                measured_report(outcome.body, ops)
