@@ -154,8 +154,10 @@ Instruction = Union[GateOp, MeasureOp, BarrierOp]
 
 def _check_int(value, what: str, size: int | None = None) -> None:
     """Slow path of the width and index checks: ``value`` must be an integer
-    (numpy's too) and, given ``size``, lie in [0, size)."""
+    (numpy's too, but not a bool) and, given ``size``, lie in [0, size)."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         operator.index(value)
     except TypeError:
         raise CircuitError(f"{what} must be an integer, got {value!r}") from None

@@ -225,32 +225,6 @@ def compare(a, b, backend: str = "auto",
 
 # -- verification sweeps -------------------------------------------------------
 
-def _classify_ints(a: int, b: int) -> ComparisonClass:
-    if a < b:
-        return ComparisonClass.LESS
-    if a > b:
-        return ComparisonClass.GREATER
-    return ComparisonClass.EQUAL
-
-
-def _int_to_bits(value: int, n: int) -> tuple[int, ...]:
-    return tuple((value >> (n - 1 - k)) & 1 for k in range(n))
-
-
-def _dense_mismatches(body: Circuit, n: int, variant: BuilderVariant, pairs) -> int:
-    """Per-pair check on the dense backend: pairs failing either oracle."""
-    runner = DenseRunner(body)
-    mismatches = 0
-    for a, b in pairs:
-        a_bits, b_bits = _int_to_bits(a, n), _int_to_bits(b, n)
-        r0, r1 = runner.run(a_bits + b_bits + (0, 0)).classical_bits
-        if interpret(r0, r1) is not _classify_ints(a, b):
-            mismatches += 1
-        elif (r0, r1) != reference_flags(Operands(a_bits, b_bits), variant):
-            mismatches += 1
-    return mismatches
-
-
 def _lane_mask(flags: np.ndarray) -> int:
     """Boolean array as a lane int: element l becomes bit l."""
     return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
@@ -270,14 +244,33 @@ def _reference_flag_lanes(a_lanes: list[int], b_lanes: list[int], full: int,
     return r0, r1
 
 
-def _lane_mismatches(runner: ClassicalRunner, a_lanes: list[int], b_lanes: list[int],
-                     lanes: int, less: int, greater: int, variant: BuilderVariant) -> int:
+def _runner(body: Circuit, backend: str) -> ClassicalRunner | DenseRunner:
+    return ClassicalRunner(body) if backend == "classical" else DenseRunner(body)
+
+
+def _flag_lanes(runner: ClassicalRunner | DenseRunner, qubits: list[int],
+                lanes: int) -> tuple[int, int]:
+    """Final (r0, r1) lane ints of one chunk: the classical runner runs it
+    bit-sliced, the dense runner lane by lane."""
+    if isinstance(runner, ClassicalRunner):
+        return tuple(runner.run_lanes(qubits, lanes)[1])
+    r0 = r1 = 0
+    for lane in range(lanes):
+        value = runner.run_value([v >> lane & 1 for v in qubits], None, None)
+        r0 |= (value & 1) << lane
+        r1 |= (value >> 1) << lane
+    return r0, r1
+
+
+def _lane_mismatches(runner: ClassicalRunner | DenseRunner, a_lanes: list[int],
+                     b_lanes: list[int], lanes: int, less: int, greater: int,
+                     variant: BuilderVariant) -> int:
     """Run one chunk of lanes and count those failing either oracle.
 
     ``less`` and ``greater`` are the lane masks of a < b and a > b from
     integer comparison of the operand values.
     """
-    _, (r0, r1) = runner.run_lanes(a_lanes + b_lanes + [0, 0], lanes)
+    r0, r1 = _flag_lanes(runner, a_lanes + b_lanes + [0, 0], lanes)
     ref0, ref1 = _reference_flag_lanes(a_lanes, b_lanes, (1 << lanes) - 1, variant)
     class_bad = (r1 ^ less) | ((r0 & ~r1) ^ greater)  # interpret(), lane-wise
     flags_bad = (r0 ^ ref0) | (r1 ^ ref1)
@@ -309,16 +302,12 @@ def soundness_check_exhaustive(n: int, variant: BuilderVariant = BuilderVariant.
     """All 4^n operand pairs at width n against the integer-comparison and
     flag oracles; returns (pairs checked, mismatches).
 
-    The classical backend runs the pairs bit-sliced, lane a*2^n + b holding
-    the pair (a, b), at most ``MAX_LANES`` lanes per pass; any other backend
-    runs them one at a time.
+    The pairs go in chunks of at most ``MAX_LANES`` lanes, lane a*2^n + b
+    holding the pair (a, b); the classical backend runs a chunk bit-sliced,
+    any other backend (dense) one lane at a time.
     """
-    body = build_gqbsc(Operands((0,) * n, (0,) * n), variant)
+    runner = _runner(build_gqbsc(Operands((0,) * n, (0,) * n), variant), backend)
     total = 1 << 2 * n
-    if backend != "classical":
-        every_pair = ((a, b) for a in range(1 << n) for b in range(1 << n))
-        return total, _dense_mismatches(body, n, variant, every_pair)
-    runner = ClassicalRunner(body)
     lanes = min(total, MAX_LANES)
     rows, width = max(lanes >> n, 1), min(lanes, 1 << n)
     dtype = np.min_scalar_type((1 << n) - 1)
@@ -365,14 +354,11 @@ def soundness_check_random(n: int, samples: int, seed: int = 0,
     """Seeded operand pairs at width n (see :func:`_random_pairs`); returns
     (pairs, mismatches).
 
-    The classical backend checks them in bit-sliced chunks of ``MAX_LANES``;
-    any other backend runs them one at a time.
+    They go in chunks of at most ``MAX_LANES`` lanes, as in
+    :func:`soundness_check_exhaustive`.
     """
-    body = build_gqbsc(Operands((0,) * n, (0,) * n), variant)
+    runner = _runner(build_gqbsc(Operands((0,) * n, (0,) * n), variant), backend)
     drawn = _random_pairs(n, samples, seed)
-    if backend != "classical":
-        return samples, _dense_mismatches(body, n, variant, drawn)
-    runner = ClassicalRunner(body)
     mismatches = 0
     for start in range(0, samples, MAX_LANES):
         lanes = min(MAX_LANES, samples - start)

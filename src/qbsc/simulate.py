@@ -14,8 +14,9 @@ operands practical. It is bit-sliced: every qubit and clbit is a Python int
 whose bit l is lane l's value, a lane being one input, so one pass of the
 program runs up to ``MAX_LANES`` inputs (a single run is one lane). A
 condition becomes the mask of lanes where it holds, and X/CX/CCX become XOR
-updates under that mask. Noisy trajectories stay one scalar shot at a time,
-since per-shot draws are what keep them identical to dense.
+updates under that mask. A noisy trajectory is a one-lane run of the same
+interpreter that draws from the shot's stream in the dense backend's order,
+which is what keeps it identical to dense.
 
 The dense backend runs any gate set. It stores only the nonzero amplitudes,
 as a map from basis index to amplitude, and from a basis input the
@@ -46,6 +47,7 @@ from .circuit import (
     GateCensus,
     GateKind,
     MeasureOp,
+    static_census,
 )
 from .errors import NonClassicalGate, NormDrift, SimulationError, TooManyQubits
 from .gates import V, VDG
@@ -157,6 +159,8 @@ def _compile(circuit: Circuit):
     A condition compiles to (clbit, flip) pairs, flip 0 where the bit must
     read 1 and -1 where it must read 0, so the gate fires in the lanes of the
     AND over pairs of ``cl[clbit] ^ flip``; an unconditioned op gets None.
+    Each op ends with the qubits it touches for noise (``()`` for a
+    measurement).
     """
     prog = []
     compiled: dict = {None: None}  # one shared tuple per distinct condition
@@ -164,7 +168,7 @@ def _compile(circuit: Circuit):
         if isinstance(instr, BarrierOp):
             continue
         if isinstance(instr, MeasureOp):
-            prog.append((_OP_MEASURE, instr.qubit, instr.clbit, -1, None))
+            prog.append((_OP_MEASURE, instr.qubit, instr.clbit, -1, None, ()))
             continue
         cond = instr.condition
         if cond not in compiled:
@@ -172,7 +176,7 @@ def _compile(circuit: Circuit):
                                    for j, mb in enumerate(cond.mask))
         cond = compiled[cond]
         t = instr.targets + (-1, -1)
-        prog.append((_GATE_OPCODES[instr.gate], t[0], t[1], t[2], cond))
+        prog.append((_GATE_OPCODES[instr.gate], t[0], t[1], t[2], cond, instr.targets))
     return prog
 
 
@@ -187,7 +191,6 @@ class ClassicalRunner:
         self.num_qubits = circuit.num_qubits
         self.num_clbits = circuit.num_clbits
         self._prog = _compile(circuit)
-        from .circuit import static_census  # local to avoid import-order knots
         self._static = static_census(circuit)
 
     def run_lanes(self, qubits, lanes: int) -> tuple[list[int], list[int]]:
@@ -206,13 +209,19 @@ class ClassicalRunner:
             raise SimulationError(f"qubit lane ints must lie in [0, 2^{lanes})")
         return self._run_lanes(q, lanes)
 
-    def _run_lanes(self, q: list[int], lanes: int, counters=None, trace=None):
+    def _run_lanes(self, q: list[int], lanes: int, counters=None, trace=None,
+                   stream: _UniformStream | None = None, noise: NoiseModel | None = None):
         """The interpreter. A condition becomes the mask of lanes where it
         holds; ``counters`` adds the lanes each gate fired in, ``trace`` gets
-        (clbit, lane int) per measurement."""
+        (clbit, lane int) per measurement. With ``stream`` (one lane only, no
+        counters) it draws ``noise`` in the dense backend's order: per fired
+        gate and touched qubit one depolarizing draw, plus the Pauli draw when
+        it hits; per measurement one readout-flip draw."""
         full = (1 << lanes) - 1
         cl = [0] * self.num_clbits
-        for op, a0, a1, a2, cond in self._prog:
+        if stream is not None:
+            p, flip_p = noise.depolarizing_per_gate, noise.readout_flip
+        for op, a0, a1, a2, cond, touched in self._prog:
             act = full
             if cond is not None:
                 for mb, flip in cond:
@@ -225,11 +234,18 @@ class ClassicalRunner:
                 q[a2] ^= act & q[a0] & q[a1]
             elif op == _OP_MEASURE:
                 cl[a1] = q[a0]
+                if stream is not None and stream.next() < flip_p:
+                    cl[a1] ^= 1
                 if trace is not None:
-                    trace.append((a1, q[a0]))
+                    trace.append((a1, cl[a1]))
             else:  # _OP_CX
                 q[a1] ^= act & q[a0]
-            if counters is not None:
+            if stream is not None:
+                for qb in touched:
+                    # X and Y flip a basis state; Z only phases it
+                    if stream.next() < p and int(stream.next() * 3) != 2:
+                        q[qb] ^= 1
+            elif counters is not None:
                 fired = act.bit_count()
                 counters[_COUNTER_KEYS[op]] += fired
                 if op == _OP_X and cond is not None:
@@ -254,42 +270,9 @@ class ClassicalRunner:
     def run_value(self, initial_bits, rng: np.random.Generator | None,
                   noise: NoiseModel | None) -> int:
         """Register value of one (possibly noisy) trajectory."""
-        if noise is None:
-            cl = self.run_bits(initial_bits)
-            return sum(b << k for k, b in enumerate(cl))
-        p, q = noise.depolarizing_per_gate, noise.readout_flip
-        stream = _UniformStream(rng)
         bits = list(_coerce_bits(initial_bits, self.num_qubits))
-        cl = [0] * self.num_clbits
-        for op, a0, a1, a2, cond in self._prog:
-            if cond is not None:
-                fire = 1
-                for mb, flip in cond:
-                    fire &= cl[mb] ^ flip
-                if not fire:
-                    continue
-            if op == _OP_X:
-                bits[a0] ^= 1
-                touched = (a0,)
-            elif op == _OP_CCX:
-                if bits[a0] and bits[a1]:
-                    bits[a2] ^= 1
-                touched = (a0, a1, a2)
-            elif op == _OP_MEASURE:
-                recorded = bits[a0]
-                if stream.next() < q:
-                    recorded ^= 1
-                cl[a1] = recorded
-                continue
-            else:
-                if bits[a0]:
-                    bits[a1] ^= 1
-                touched = (a0, a1)
-            for qb in touched:
-                if stream.next() < p:
-                    pauli = int(stream.next() * 3)
-                    if pauli != 2:  # X and Y flip a basis state; Z only phases it
-                        bits[qb] ^= 1
+        stream = _UniformStream(rng) if noise is not None else None
+        _, cl = self._run_lanes(bits, 1, stream=stream, noise=noise)
         return sum(b << k for k, b in enumerate(cl))
 
 
@@ -378,7 +361,6 @@ class DenseRunner:
         self.num_qubits = circuit.num_qubits
         self.num_clbits = circuit.num_clbits
         self._prog = _compile(circuit)
-        from .circuit import static_census
         self._static = static_census(circuit)
 
     def _execute(self, initial_bits, rng: np.random.Generator | None,
@@ -389,7 +371,7 @@ class DenseRunner:
         stream = _UniformStream(rng) if rng is not None else None
         p, q_flip = (noise.depolarizing_per_gate, noise.readout_flip) if noise else (0, 0)
 
-        for op, a0, a1, a2, cond in self._prog:
+        for op, a0, a1, a2, cond, touched in self._prog:
             if cond is not None:
                 fire = 1
                 for mb, flip in cond:
@@ -410,16 +392,12 @@ class DenseRunner:
                 continue
             if op == _OP_X:
                 amps = _flip(amps, 0, 1 << a0)
-                touched = (a0,)
             elif op == _OP_CX:
                 amps = _flip(amps, 1 << a0, 1 << a1)
-                touched = (a0, a1)
             elif op == _OP_CCX:
                 amps = _flip(amps, 1 << a0 | 1 << a1, 1 << a2)
-                touched = (a0, a1, a2)
             else:
                 amps = _mix(amps, 1 << a0, 1 << a1, _V if op == _OP_CV else _VDG)
-                touched = (a0, a1)
             if noise is not None:
                 for qb in touched:
                     if stream.next() < p:

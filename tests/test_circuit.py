@@ -354,6 +354,30 @@ class TestIntegerIndices:
         with pytest.raises(CircuitError):
             circuit_from_json({"qubits": 1, "clbits": 1, "instr": [entry]})
 
+    # A bool is an int to Python, but export would write `cr == True`, which
+    # parse rejects, so parse(export(c)) == c would fail for an accepted c.
+    @pytest.mark.parametrize("doc", [
+        {"qubits": True, "clbits": 1, "instr": []},
+        {"qubits": 1, "clbits": True, "instr": []},
+        {"qubits": 1, "clbits": 1, "instr": [{"g": "x", "t": [True]}]},
+        {"qubits": 2, "clbits": 2, "instr": [{"m": [True, 0]}]},
+        {"qubits": 2, "clbits": 2, "instr": [{"m": [0, False]}]},
+        {"qubits": 1, "clbits": 1, "instr": [{"g": "x", "t": [0], "if": {"mask": [False], "eq": 1}}]},
+        {"qubits": 1, "clbits": 1, "instr": [{"g": "x", "t": [0], "if": {"mask": [0], "eq": True}}]},
+        {"qubits": 2, "clbits": 0, "instr": [], "labels": {True: "a"}},
+    ])
+    def test_json_bool_rejected(self, doc):
+        with pytest.raises(CircuitError):
+            circuit_from_json(doc)
+
+    def test_bool_condition_value_rejected(self):
+        with pytest.raises(CircuitError):
+            ClassicalCondition((0,), True)
+
+    def test_bool_width_rejected(self):
+        with pytest.raises(CircuitError):
+            Circuit(True, 0)
+
 
 class TestTableDrivenChecks:
     def test_arity_table(self):

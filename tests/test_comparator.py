@@ -362,6 +362,18 @@ class TestSweepsCatchBrokenCircuits:
         assert soundness_check_exhaustive(3, variant, "dense")[1] > 0
 
     @pytest.mark.parametrize("variant", [FIGURE, ALGORITHMIC])
+    @pytest.mark.parametrize("mutate", [_drop_first_ccx, _retarget_last_ccx])
+    def test_dense_sweeps_count_like_classical(self, monkeypatch, mutate, variant):
+        # the dense runner fills the same lane ints pair by pair
+        _patch_builder(monkeypatch, mutate)
+        for n in (1, 2, 3, 4):
+            assert (soundness_check_exhaustive(n, variant, "dense")
+                    == soundness_check_exhaustive(n, variant))
+        for n in (5, 9):
+            assert (soundness_check_random(n, 40, 9, variant, "dense")
+                    == soundness_check_random(n, 40, 9, variant))
+
+    @pytest.mark.parametrize("variant", [FIGURE, ALGORITHMIC])
     def test_random_sweep_reports_dropped_gate(self, monkeypatch, variant):
         _patch_builder(monkeypatch, _drop_first_ccx)
         assert soundness_check_random(64, 50, seed=9, variant=variant)[1] > 0

@@ -185,6 +185,19 @@ class TestLaneInterpreter:
         assert one.executed_census == reference.executed_census
         assert one.measurement_trace == reference.measurement_trace
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_noisy_one_lane_run_matches_dense(self, data):
+        # a noisy classical shot is a one-lane run drawing in dense's order
+        circuit = data.draw(permutation_circuits())
+        bits = data.draw(st.tuples(*[st.integers(0, 1)] * circuit.num_qubits))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        noise = NoiseModel(0.05, 0.05)
+        classical, dense = ClassicalRunner(circuit), DenseRunner(circuit)
+        for shot in range(8):
+            assert (classical.run_value(bits, np.random.default_rng([seed, shot]), noise)
+                    == dense.run_value(bits, np.random.default_rng([seed, shot]), noise))
+
     def test_lane_count_capped(self):
         runner = ClassicalRunner(new_circuit(1, 0))
         runner.run_lanes([0], MAX_LANES)
