@@ -21,7 +21,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .errors import (
     ArityMismatch,
@@ -35,6 +35,11 @@ from .errors import (
 # Barrier labels the comparator builder uses to bracket one-bit-compare blocks.
 BLOCK_BEGIN = "1bc"
 BLOCK_END = "1bc_end"
+
+#: Widest qubit or clbit register a circuit may declare. Every front end (the
+#: constructor, both parsers, the CLI) refuses a wider one before it allocates
+#: per-qubit state; the n-bit comparator fits up to n = 2^19 - 1.
+MAX_WIDTH = 1 << 20
 
 
 class GateKind(Enum):
@@ -183,6 +188,9 @@ class Circuit:
         _check_int(self.num_clbits, "clbit width")
         if self.num_qubits < 0 or self.num_clbits < 0:
             raise CircuitError("register widths must be non-negative")
+        if self.num_qubits > MAX_WIDTH or self.num_clbits > MAX_WIDTH:
+            raise CircuitError(f"register widths {self.num_qubits}, {self.num_clbits}"
+                               f" exceed the cap of {MAX_WIDTH}")
 
     # -- construction --------------------------------------------------------
 
@@ -240,12 +248,10 @@ class Circuit:
     def width_total(self) -> int:
         return self.num_qubits + self.num_clbits
 
-    def gate_ops(self) -> Iterable[GateOp]:
-        return (i for i in self.instructions if isinstance(i, GateOp))
-
     def is_permutation_only(self) -> bool:
         """True when every gate is classical (X/CX/CCX), i.e. basis-preserving."""
-        return all(op.gate not in (GateKind.CV, GateKind.CVDG) for op in self.gate_ops())
+        census = static_census(self)
+        return census.cv == census.cvdg == 0
 
 
 def new_circuit(num_qubits: int, num_clbits: int) -> Circuit:
@@ -301,13 +307,25 @@ class GateCensus:
 
 def static_census(circuit: Circuit) -> GateCensus:
     """Count every instruction present in the IR, fired or not."""
+    return census_walk(circuit)[0]
+
+
+def census_walk(circuit: Circuit, compile_instr=None) -> tuple[GateCensus, list]:
+    """The one walk over the instructions: the static census and, given
+    ``compile_instr``, its results for the gates and measurements in order.
+    It runs once per distinct object (builders share equal frozen ones),
+    looked up by ``id`` within this call."""
     counts = {kind: 0 for kind in GateKind}
     measures = block_measures = cond_x = blocks = 0
     in_block = False
+    prog: list = []
+    compiled: dict = {}
+    x = GateKind.X  # an Enum member lookup costs a call; hoisted out of the loop
     for instr in circuit.instructions:
         if isinstance(instr, GateOp):
-            counts[instr.gate] += 1
-            if instr.gate is GateKind.X and instr.condition is not None:
+            kind = instr.gate
+            counts[kind] += 1
+            if kind is x and instr.condition is not None:
                 cond_x += 1
         elif isinstance(instr, MeasureOp):
             measures += 1
@@ -319,7 +337,13 @@ def static_census(circuit: Circuit) -> GateCensus:
                 in_block = True
             elif instr.label == BLOCK_END:
                 in_block = False
-    return GateCensus(
+            continue
+        if compile_instr is not None:
+            op = compiled.get(id(instr))
+            if op is None:
+                op = compiled[id(instr)] = compile_instr(instr)
+            prog.append(op)
+    census = GateCensus(
         x=counts[GateKind.X],
         cx=counts[GateKind.CX],
         ccx=counts[GateKind.CCX],
@@ -332,6 +356,7 @@ def static_census(circuit: Circuit) -> GateCensus:
         width_qubits=circuit.num_qubits,
         width_total=circuit.width_total,
     )
+    return census, prog
 
 
 def structural_depth(circuit: Circuit,

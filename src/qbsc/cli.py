@@ -20,7 +20,7 @@ import time
 import click
 
 from . import qasm
-from .circuit import circuit_to_json
+from .circuit import MAX_WIDTH, circuit_to_json
 from .comparator import (
     BuilderVariant,
     build_gqbsc,
@@ -244,6 +244,10 @@ def cmd_verify(max_bits, samples, exhaustive_limit, variant, backend, seed, fmt,
     """
     if max_bits < 1 or samples < 0 or exhaustive_limit < 0:
         click.echo("error: widths and budgets must be positive", err=True)
+        sys.exit(EXIT_BAD_INPUT)
+    if 2 * max_bits + 2 > MAX_WIDTH:
+        click.echo(f"error: --max-bits {max_bits} needs {2 * max_bits + 2} qubits,"
+                   f" over the cap of {MAX_WIDTH}", err=True)
         sys.exit(EXIT_BAD_INPUT)
     variants = ([BuilderVariant.FIGURE, BuilderVariant.ALGORITHMIC]
                 if variant == "both" else [BuilderVariant(variant)])

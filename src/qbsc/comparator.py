@@ -33,6 +33,7 @@ import numpy as np
 from .circuit import (
     BLOCK_BEGIN,
     BLOCK_END,
+    BarrierOp,
     Circuit,
     ClassicalCondition,
     GateKind,
@@ -119,13 +120,14 @@ def build_1bc(qa: int, qb: int, qr0: int, qr1: int, c0: int, c1: int,
     """
     if len({qa, qb, qr0, qr1}) != 4:
         raise DuplicateTarget(f"block qubits must be distinct: {(qa, qb, qr0, qr1)}")
+    xa, xb = GateOp(GateKind.X, (qa,), condition), GateOp(GateKind.X, (qb,), condition)
     return [
-        GateOp(GateKind.X, (qb,), condition),
+        xb,
         GateOp(GateKind.CCX, (qa, qb, qr0), condition),
-        GateOp(GateKind.X, (qa,), condition),
-        GateOp(GateKind.X, (qb,), condition),
+        xa,
+        xb,
         GateOp(GateKind.CCX, (qa, qb, qr1), condition),
-        GateOp(GateKind.X, (qa,), condition),
+        xa,
         MeasureOp(qr0, c0),
         MeasureOp(qr1, c1),
     ]
@@ -144,36 +146,36 @@ def build_gqbsc(ops: Operands, variant: BuilderVariant = BuilderVariant.FIGURE) 
     Input-prep X gates set the operand bits that are 1; the block chain and
     correction sites follow. Built for zero operands the circuit is the
     value-independent body, which is what the census reporting uses.
+    Indices are in range by construction, so the list skips ``append``;
+    equal instructions are one shared object, which runners compile once.
     """
     n = ops.n
     if n < 1:
         raise EmptyOperand("comparator needs at least one bit")
+    if len(ops.b_bits) != n:
+        raise InvalidBitstring(f"operand widths differ: {n} and {len(ops.b_bits)}")
     qr0, qr1 = 2 * n, 2 * n + 1
     labels = {i: f"a_{i}" for i in range(n)}
     labels.update({n + i: f"b_{i}" for i in range(n)})
     labels.update({qr0: "r_0", qr1: "r_1"})
-    circuit = Circuit(2 * n + 2, 2, labels=labels)
+    # a bits sit on qubits 0..n-1 and b bits on n..2n-1
+    instructions = [GateOp(GateKind.X, (q,)) for q, bit in enumerate(ops.a_bits + ops.b_bits)
+                    if bit]
 
-    for i, bit in enumerate(ops.a_bits):
-        if bit:
-            circuit.x(i)
-    for i, bit in enumerate(ops.b_bits):
-        if bit:
-            circuit.x(n + i)
-
+    begin, end = BarrierOp(BLOCK_BEGIN), BarrierOp(BLOCK_END)
+    meters = [MeasureOp(qr0, 0), MeasureOp(qr1, 1)]
     skip_unless_open = ClassicalCondition((0, 1), 0)
-    flip_on_less = ClassicalCondition((0, 1), 2)
+    correction = [GateOp(GateKind.X, (qr0,), ClassicalCondition((0, 1), 2)), meters[0]]
     sites = _correction_sites(n, variant)
     for i in range(n):
-        condition = None if i == 0 else skip_unless_open
-        circuit.barrier(BLOCK_BEGIN)
-        for instr in build_1bc(i, n + i, qr0, qr1, 0, 1, condition):
-            circuit.append(instr)
-        circuit.barrier(BLOCK_END)
+        block = build_1bc(i, n + i, qr0, qr1, 0, 1, None if i == 0 else skip_unless_open)
+        block[-2:] = meters  # every block ends with these two measurements
+        instructions.append(begin)
+        instructions += block
+        instructions.append(end)
         if i in sites:
-            circuit.x(qr0, condition=flip_on_less)
-            circuit.measure(qr0, 0)
-    return circuit
+            instructions += correction
+    return Circuit(2 * n + 2, 2, instructions, labels=labels)
 
 
 def interpret(r0: int, r1: int) -> ComparisonClass:
@@ -245,7 +247,9 @@ def _reference_flag_lanes(a_lanes: list[int], b_lanes: list[int], full: int,
 
 
 def _runner(body: Circuit, backend: str) -> ClassicalRunner | DenseRunner:
-    return ClassicalRunner(body) if backend == "classical" else DenseRunner(body)
+    """The runner for ``backend`` as :func:`compare` resolves it."""
+    chosen = select_backend(body, backend)
+    return ClassicalRunner(body) if chosen == "classical" else DenseRunner(body)
 
 
 def _flag_lanes(runner: ClassicalRunner | DenseRunner, qubits: list[int],
@@ -293,8 +297,12 @@ def _index_bit_lanes(k: int, start: int, lanes: int) -> int:
 def _transpose(values: list[int], n: int) -> list[int]:
     """Lane ints of n-bit values, MSB first: bit l of entry i is bit
     n-1-i of values[l]."""
-    rows = [format(v, f"0{n}b") for v in reversed(values)]
-    return [int("".join(column), 2) for column in zip(*rows)]
+    width = (n + 7) // 8
+    rows = np.frombuffer(b"".join(v.to_bytes(width, "big") for v in values), np.uint8)
+    bits = np.unpackbits(rows.reshape(-1, width), axis=1)[:, 8 * width - n:]
+    packed = np.packbits(bits, axis=0, bitorder="little")  # column i: entry i's lanes
+    stride, flat = packed.shape[0], packed.T.tobytes()
+    return [int.from_bytes(flat[i:i + stride], "little") for i in range(0, n * stride, stride)]
 
 
 def soundness_check_exhaustive(n: int, variant: BuilderVariant = BuilderVariant.FIGURE,
@@ -304,7 +312,7 @@ def soundness_check_exhaustive(n: int, variant: BuilderVariant = BuilderVariant.
 
     The pairs go in chunks of at most ``MAX_LANES`` lanes, lane a*2^n + b
     holding the pair (a, b); the classical backend runs a chunk bit-sliced,
-    any other backend (dense) one lane at a time.
+    the dense one lane at a time. ``backend`` resolves as in :func:`compare`.
     """
     runner = _runner(build_gqbsc(Operands((0,) * n, (0,) * n), variant), backend)
     total = 1 << 2 * n

@@ -122,24 +122,26 @@ def decompose_ccx(instr: Instruction) -> list[GateOp]:
 
 
 def _ccx_expansion(a: int, b: int, c: int, condition) -> list[GateOp]:
+    cx = GateOp(GateKind.CX, (a, b), condition)
     return [
         GateOp(GateKind.CV, (a, c), condition),
         GateOp(GateKind.CV, (b, c), condition),
-        GateOp(GateKind.CX, (a, b), condition),
+        cx,
         GateOp(GateKind.CVDG, (b, c), condition),
-        GateOp(GateKind.CX, (a, b), condition),
+        cx,
     ]
 
 
 def lower_circuit(circuit: Circuit) -> Circuit:
     """Replace every CCX by its five-gate expansion; conditions are carried
-    onto each emitted gate. Everything else passes through untouched."""
-    lowered = Circuit(circuit.num_qubits, circuit.num_clbits,
-                      labels=dict(circuit.labels) if circuit.labels else None)
+    onto each emitted gate. Everything else passes through untouched. The
+    input is valid and the expansion keeps its qubits, so nothing is re-checked.
+    """
+    instructions = []
     for instr in circuit.instructions:
         if isinstance(instr, GateOp) and instr.gate is GateKind.CCX:
-            for g in _ccx_expansion(*instr.targets, instr.condition):
-                lowered.append(g)
+            instructions += _ccx_expansion(*instr.targets, instr.condition)
         else:
-            lowered.append(instr)
-    return lowered
+            instructions.append(instr)
+    return Circuit(circuit.num_qubits, circuit.num_clbits, instructions,
+                   labels=dict(circuit.labels) if circuit.labels else None)

@@ -27,6 +27,7 @@ import re
 
 from .circuit import (
     GATE_NAMES,
+    MAX_WIDTH,
     BarrierOp,
     Circuit,
     ClassicalCondition,
@@ -264,6 +265,8 @@ class _Parser:
             raise sc.error("declaration after statements", "declarations before statements")
         sc.expect("[")
         size = sc.integer()
+        if size > MAX_WIDTH:  # before a condition value or pattern is sized by it
+            raise sc.error(f"register size {size} exceeds the cap", f"at most {MAX_WIDTH}")
         sc.expect("]")
         name = sc.ident()
         sc.expect(";")

@@ -42,12 +42,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import (
-    BarrierOp,
     Circuit,
     GateCensus,
     GateKind,
     MeasureOp,
-    static_census,
+    census_walk,
 )
 from .errors import NonClassicalGate, NormDrift, SimulationError, TooManyQubits
 from .gates import V, VDG
@@ -154,44 +153,46 @@ def _new_counters() -> dict[str, int]:
 
 
 def _compile(circuit: Circuit):
-    """Flatten instructions to opcode tuples (barriers drop out).
+    """Flatten instructions to opcode tuples in the census walk; returns the
+    program and the static census.
 
     A condition compiles to (clbit, flip) pairs, flip 0 where the bit must
     read 1 and -1 where it must read 0, so the gate fires in the lanes of the
     AND over pairs of ``cl[clbit] ^ flip``; an unconditioned op gets None.
     Each op ends with the qubits it touches for noise (``()`` for a
-    measurement).
+    measurement). A shared instruction or condition object compiles once.
     """
-    prog = []
-    compiled: dict = {None: None}  # one shared tuple per distinct condition
-    for instr in circuit.instructions:
-        if isinstance(instr, BarrierOp):
-            continue
+    conditions: dict = {}  # by id: conditions are never hashed
+
+    def compile_instr(instr):
         if isinstance(instr, MeasureOp):
-            prog.append((_OP_MEASURE, instr.qubit, instr.clbit, -1, None, ()))
-            continue
+            return (_OP_MEASURE, instr.qubit, instr.clbit, -1, None, ())
         cond = instr.condition
-        if cond not in compiled:
-            compiled[cond] = tuple((mb, (cond.value >> j & 1) - 1)
-                                   for j, mb in enumerate(cond.mask))
-        cond = compiled[cond]
+        if cond is not None:
+            compiled = conditions.get(id(cond))
+            if compiled is None:
+                compiled = conditions[id(cond)] = tuple(
+                    (mb, (cond.value >> j & 1) - 1) for j, mb in enumerate(cond.mask))
+            cond = compiled
         t = instr.targets + (-1, -1)
-        prog.append((_GATE_OPCODES[instr.gate], t[0], t[1], t[2], cond, instr.targets))
-    return prog
+        return (_GATE_OPCODES[instr.gate], t[0], t[1], t[2], cond, instr.targets)
+
+    census, prog = census_walk(circuit, compile_instr)
+    return prog, census
 
 
 class ClassicalRunner:
     """Precompiled bit-level executor for permutation-only circuits."""
 
     def __init__(self, circuit: Circuit):
-        for op in circuit.gate_ops():
-            if op.gate in (GateKind.CV, GateKind.CVDG):
-                raise NonClassicalGate(f"{op.gate.value} is not a classical permutation gate")
+        self._prog, self._static = _compile(circuit)
+        if self._static.cv or self._static.cvdg:
+            first = next(op[0] for op in self._prog if op[0] >= _OP_CV)
+            # a counter key is its gate's name
+            raise NonClassicalGate(f"{_COUNTER_KEYS[first]} is not a classical permutation gate")
         self.circuit = circuit
         self.num_qubits = circuit.num_qubits
         self.num_clbits = circuit.num_clbits
-        self._prog = _compile(circuit)
-        self._static = static_census(circuit)
 
     def run_lanes(self, qubits, lanes: int) -> tuple[list[int], list[int]]:
         """Run ``lanes`` basis inputs at once, bit-sliced.
@@ -360,8 +361,7 @@ class DenseRunner:
         self.circuit = circuit
         self.num_qubits = circuit.num_qubits
         self.num_clbits = circuit.num_clbits
-        self._prog = _compile(circuit)
-        self._static = static_census(circuit)
+        self._prog, self._static = _compile(circuit)
 
     def _execute(self, initial_bits, rng: np.random.Generator | None,
                  noise: NoiseModel | None, counters=None, trace=None) -> list[int]:

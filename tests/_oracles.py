@@ -11,7 +11,18 @@ import math
 
 import numpy as np
 
-from qbsc.circuit import BarrierOp, Circuit, GateKind, GateOp, MeasureOp, static_census
+from qbsc.circuit import (
+    BLOCK_BEGIN,
+    BLOCK_END,
+    BarrierOp,
+    Circuit,
+    ClassicalCondition,
+    GateCensus,
+    GateKind,
+    GateOp,
+    MeasureOp,
+    static_census,
+)
 from qbsc.errors import NormDrift, SimulationError
 from qbsc.gates import V, VDG
 from qbsc.simulate import _BASIS_EPS, _NORM_TOL, Histogram, RunResult, _UniformStream
@@ -259,3 +270,75 @@ def reference_sample(circuit: Circuit, initial_bits, shots: int, noise, seed: in
         value = runner.run_value(initial_bits, np.random.default_rng([seed, s]), noise)
         counts[value] = counts.get(value, 0) + 1
     return Histogram(shots, dict(sorted(counts.items())))
+
+
+# -- per-instruction construction: the reference for the trusted builders ----
+#
+# The comparator and its lowering as they were built one validated
+# ``Circuit.append`` at a time, every instruction a fresh object, written out
+# from the documented layout rather than through the package's builders.
+
+def append_built_gqbsc(a_bits, b_bits, algorithmic: bool) -> Circuit:
+    """Comparator for MSB-first operand bits, gate by gate."""
+    n = len(a_bits)
+    r0, r1 = 2 * n, 2 * n + 1
+    labels = {i: f"a_{i}" for i in range(n)}
+    labels.update({n + i: f"b_{i}" for i in range(n)})
+    labels.update({r0: "r_0", r1: "r_1"})
+    c = Circuit(2 * n + 2, 2, labels=labels)
+    for q, bit in enumerate(tuple(a_bits) + tuple(b_bits)):
+        if bit:
+            c.x(q)
+    for i in range(n):
+        cond = None if i == 0 else ClassicalCondition((0, 1), 0)
+        a, b = i, n + i
+        c.barrier(BLOCK_BEGIN)
+        c.x(b, cond).ccx(a, b, r0, cond).x(a, cond).x(b, cond).ccx(a, b, r1, cond).x(a, cond)
+        c.measure(r0, 0).measure(r1, 1)
+        c.barrier(BLOCK_END)
+        if i % 2 == 1 or (algorithmic and i > 0):
+            c.x(r0, ClassicalCondition((0, 1), 2)).measure(r0, 0)
+    return c
+
+
+def append_lowered(circuit: Circuit) -> Circuit:
+    """Each CCX(a, b, c) as CV(a,c) CV(b,c) CX(a,b) CV-dagger(b,c) CX(a,b)."""
+    out = Circuit(circuit.num_qubits, circuit.num_clbits,
+                  labels=dict(circuit.labels) if circuit.labels else None)
+    for instr in circuit.instructions:
+        if isinstance(instr, GateOp) and instr.gate is GateKind.CCX:
+            a, b, c = instr.targets
+            cond = instr.condition
+            out.cv(a, c, cond).cv(b, c, cond).cx(a, b, cond).cvdg(b, c, cond).cx(a, b, cond)
+        else:
+            out.append(instr)
+    return out
+
+
+def reference_census(circuit: Circuit) -> GateCensus:
+    """Static census counted instruction by instruction."""
+    counts = {kind: 0 for kind in GateKind}
+    measures = block_measures = cond_x = blocks = 0
+    in_block = False
+    for instr in circuit.instructions:
+        if isinstance(instr, GateOp):
+            counts[instr.gate] += 1
+            cond_x += instr.gate is GateKind.X and instr.condition is not None
+        elif isinstance(instr, MeasureOp):
+            measures += 1
+            block_measures += in_block
+        elif instr.label == BLOCK_BEGIN:
+            blocks += 1
+            in_block = True
+        elif instr.label == BLOCK_END:
+            in_block = False
+    return GateCensus(counts[GateKind.X], counts[GateKind.CX], counts[GateKind.CCX],
+                      counts[GateKind.CV], counts[GateKind.CVDG], measures, block_measures,
+                      cond_x, blocks, circuit.num_qubits, circuit.width_total)
+
+
+def transpose_reference(values: list[int], n: int) -> list[int]:
+    """Lane ints of n-bit values, MSB first, through binary strings: bit l
+    of entry i is bit n-1-i of values[l]."""
+    rows = [format(v, f"0{n}b") for v in reversed(values)]
+    return [int("".join(column), 2) for column in zip(*rows)]

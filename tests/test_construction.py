@@ -1,0 +1,203 @@
+"""Trusted construction and the one-walk compile: the builders hand whole
+instruction lists to the ``Circuit`` constructor, so these tests re-check
+their output through the validating path, and check the runners' compile
+walk against the public census and permutation checks. Also the register
+width cap at every front end, the soundness sweeps' backend names, and the
+lane transpose."""
+
+import random
+import tracemalloc
+
+import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qbsc import comparator, qasm
+from qbsc.circuit import (
+    BLOCK_BEGIN,
+    BLOCK_END,
+    MAX_WIDTH,
+    BarrierOp,
+    Circuit,
+    GateKind,
+    GateOp,
+    circuit_from_json,
+    circuit_to_json,
+    static_census,
+)
+from qbsc.cli import EXIT_BAD_INPUT, main
+from qbsc.comparator import BuilderVariant, Operands, build_gqbsc
+from qbsc.errors import CircuitError, InvalidBitstring, NonClassicalGate, QasmSyntaxError
+from qbsc.gates import lower_circuit
+from qbsc.simulate import ClassicalRunner, DenseRunner, _compile
+
+from _oracles import (
+    append_built_gqbsc,
+    append_lowered,
+    reference_census,
+    transpose_reference,
+)
+from test_circuit import circuit_strategy
+
+WIDTHS = tuple(range(1, 65)) + (1000,)
+
+
+def _revalidated(circuit: Circuit) -> Circuit:
+    """``circuit`` rebuilt through the validating path: each gate made anew
+    (arity and distinct targets) and appended (index ranges)."""
+    fresh = Circuit(circuit.num_qubits, circuit.num_clbits)
+    for instr in circuit.instructions:
+        if isinstance(instr, GateOp):
+            instr = GateOp(instr.gate, instr.targets, instr.condition)
+        fresh.append(instr)
+    return fresh
+
+
+class TestTrustedConstruction:
+    @pytest.mark.parametrize("variant", list(BuilderVariant))
+    @pytest.mark.parametrize("operands", ["zero", "random"])
+    def test_builder_and_lowering_are_valid_ir(self, variant, operands):
+        rng = random.Random(f"{variant.value}/{operands}")
+        algorithmic = variant is BuilderVariant.ALGORITHMIC
+        for n in WIDTHS:
+            if operands == "zero":
+                a_bits = b_bits = (0,) * n
+            else:
+                a_bits = tuple(rng.getrandbits(1) for _ in range(n))
+                b_bits = tuple(rng.getrandbits(1) for _ in range(n))
+            built = build_gqbsc(Operands(a_bits, b_bits), variant)
+            reference = append_built_gqbsc(a_bits, b_bits, algorithmic)
+            assert circuit_to_json(built) == circuit_to_json(reference), n
+            lowered = lower_circuit(built)
+            assert circuit_to_json(lowered) == circuit_to_json(append_lowered(reference)), n
+            for c in (built, lowered):
+                assert _revalidated(c) == c
+
+    def test_equal_instructions_are_shared(self):
+        body = build_gqbsc(Operands((0,) * 6, (0,) * 6), BuilderVariant.ALGORITHMIC)
+        distinct = {id(i) for i in body.instructions}
+        # per block: X(a), X(b), two CCX; once: two barriers, two
+        # measurements, the correction X
+        assert len(distinct) == 4 * 6 + 5
+        assert len({id(i) for i in lower_circuit(body).instructions}) == 4 * 6 + 5 + 3 * 12
+
+    def test_unequal_operand_widths_are_refused(self):
+        with pytest.raises(InvalidBitstring):
+            build_gqbsc(Operands((0, 1), (1,)))
+        with pytest.raises(InvalidBitstring):
+            build_gqbsc(Operands((0,), (1, 1, 1, 1)))
+
+
+@st.composite
+def shared_instruction_circuits(draw):
+    """A random circuit whose instruction objects recur, block barriers
+    included; half the time lowered."""
+    base = draw(circuit_strategy())
+    pool = base.instructions + [BarrierOp(BLOCK_BEGIN), BarrierOp(BLOCK_END)]
+    order = draw(st.lists(st.integers(0, len(pool) - 1), max_size=30))
+    c = Circuit(base.num_qubits, base.num_clbits, [pool[i] for i in order])
+    return lower_circuit(c) if draw(st.booleans()) else c
+
+
+class TestCompileWalk:
+    @settings(max_examples=150, deadline=None)
+    @given(shared_instruction_circuits())
+    def test_walk_matches_public_checks(self, c):
+        prog, census = _compile(c)
+        assert census == static_census(c) == reference_census(c)
+        permutation_only = not (census.cv or census.cvdg)
+        assert permutation_only == c.is_permutation_only()
+        ops = [i for i in c.instructions if not isinstance(i, BarrierOp)]
+        assert len(prog) == len(ops)
+        for instr, op in zip(ops, prog):
+            if isinstance(instr, GateOp):
+                assert op[5] == instr.targets
+            # a recurring object compiles once: its op tuple is shared
+            assert op is prog[next(k for k, o in enumerate(ops) if o is instr)]
+        if permutation_only:
+            bits = [random.Random(len(prog)).getrandbits(1) for _ in range(c.num_qubits)]
+            assert ClassicalRunner(c).run(bits) == DenseRunner(c).run(bits)
+        else:
+            first = next(i.gate for i in c.instructions
+                         if isinstance(i, GateOp) and i.gate in (GateKind.CV, GateKind.CVDG))
+            with pytest.raises(NonClassicalGate) as info:
+                ClassicalRunner(c)
+            assert str(info.value) == f"{first.value} is not a classical permutation gate"
+
+
+class TestWidthCap:
+    def test_constructor(self):
+        Circuit(MAX_WIDTH, MAX_WIDTH)
+        for widths in ((MAX_WIDTH + 1, 0), (0, MAX_WIDTH + 1), (10**11, 2)):
+            with pytest.raises(CircuitError, match="cap"):
+                Circuit(*widths)
+
+    @pytest.mark.parametrize("text", [
+        "OPENQASM 3.0;\nqubit[99999999999] q;\nx q[0];\n",
+        "OPENQASM 3.0;\nqubit[2] q;\nbit[99999999999] cr;\nif (cr == 1) {\nx q[0];\n}\n",
+        f"OPENQASM 3.0;\nqubit[{MAX_WIDTH + 1}] q;\n",
+    ])
+    def test_qasm_declaration(self, text):
+        tracemalloc.start()
+        try:
+            with pytest.raises(QasmSyntaxError, match="cap"):
+                qasm.parse(text)
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("doc", [
+        {"qubits": 10**11, "clbits": 2, "instr": []},
+        {"qubits": 2, "clbits": 10**11, "instr": [{"m": [0, 5]}]},
+    ])
+    def test_json_document(self, doc):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CircuitError, match="cap"):
+                circuit_from_json(doc)
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("max_bits", [(MAX_WIDTH - 2) // 2 + 1, 10**12])
+    def test_verify_max_bits(self, max_bits, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("built a circuit before checking --max-bits")
+
+        monkeypatch.setattr("qbsc.cli.soundness_check_exhaustive", refuse)
+        monkeypatch.setattr("qbsc.cli.soundness_check_random", refuse)
+        result = CliRunner().invoke(main, ["verify", "--max-bits", str(max_bits)])
+        assert result.exit_code == EXIT_BAD_INPUT
+        assert "cap" in result.output
+
+
+class TestSweepBackends:
+    SWEEPS = [
+        lambda backend: comparator.soundness_check_exhaustive(3, backend=backend),
+        lambda backend: comparator.soundness_check_random(20, 30, 5, backend=backend),
+    ]
+
+    @pytest.mark.parametrize("sweep", SWEEPS)
+    def test_unknown_backend_raises(self, sweep, monkeypatch):
+        monkeypatch.setattr(comparator, "DenseRunner", None)  # nothing may run
+        with pytest.raises(ValueError, match="unknown backend 'bogus'"):
+            sweep("bogus")
+
+    @pytest.mark.parametrize("sweep", SWEEPS)
+    def test_auto_resolves_to_classical(self, sweep, monkeypatch):
+        expected = sweep("classical")
+        monkeypatch.setattr(comparator, "DenseRunner", None)
+        assert sweep("auto") == expected
+        assert expected[1] == 0
+
+
+class TestTranspose:
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 1000])
+    @pytest.mark.parametrize("lanes", [1, 3, 100])
+    def test_matches_string_transpose(self, n, lanes):
+        rng = random.Random(n * 1000 + lanes)
+        values = [rng.getrandbits(n) for _ in range(lanes)]
+        values[0] = (1 << n) - 1
+        values[-1] = 0 if lanes > 1 else values[-1]
+        assert comparator._transpose(values, n) == transpose_reference(values, n)
