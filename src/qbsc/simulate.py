@@ -15,7 +15,7 @@ whose bit l is lane l's value, a lane being one input, so one pass of the
 program runs up to ``MAX_LANES`` inputs (a single run is one lane). A
 condition becomes the mask of lanes where it holds, and X/CX/CCX become XOR
 updates under that mask. A noisy trajectory is a one-lane run of the same
-interpreter that draws from the shot's stream in the dense backend's order,
+interpreter that draws from the shot's row in the dense backend's order,
 which is what keeps it identical to dense.
 
 The dense backend runs any gate set. It stores only the nonzero amplitudes,
@@ -31,6 +31,15 @@ applied), and each recorded measurement bit flips with probability q. For
 permutation circuits the Pauli trajectory keeps the state in the basis, so
 the classical backend applies the identical model (X/Y flip the bit, Z is a
 pure phase) and reproduces the dense backend draw-for-draw under one seed.
+
+A noisy run reads its uniforms from one pre-drawn row, ``rng.random(K)``, K
+being the most one shot can consume: 2 per touched qubit of a fired gate (the
+depolarizing draw and, on a hit, the Pauli draw) and 2 per measurement (the
+Born draw and the readout flip). Shot s of ``sample`` reads the row of
+``np.random.default_rng([seed, s])``; ``sample`` derives those generators for
+a block of shots at once, transcribing numpy's seeding in array arithmetic,
+so a shot costs no generator construction and its row is identical to that
+generator's. A noiseless classical ``sample`` is deterministic: one run.
 """
 from __future__ import annotations
 
@@ -66,6 +75,19 @@ _GATE_OPCODES = {GateKind.X: _OP_X, GateKind.CX: _OP_CX, GateKind.CCX: _OP_CCX,
 
 #: Most lanes (inputs) one bit-sliced ``ClassicalRunner.run_lanes`` call takes.
 MAX_LANES = 1 << 16
+
+# numpy's seeding of ``default_rng(entropy)``: SeedSequence hashes the entropy
+# words into a pool of 4 uint32 words and expands it to PCG64's 128-bit state
+# and increment, which srandom steps through the LCG twice.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_M32 = 0xFFFFFFFF
+_M128 = (1 << 128) - 1
+_PCG_MULT = 2549297995355413924 << 64 | 4865540595714422341
+# Shots seeded per vectorised pass; bounds ``sample``'s memory, not its result.
+_SEED_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -111,26 +133,6 @@ class Histogram:
         return min(v for v, c in self.counts.items() if c == best)
 
 
-class _UniformStream:
-    """Buffered uniform(0,1) draws from a numpy Generator."""
-
-    __slots__ = ("_rng", "_buf", "_i")
-    _BLOCK = 256
-
-    def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-        self._buf = rng.random(self._BLOCK)
-        self._i = 0
-
-    def next(self) -> float:
-        if self._i == len(self._buf):
-            self._buf = self._rng.random(self._BLOCK)
-            self._i = 0
-        u = self._buf[self._i]
-        self._i += 1
-        return u
-
-
 def _coerce_bits(initial_bits, num_qubits: int) -> tuple[int, ...]:
     if initial_bits is None:
         return (0,) * num_qubits
@@ -146,6 +148,106 @@ def _coerce_bits(initial_bits, num_qubits: int) -> tuple[int, ...]:
     if any(b not in (0, 1) for b in bits):
         raise SimulationError(f"initial bits must be 0/1: {initial_bits!r}")
     return bits
+
+
+def _words(n: int) -> list[int]:
+    """numpy's entropy words of a non-negative int: 32 bits each, low first."""
+    words = [n & _M32]
+    while n := n >> 32:
+        words.append(n & _M32)
+    return words
+
+
+def _seed_words(seed) -> list[int]:
+    """Entropy words of ``seed`` in ``default_rng([seed, s])``; a seed numpy
+    rejects raises numpy's own error."""
+    np.random.SeedSequence([seed, 0])
+    return _words(operator.index(seed))
+
+
+def _hash_pool(entropy: list) -> list:
+    """SeedSequence's pool from its entropy words, each word a uint32 array
+    with one element per shot (uint32 arithmetic wraps as numpy's C does)."""
+    h = _INIT_A
+
+    def hashmix(value):
+        nonlocal h
+        value = value ^ h
+        h = h * _MULT_A & _M32
+        value = value * h
+        return value ^ value >> 16
+
+    def mix(x, y):
+        r = _MIX_L * x - _MIX_R * y
+        return r ^ r >> 16
+
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    return pool
+
+
+def _pcg_words(pool: list) -> list:
+    """``generate_state(4, np.uint64)`` of the pool: four uint64 arrays, the
+    initial state's high and low halves, then the stream's."""
+    h = _INIT_B
+    out = []
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ h
+        h = h * _MULT_B & _M32
+        value = value * h
+        out.append((value ^ value >> 16).astype(np.uint64))
+    return [out[i] | out[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+def _shot_rows(seed_words: list[int], start: int, stop: int, k: int):
+    """Yield ``np.random.default_rng([seed, s]).random(k)`` as a list for each
+    shot s in [start, stop), ``seed_words`` being ``_seed_words(seed)``.
+
+    The pool hashing runs over a block of shots at once; each shot's srandom
+    runs on Python ints and sets the state of one reused generator. The shots
+    of a block share their entropy word count and every word but the lowest,
+    so a block never straddles a multiple of 2^32.
+    """
+    gen = np.random.Generator(np.random.PCG64())
+    bitgen = gen.bit_generator
+    while start < stop:
+        end = min(stop, start + _SEED_BLOCK, ((start >> 32) + 1) << 32)
+        size = end - start
+        low = np.arange(size, dtype=np.uint32) + np.uint32(start & _M32)
+        high = _words(start >> 32) if start >> 32 else []
+        entropy = ([np.full(size, w, np.uint32) for w in seed_words] + [low]
+                   + [np.full(size, w, np.uint32) for w in high])
+        for s_hi, s_lo, i_hi, i_lo in zip(*(w.tolist() for w in _pcg_words(_hash_pool(entropy)))):
+            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
+            state = inc  # first step, from state 0
+            state = ((state + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _M128
+            bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                            "has_uint32": 0, "uinteger": 0}
+            yield gen.random(k).tolist()
+        start = end
+
+
+def _draw_bound(census: GateCensus) -> int:
+    """Most uniforms one shot can draw: 2 per touched qubit of a fired gate,
+    2 per measurement."""
+    touched = census.x + 2 * census.cx + 3 * census.ccx + 2 * census.cv + 2 * census.cvdg
+    return 2 * touched + 2 * census.measure_count
+
+
+def _row_draw(rng: np.random.Generator, census: GateCensus):
+    """Draw function over one pre-drawn row of ``rng``."""
+    return iter(rng.random(_draw_bound(census)).tolist()).__next__
+
+
+def _register(cl) -> int:
+    return sum(b << k for k, b in enumerate(cl))
 
 
 def _new_counters() -> dict[str, int]:
@@ -211,16 +313,16 @@ class ClassicalRunner:
         return self._run_lanes(q, lanes)
 
     def _run_lanes(self, q: list[int], lanes: int, counters=None, trace=None,
-                   stream: _UniformStream | None = None, noise: NoiseModel | None = None):
+                   draw=None, noise: NoiseModel | None = None):
         """The interpreter. A condition becomes the mask of lanes where it
         holds; ``counters`` adds the lanes each gate fired in, ``trace`` gets
-        (clbit, lane int) per measurement. With ``stream`` (one lane only, no
+        (clbit, lane int) per measurement. With ``draw`` (one lane only, no
         counters) it draws ``noise`` in the dense backend's order: per fired
         gate and touched qubit one depolarizing draw, plus the Pauli draw when
         it hits; per measurement one readout-flip draw."""
         full = (1 << lanes) - 1
         cl = [0] * self.num_clbits
-        if stream is not None:
+        if draw is not None:
             p, flip_p = noise.depolarizing_per_gate, noise.readout_flip
         for op, a0, a1, a2, cond, touched in self._prog:
             act = full
@@ -235,16 +337,16 @@ class ClassicalRunner:
                 q[a2] ^= act & q[a0] & q[a1]
             elif op == _OP_MEASURE:
                 cl[a1] = q[a0]
-                if stream is not None and stream.next() < flip_p:
+                if draw is not None and draw() < flip_p:
                     cl[a1] ^= 1
                 if trace is not None:
                     trace.append((a1, cl[a1]))
             else:  # _OP_CX
                 q[a1] ^= act & q[a0]
-            if stream is not None:
+            if draw is not None:
                 for qb in touched:
                     # X and Y flip a basis state; Z only phases it
-                    if stream.next() < p and int(stream.next() * 3) != 2:
+                    if draw() < p and int(draw() * 3) != 2:
                         q[qb] ^= 1
             elif counters is not None:
                 fired = act.bit_count()
@@ -271,10 +373,13 @@ class ClassicalRunner:
     def run_value(self, initial_bits, rng: np.random.Generator | None,
                   noise: NoiseModel | None) -> int:
         """Register value of one (possibly noisy) trajectory."""
-        bits = list(_coerce_bits(initial_bits, self.num_qubits))
-        stream = _UniformStream(rng) if noise is not None else None
-        _, cl = self._run_lanes(bits, 1, stream=stream, noise=noise)
-        return sum(b << k for k, b in enumerate(cl))
+        bits = _coerce_bits(initial_bits, self.num_qubits)
+        draw = _row_draw(rng, self._static) if noise is not None else None
+        return _register(self._shot(bits, draw, noise))
+
+    def _shot(self, bits: tuple[int, ...], draw, noise: NoiseModel | None) -> tuple[int, ...]:
+        """Final clbits of one trajectory."""
+        return tuple(self._run_lanes(list(bits), 1, draw=draw, noise=noise)[1])
 
 
 # V and V-dagger as row-major Python complex tuples (m00, m01, m10, m11).
@@ -322,14 +427,14 @@ def _mass(amps: dict, bit: int = 0) -> float:
     return total
 
 
-def _measure(amps: dict, q: int, stream: _UniformStream | None) -> tuple[int, dict]:
+def _measure(amps: dict, q: int, draw) -> tuple[int, dict]:
     bit = 1 << q
     p1 = _mass(amps, bit)
     probabilistic = _BASIS_EPS < p1 < 1.0 - _BASIS_EPS
     if probabilistic:
-        if stream is None:
+        if draw is None:
             raise SimulationError("measurement of a superposed qubit needs a seed")
-        outcome = 1 if stream.next() < p1 else 0
+        outcome = 1 if draw() < p1 else 0
     else:
         outcome = 1 if p1 >= 0.5 else 0
     prob, keep = (p1, bit) if outcome else (1.0 - p1, 0)
@@ -363,12 +468,11 @@ class DenseRunner:
         self.num_clbits = circuit.num_clbits
         self._prog, self._static = _compile(circuit)
 
-    def _execute(self, initial_bits, rng: np.random.Generator | None,
-                 noise: NoiseModel | None, counters=None, trace=None) -> list[int]:
-        bits = _coerce_bits(initial_bits, self.num_qubits)
-        amps = {sum(b << q for q, b in enumerate(bits)): 1 + 0j}
+    def _execute(self, bits: tuple[int, ...], draw, noise: NoiseModel | None,
+                 counters=None, trace=None) -> list[int]:
+        """The interpreter; ``draw`` gives the run's uniforms (None: no seed)."""
+        amps = {_register(bits): 1 + 0j}
         cl = [0] * self.num_clbits
-        stream = _UniformStream(rng) if rng is not None else None
         p, q_flip = (noise.depolarizing_per_gate, noise.readout_flip) if noise else (0, 0)
 
         for op, a0, a1, a2, cond, touched in self._prog:
@@ -383,8 +487,8 @@ class DenseRunner:
                 if op == _OP_X and cond is not None:
                     counters["conditional_x_count"] += 1
             if op == _OP_MEASURE:
-                outcome, amps = _measure(amps, a0, stream)
-                if noise is not None and stream.next() < q_flip:
+                outcome, amps = _measure(amps, a0, draw)
+                if noise is not None and draw() < q_flip:
                     outcome ^= 1
                 cl[a1] = outcome
                 if trace is not None:
@@ -400,8 +504,8 @@ class DenseRunner:
                 amps = _mix(amps, 1 << a0, 1 << a1, _V if op == _OP_CV else _VDG)
             if noise is not None:
                 for qb in touched:
-                    if stream.next() < p:
-                        pauli = int(stream.next() * 3)
+                    if draw() < p:
+                        pauli = int(draw() * 3)
                         if pauli == 0:
                             amps = _flip(amps, 0, 1 << qb)
                         elif pauli == 1:
@@ -416,16 +520,24 @@ class DenseRunner:
 
     def run(self, initial_bits=None, seed: int | None = None,
             noise: NoiseModel | None = None) -> RunResult:
-        rng = np.random.default_rng(seed) if (seed is not None or noise is not None) else None
+        draw = None
+        if seed is not None or noise is not None:
+            draw = _row_draw(np.random.default_rng(seed), self._static)
+        bits = _coerce_bits(initial_bits, self.num_qubits)
         counters = _new_counters()
         trace: list[tuple[int, int]] = []
-        cl = self._execute(initial_bits, rng, noise, counters, trace)
+        cl = self._execute(bits, draw, noise, counters, trace)
         return RunResult(tuple(cl), tuple(trace), dataclasses.replace(self._static, **counters))
 
     def run_value(self, initial_bits, rng: np.random.Generator | None,
                   noise: NoiseModel | None) -> int:
-        cl = self._execute(initial_bits, rng, noise)
-        return sum(b << k for k, b in enumerate(cl))
+        bits = _coerce_bits(initial_bits, self.num_qubits)
+        draw = _row_draw(rng, self._static) if rng is not None else None
+        return _register(self._shot(bits, draw, noise))
+
+    def _shot(self, bits: tuple[int, ...], draw, noise: NoiseModel | None) -> tuple[int, ...]:
+        """Final clbits of one trajectory."""
+        return tuple(self._execute(bits, draw, noise))
 
 
 def run_dense(circuit: Circuit, initial_bits=None, seed: int | None = None,
@@ -454,18 +566,25 @@ def sample(circuit: Circuit, initial_bits=None, shots: int = 1,
            backend: str = "auto", qubit_cap: int = DEFAULT_DENSE_CAP) -> Histogram:
     """Repeat execution ``shots`` times with per-shot derived seeds.
 
-    Shot s uses the generator seeded from (seed, s), so histograms are
-    reproducible and independent of execution order.
+    Shot s draws from ``np.random.default_rng([seed, s])``, so histograms are
+    reproducible and independent of execution order; a seed numpy rejects
+    raises numpy's error. A noiseless classical sample is one run.
     """
+    if isinstance(shots, (bool, np.bool_)) or not hasattr(shots, "__index__"):
+        raise ValueError(f"shots must be an integer: {shots!r}")
+    shots = operator.index(shots)
     if shots < 1:
         raise ValueError("shots must be >= 1")
+    seed_words = _seed_words(seed)  # checked even where no shot draws
     chosen = select_backend(circuit, backend)
     runner = (ClassicalRunner(circuit) if chosen == "classical"
               else DenseRunner(circuit, qubit_cap))
-    dense = chosen == "dense"
-    counts: dict[int, int] = {}
-    for s in range(shots):
-        rng = np.random.default_rng([seed, s]) if (noise is not None or dense) else None
-        value = runner.run_value(initial_bits, rng, noise)
-        counts[value] = counts.get(value, 0) + 1
-    return Histogram(shots, dict(sorted(counts.items())))
+    bits = _coerce_bits(initial_bits, circuit.num_qubits)
+    if noise is None and chosen == "classical":
+        return Histogram(shots, {_register(runner._shot(bits, None, None)): shots})
+    counts: dict[tuple[int, ...], int] = {}  # by final clbits
+    shot = runner._shot
+    for row in _shot_rows(seed_words, 0, shots, _draw_bound(runner._static)):
+        cl = shot(bits, iter(row).__next__, noise)
+        counts[cl] = counts.get(cl, 0) + 1
+    return Histogram(shots, dict(sorted((_register(cl), c) for cl, c in counts.items())))

@@ -25,7 +25,7 @@ from qbsc.circuit import (
 )
 from qbsc.errors import NormDrift, SimulationError
 from qbsc.gates import V, VDG
-from qbsc.simulate import _BASIS_EPS, _NORM_TOL, Histogram, RunResult, _UniformStream
+from qbsc.simulate import _BASIS_EPS, _NORM_TOL, Histogram, RunResult
 
 
 def embed_unitary(matrix: np.ndarray, targets: tuple[int, ...], n: int) -> np.ndarray:
@@ -113,8 +113,29 @@ def int_compare_class(a: int, b: int) -> str:
 #
 # All 2^n amplitudes as an n-axis array, qubit i on tensor axis i. Gates are
 # slice swaps and 2x2 mixes over whole half-spaces, so nothing here shares
-# code with the package's amplitude-map engine; only the uniform stream (the
-# seed contract) is the package's own.
+# code with the package's amplitude-map engine, and it draws from its own
+# generator stream rather than the package's pre-drawn rows.
+
+
+class _UniformStream:
+    """Buffered uniform(0,1) draws from a numpy Generator."""
+
+    __slots__ = ("_rng", "_buf", "_i")
+    _BLOCK = 256
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self._buf = rng.random(self._BLOCK)
+        self._i = 0
+
+    def next(self) -> float:
+        if self._i == len(self._buf):
+            self._buf = self._rng.random(self._BLOCK)
+            self._i = 0
+        u = self._buf[self._i]
+        self._i += 1
+        return u
+
 
 def _sl(n: int, axis: int, v: int):
     idx = [slice(None)] * n
