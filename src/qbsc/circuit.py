@@ -19,7 +19,7 @@ Conventions fixed here and asserted by the test suite:
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from typing import Mapping, Sequence, Union
 
@@ -157,6 +157,29 @@ class BarrierOp:
 Instruction = Union[GateOp, MeasureOp, BarrierOp]
 
 
+def _check_instruction(instr, nq: int, nc: int) -> None:
+    """Raise unless ``instr`` fits ``nq`` qubits and ``nc`` clbits.
+
+    Indices must be integers (numpy's too) in range; condition clbits were
+    type-checked, and the mask checked ascending, when the condition was made.
+    """
+    if isinstance(instr, GateOp):
+        for q in instr.targets:
+            if type(q) is not int or not 0 <= q < nq:
+                _check_int(q, "qubit", nq)
+        mask = instr.condition.mask if instr.condition is not None else ()
+        if mask and mask[-1] >= nc:  # ascending and non-negative by construction
+            b = next(b for b in mask if b >= nc)
+            raise IndexOutOfRange(f"clbit {b} outside [0, {nc})")
+    elif isinstance(instr, MeasureOp):
+        if type(instr.qubit) is not int or not 0 <= instr.qubit < nq:
+            _check_int(instr.qubit, "qubit", nq)
+        if type(instr.clbit) is not int or not 0 <= instr.clbit < nc:
+            _check_int(instr.clbit, "clbit", nc)
+    elif not isinstance(instr, BarrierOp):
+        raise CircuitError(f"not an instruction: {instr!r}")
+
+
 def _check_int(value, what: str, size: int | None = None) -> None:
     """Slow path of the width and index checks: ``value`` must be an integer
     (numpy's too, but not a bool) and, given ``size``, lie in [0, size)."""
@@ -191,32 +214,23 @@ class Circuit:
         if self.num_qubits > MAX_WIDTH or self.num_clbits > MAX_WIDTH:
             raise CircuitError(f"register widths {self.num_qubits}, {self.num_clbits}"
                                f" exceed the cap of {MAX_WIDTH}")
+        for instr in self.instructions:
+            _check_instruction(instr, self.num_qubits, self.num_clbits)
+
+    @classmethod
+    def _trusted(cls, num_qubits: int, num_clbits: int, instructions: list[Instruction],
+                 labels: dict[int, str] | None = None) -> "Circuit":
+        """A circuit over ``instructions`` that are valid by construction (the
+        builders' and the parser's), skipping the per-instruction check."""
+        circuit = cls(num_qubits, num_clbits, labels=labels)
+        circuit.instructions = instructions
+        return circuit
 
     # -- construction --------------------------------------------------------
 
     def append(self, instr: Instruction) -> "Circuit":
-        """Validate ``instr`` against the declared widths and append it.
-
-        Indices must be integers (numpy's too) in range; condition clbits were
-        type-checked, and the mask checked ascending, when the condition was
-        made.
-        """
-        nq, nc = self.num_qubits, self.num_clbits
-        if isinstance(instr, GateOp):
-            for q in instr.targets:
-                if type(q) is not int or not 0 <= q < nq:
-                    _check_int(q, "qubit", nq)
-            mask = instr.condition.mask if instr.condition is not None else ()
-            if mask and mask[-1] >= nc:  # ascending and non-negative by construction
-                b = next(b for b in mask if b >= nc)
-                raise IndexOutOfRange(f"clbit {b} outside [0, {nc})")
-        elif isinstance(instr, MeasureOp):
-            if type(instr.qubit) is not int or not 0 <= instr.qubit < nq:
-                _check_int(instr.qubit, "qubit", nq)
-            if type(instr.clbit) is not int or not 0 <= instr.clbit < nc:
-                _check_int(instr.clbit, "clbit", nc)
-        elif not isinstance(instr, BarrierOp):
-            raise CircuitError(f"not an instruction: {instr!r}")
+        """Validate ``instr`` against the declared widths and append it."""
+        _check_instruction(instr, self.num_qubits, self.num_clbits)
         self.instructions.append(instr)
         return self
 
@@ -285,24 +299,13 @@ class GateCensus:
     @property
     def total_unit_cost(self) -> int:
         """Sum of unit costs over all gates (measures/barriers cost nothing)."""
-        return self.x + self.cx + 5 * self.ccx + self.cv + self.cvdg
+        return sum(getattr(self, kind.value) * kind.unit_cost for kind in GateKind)
 
     def __add__(self, other: "GateCensus") -> "GateCensus":
         if (self.width_qubits, self.width_total) != (other.width_qubits, other.width_total):
             raise CircuitError("cannot add censuses of different widths")
-        return GateCensus(
-            x=self.x + other.x,
-            cx=self.cx + other.cx,
-            ccx=self.ccx + other.ccx,
-            cv=self.cv + other.cv,
-            cvdg=self.cvdg + other.cvdg,
-            measure_count=self.measure_count + other.measure_count,
-            block_measure_count=self.block_measure_count + other.block_measure_count,
-            conditional_x_count=self.conditional_x_count + other.conditional_x_count,
-            block_count_1bc=self.block_count_1bc + other.block_count_1bc,
-            width_qubits=self.width_qubits,
-            width_total=self.width_total,
-        )
+        return replace(self, **{f.name: getattr(self, f.name) + getattr(other, f.name)
+                                for f in fields(self) if not f.name.startswith("width")})
 
 
 def static_census(circuit: Circuit) -> GateCensus:
@@ -344,11 +347,7 @@ def census_walk(circuit: Circuit, compile_instr=None) -> tuple[GateCensus, list]
                 op = compiled[id(instr)] = compile_instr(instr)
             prog.append(op)
     census = GateCensus(
-        x=counts[GateKind.X],
-        cx=counts[GateKind.CX],
-        ccx=counts[GateKind.CCX],
-        cv=counts[GateKind.CV],
-        cvdg=counts[GateKind.CVDG],
+        **{kind.value: count for kind, count in counts.items()},
         measure_count=measures,
         block_measure_count=block_measures,
         conditional_x_count=cond_x,

@@ -83,7 +83,6 @@ def _to_numpy(m: ExactMatrix) -> np.ndarray:
 V = _to_numpy(V_EXACT)
 VDG = _to_numpy(VDG_EXACT)
 _X = _to_numpy(X_EXACT)
-_I2 = np.eye(2, dtype=complex)
 
 
 def _controlled(u: np.ndarray) -> np.ndarray:
@@ -143,5 +142,5 @@ def lower_circuit(circuit: Circuit) -> Circuit:
             instructions += _ccx_expansion(*instr.targets, instr.condition)
         else:
             instructions.append(instr)
-    return Circuit(circuit.num_qubits, circuit.num_clbits, instructions,
-                   labels=dict(circuit.labels) if circuit.labels else None)
+    return Circuit._trusted(circuit.num_qubits, circuit.num_clbits, instructions,
+                            labels=dict(circuit.labels) if circuit.labels else None)

@@ -183,7 +183,7 @@ class _Parser:
         if self.condition is not None:
             raise QasmSyntaxError("unterminated if block", len(self.lines), 1, "'}'")
         # every index was range-checked against the declarations above
-        return Circuit(self.num_qubits, self.num_clbits, self.instructions)
+        return Circuit._trusted(self.num_qubits, self.num_clbits, self.instructions)
 
     def _compile_patterns(self):
         """Patterns accepting exactly what the scanner accepts for a gate or

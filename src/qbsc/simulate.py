@@ -237,12 +237,14 @@ def _shot_rows(seed_words: list[int], start: int, stop: int, k: int):
 def _draw_bound(census: GateCensus) -> int:
     """Most uniforms one shot can draw: 2 per touched qubit of a fired gate,
     2 per measurement."""
-    touched = census.x + 2 * census.cx + 3 * census.ccx + 2 * census.cv + 2 * census.cvdg
+    touched = sum(getattr(census, kind.value) * kind.arity for kind in GateKind)
     return 2 * touched + 2 * census.measure_count
 
 
 def _row_draw(rng: np.random.Generator, census: GateCensus):
     """Draw function over one pre-drawn row of ``rng``."""
+    if rng is None:
+        raise SimulationError("a noisy run needs a generator, got rng=None")
     return iter(rng.random(_draw_bound(census)).tolist()).__next__
 
 
@@ -532,7 +534,7 @@ class DenseRunner:
     def run_value(self, initial_bits, rng: np.random.Generator | None,
                   noise: NoiseModel | None) -> int:
         bits = _coerce_bits(initial_bits, self.num_qubits)
-        draw = _row_draw(rng, self._static) if rng is not None else None
+        draw = None if rng is None and noise is None else _row_draw(rng, self._static)
         return _register(self._shot(bits, draw, noise))
 
     def _shot(self, bits: tuple[int, ...], draw, noise: NoiseModel | None) -> tuple[int, ...]:

@@ -457,3 +457,37 @@ class TestJsonLoading:
     def test_labels_not_a_mapping_rejected(self):
         with pytest.raises(CircuitError):
             circuit_from_json(self._doc(labels=["a"]))
+
+
+class TestConstructorChecks:
+    @pytest.mark.parametrize("instr", [
+        GateOp(GateKind.X, (5,)),
+        MeasureOp(0, 3),
+        GateOp(GateKind.X, (0,), ClassicalCondition((4,), 0)),
+        "junk",
+        GateOp(GateKind.X, (True,)),
+    ])
+    def test_constructor_rejects_like_append(self, instr):
+        with pytest.raises(CircuitError) as appended:
+            Circuit(2, 1).append(instr)
+        with pytest.raises(CircuitError) as constructed:
+            Circuit(2, 1, [instr])
+        assert type(constructed.value) is type(appended.value)
+        assert str(constructed.value) == str(appended.value)
+
+    def test_builders_and_parser_skip_the_check(self, monkeypatch):
+        from qbsc import circuit as circuit_module
+        from qbsc import qasm
+        from qbsc.comparator import build_gqbsc, encode_operands
+        from qbsc.gates import lower_circuit
+
+        built = build_gqbsc(encode_operands(5, 3))
+        text = qasm.export(built)
+
+        def fail(*args):
+            raise AssertionError("checked again")
+
+        monkeypatch.setattr(circuit_module, "_check_instruction", fail)
+        assert build_gqbsc(encode_operands(5, 3)) == built
+        assert lower_circuit(built).num_qubits == built.num_qubits
+        assert qasm.parse(text) == built

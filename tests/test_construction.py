@@ -8,6 +8,7 @@ lane transpose."""
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
@@ -201,3 +202,40 @@ class TestTranspose:
         values[0] = (1 << n) - 1
         values[-1] = 0 if lanes > 1 else values[-1]
         assert comparator._transpose(values, n) == transpose_reference(values, n)
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 16])
+    @pytest.mark.parametrize("dtype", [np.uint64, None])
+    def test_index_arrays_match_string_transpose(self, n, dtype):
+        """The exhaustive sweep's operands: halves of a run of pair indices
+        (uint64, or the narrowest type the sweep uses), at the first, a
+        middle and the last chunk."""
+        lanes = min(1 << 2 * n, 256)
+        dtype = dtype or np.min_scalar_type((1 << 2 * n) - 1)
+        for start in (0, (1 << 2 * n) // 3 // lanes * lanes, (1 << 2 * n) - lanes):
+            index = np.arange(start, start + lanes, dtype=dtype)
+            for values in (index >> n, index & ((1 << n) - 1)):
+                assert (comparator._transpose(values, n)
+                        == transpose_reference(values.tolist(), n))
+
+
+class TestExhaustiveLaneOrder:
+    @pytest.mark.parametrize("n, max_lanes", [(1, 1 << 16), (2, 1 << 16), (3, 16), (4, 64)])
+    def test_lane_l_of_chunk_c_holds_pair_c_lanes_plus_l(self, monkeypatch, n, max_lanes):
+        """Lane a*2^n + b holds the pair (a, b), chunk after chunk."""
+        chunks = []
+        flag_lanes = comparator._flag_lanes
+
+        def recording(runner, qubits, lanes):
+            chunks.append((qubits, lanes))
+            return flag_lanes(runner, qubits, lanes)
+
+        monkeypatch.setattr(comparator, "_flag_lanes", recording)
+        monkeypatch.setattr(comparator, "MAX_LANES", max_lanes)
+        assert comparator.soundness_check_exhaustive(n) == (1 << 2 * n, 0)
+        pairs = []
+        for qubits, lanes in chunks:
+            for lane in range(lanes):
+                bits = [q >> lane & 1 for q in qubits]
+                pairs.append((int("".join(map(str, bits[:n])), 2),
+                              int("".join(map(str, bits[n:2 * n])), 2), bits[2 * n:]))
+        assert pairs == [(a, b, [0, 0]) for a in range(1 << n) for b in range(1 << n)]

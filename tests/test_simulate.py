@@ -317,3 +317,11 @@ class TestSampling:
         histogram = sample(circuit, shots=16, seed=seed)
         value = run_classical(circuit).register_value
         assert histogram.counts == {value: 16}
+
+
+class TestNoisyRunNeedsGenerator:
+    @pytest.mark.parametrize("runner", [ClassicalRunner, DenseRunner])
+    def test_noisy_run_value_without_generator(self, runner):
+        body = build_gqbsc(encode_operands(1, 0))
+        with pytest.raises(SimulationError, match="noisy run needs a generator"):
+            runner(body).run_value((1, 0, 0, 0), None, NoiseModel(0.1, 0.1))
