@@ -119,6 +119,12 @@ class ClassicalCondition:
         return value == self.value
 
 
+# Sets a field of a frozen instance for GateOp._trusted. Writing through the
+# instance's ``__dict__`` instead would give each gate a dict of its own (65
+# bytes more per gate on CPython 3.11).
+_setattr = object.__setattr__
+
+
 @dataclass(frozen=True)
 class GateOp:
     gate: GateKind
@@ -139,6 +145,17 @@ class GateOp:
             )
         if arity > 1 and len(set(targets)) != arity:
             raise DuplicateTarget(f"repeated qubit in {self.gate.value}{targets}")
+
+    @classmethod
+    def _trusted(cls, gate: GateKind, targets: tuple[int, ...],
+                 condition: ClassicalCondition | None = None) -> "GateOp":
+        """A gate whose ``targets`` tuple fits ``gate`` by construction (the
+        builders' and the lowering's), skipping :meth:`__post_init__`."""
+        op = object.__new__(cls)
+        _setattr(op, "gate", gate)
+        _setattr(op, "targets", targets)
+        _setattr(op, "condition", condition)
+        return op
 
 
 @dataclass(frozen=True)
@@ -180,6 +197,13 @@ def _check_instruction(instr, nq: int, nc: int) -> None:
         raise CircuitError(f"not an instruction: {instr!r}")
 
 
+def _check_cap(num_qubits: int, num_clbits: int) -> None:
+    """Refuse register widths over :data:`MAX_WIDTH`."""
+    if num_qubits > MAX_WIDTH or num_clbits > MAX_WIDTH:
+        raise CircuitError(f"register widths {num_qubits}, {num_clbits}"
+                           f" exceed the cap of {MAX_WIDTH}")
+
+
 def _check_int(value, what: str, size: int | None = None) -> None:
     """Slow path of the width and index checks: ``value`` must be an integer
     (numpy's too, but not a bool) and, given ``size``, lie in [0, size)."""
@@ -211,9 +235,7 @@ class Circuit:
         _check_int(self.num_clbits, "clbit width")
         if self.num_qubits < 0 or self.num_clbits < 0:
             raise CircuitError("register widths must be non-negative")
-        if self.num_qubits > MAX_WIDTH or self.num_clbits > MAX_WIDTH:
-            raise CircuitError(f"register widths {self.num_qubits}, {self.num_clbits}"
-                               f" exceed the cap of {MAX_WIDTH}")
+        _check_cap(self.num_qubits, self.num_clbits)
         for instr in self.instructions:
             _check_instruction(instr, self.num_qubits, self.num_clbits)
 

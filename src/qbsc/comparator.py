@@ -40,9 +40,13 @@ from .circuit import (
     GateOp,
     Instruction,
     MeasureOp,
+    _check_cap,
 )
 from .errors import DuplicateTarget, EmptyOperand, InvalidBitstring
 from .simulate import MAX_LANES, ClassicalRunner, DenseRunner, RunResult, select_backend
+
+# GateKind members read per block, bound once: a member read is a call.
+_X, _CCX = GateKind.X, GateKind.CCX
 
 
 class ComparisonClass(Enum):
@@ -86,28 +90,37 @@ class ComparisonOutcome:
     run: RunResult | None = field(default=None, compare=False, repr=False)
 
 
-def _bits_of(value) -> tuple[int, ...]:
+def _digits_of(value) -> str:
+    """The operand's binary digits, MSB first."""
     if isinstance(value, str):
         if value == "":
             raise EmptyOperand("operand bitstring is empty")
         if any(ch not in "01" for ch in value):
             raise InvalidBitstring(f"operand contains non-binary characters: {value!r}")
-        return tuple(int(ch) for ch in value)
+        return value
     if isinstance(value, int) and not isinstance(value, bool):
         if value < 0:
             raise InvalidBitstring(f"operands must be non-negative: {value}")
-        return tuple(int(ch) for ch in format(value, "b"))
+        return format(value, "b")
     raise InvalidBitstring(f"operand must be an int or a bitstring: {value!r}")
 
 
+def _check_width(n: int) -> None:
+    """Refuse a width whose comparator (2n + 2 qubits) would exceed the
+    register cap, with the error ``Circuit`` raises, before anything is built."""
+    _check_cap(2 * n + 2, 2)
+
+
 def encode_operands(a, b) -> Operands:
-    """Render both operands MSB-first, left-padding the shorter with zeros."""
-    a_bits, b_bits = _bits_of(a), _bits_of(b)
-    n = max(len(a_bits), len(b_bits))
-    return Operands(
-        (0,) * (n - len(a_bits)) + a_bits,
-        (0,) * (n - len(b_bits)) + b_bits,
-    )
+    """Render both operands MSB-first, left-padding the shorter with zeros.
+
+    A width no comparator fits (see :func:`_check_width`) raises
+    :class:`CircuitError` before the bit tuples are made.
+    """
+    a_digits, b_digits = _digits_of(a), _digits_of(b)
+    n = max(len(a_digits), len(b_digits))
+    _check_width(n)
+    return Operands(tuple(map(int, a_digits.zfill(n))), tuple(map(int, b_digits.zfill(n))))
 
 
 def build_1bc(qa: int, qb: int, qr0: int, qr1: int, c0: int, c1: int,
@@ -120,13 +133,14 @@ def build_1bc(qa: int, qb: int, qr0: int, qr1: int, c0: int, c1: int,
     """
     if len({qa, qb, qr0, qr1}) != 4:
         raise DuplicateTarget(f"block qubits must be distinct: {(qa, qb, qr0, qr1)}")
-    xa, xb = GateOp(GateKind.X, (qa,), condition), GateOp(GateKind.X, (qb,), condition)
+    gate = GateOp._trusted  # the qubits are distinct, so each gate fits its kind
+    xa, xb = gate(_X, (qa,), condition), gate(_X, (qb,), condition)
     return [
         xb,
-        GateOp(GateKind.CCX, (qa, qb, qr0), condition),
+        gate(_CCX, (qa, qb, qr0), condition),
         xa,
         xb,
-        GateOp(GateKind.CCX, (qa, qb, qr1), condition),
+        gate(_CCX, (qa, qb, qr1), condition),
         xa,
         MeasureOp(qr0, c0),
         MeasureOp(qr1, c1),
@@ -154,18 +168,19 @@ def build_gqbsc(ops: Operands, variant: BuilderVariant = BuilderVariant.FIGURE) 
         raise EmptyOperand("comparator needs at least one bit")
     if len(ops.b_bits) != n:
         raise InvalidBitstring(f"operand widths differ: {n} and {len(ops.b_bits)}")
+    _check_width(n)
     qr0, qr1 = 2 * n, 2 * n + 1
     labels = {i: f"a_{i}" for i in range(n)}
     labels.update({n + i: f"b_{i}" for i in range(n)})
     labels.update({qr0: "r_0", qr1: "r_1"})
     # a bits sit on qubits 0..n-1 and b bits on n..2n-1
-    instructions = [GateOp(GateKind.X, (q,)) for q, bit in enumerate(ops.a_bits + ops.b_bits)
+    instructions = [GateOp._trusted(_X, (q,)) for q, bit in enumerate(ops.a_bits + ops.b_bits)
                     if bit]
 
     begin, end = BarrierOp(BLOCK_BEGIN), BarrierOp(BLOCK_END)
     meters = [MeasureOp(qr0, 0), MeasureOp(qr1, 1)]
     skip_unless_open = ClassicalCondition((0, 1), 0)
-    correction = [GateOp(GateKind.X, (qr0,), ClassicalCondition((0, 1), 2)), meters[0]]
+    correction = [GateOp._trusted(_X, (qr0,), ClassicalCondition((0, 1), 2)), meters[0]]
     sites = _correction_sites(n, variant)
     for i in range(n):
         block = build_1bc(i, n + i, qr0, qr1, 0, 1, None if i == 0 else skip_unless_open)
@@ -176,6 +191,13 @@ def build_gqbsc(ops: Operands, variant: BuilderVariant = BuilderVariant.FIGURE) 
         if i in sites:
             instructions += correction
     return Circuit._trusted(2 * n + 2, 2, instructions, labels=labels)
+
+
+def _body(n: int, variant: BuilderVariant) -> Circuit:
+    """The value-independent body at width n; an over-cap width raises before
+    the zero operands are made."""
+    _check_width(n)
+    return build_gqbsc(Operands((0,) * n, (0,) * n), variant)
 
 
 def interpret(r0: int, r1: int) -> ComparisonClass:
@@ -215,7 +237,7 @@ def compare(a, b, backend: str = "auto",
     bits as the initial qubits; the outcome carries both.
     """
     ops = encode_operands(a, b)
-    body = build_gqbsc(Operands((0,) * ops.n, (0,) * ops.n), variant)
+    body = _body(ops.n, variant)
     chosen = select_backend(body, backend)
     if chosen == "classical":
         run = ClassicalRunner(body).run(ops.initial_qubit_bits())
@@ -309,7 +331,7 @@ def soundness_check_exhaustive(n: int, variant: BuilderVariant = BuilderVariant.
     holding the pair (a, b); the classical backend runs a chunk bit-sliced,
     the dense one lane at a time. ``backend`` resolves as in :func:`compare`.
     """
-    runner = _runner(build_gqbsc(Operands((0,) * n, (0,) * n), variant), backend)
+    runner = _runner(_body(n, variant), backend)
     total = 1 << 2 * n
     lanes = min(total, MAX_LANES)
     dtype = np.min_scalar_type(total - 1)  # the narrowest array keeps the sweep's peak memory low
@@ -354,7 +376,7 @@ def soundness_check_random(n: int, samples: int, seed: int = 0,
     They go in chunks of at most ``MAX_LANES`` lanes, as in
     :func:`soundness_check_exhaustive`.
     """
-    runner = _runner(build_gqbsc(Operands((0,) * n, (0,) * n), variant), backend)
+    runner = _runner(_body(n, variant), backend)
     drawn = _random_pairs(n, samples, seed)
     mismatches = 0
     for _ in range(0, samples, MAX_LANES):

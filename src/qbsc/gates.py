@@ -18,6 +18,9 @@ import numpy as np
 from .circuit import Circuit, GateKind, GateOp, Instruction
 from .errors import NotACCX
 
+# GateKind members read per instruction, bound once: a member read is a call.
+_CX, _CCX, _CV, _CVDG = GateKind.CX, GateKind.CCX, GateKind.CV, GateKind.CVDG
+
 
 @dataclass(frozen=True)
 class ExactComplex:
@@ -112,7 +115,7 @@ def decompose_ccx(instr: Instruction) -> list[GateOp]:
     Emits [CV(a→c), CV(b→c), CX(a→b), CV†(b→c), CX(a→b)] for CCX on (a, b, c);
     total unit cost 5, and the composed unitary equals the Toffoli.
     """
-    if not isinstance(instr, GateOp) or instr.gate is not GateKind.CCX:
+    if not isinstance(instr, GateOp) or instr.gate is not _CCX:
         raise NotACCX(f"expected a CCX gate, got {instr!r}")
     if instr.condition is not None:
         raise NotACCX("expected an unconditioned CCX (lower_circuit handles conditions)")
@@ -121,12 +124,15 @@ def decompose_ccx(instr: Instruction) -> list[GateOp]:
 
 
 def _ccx_expansion(a: int, b: int, c: int, condition) -> list[GateOp]:
-    cx = GateOp(GateKind.CX, (a, b), condition)
+    """The expansion of a valid CCX on (a, b, c): its qubits are distinct, so
+    each gate is made unchecked."""
+    gate = GateOp._trusted
+    cx = gate(_CX, (a, b), condition)
     return [
-        GateOp(GateKind.CV, (a, c), condition),
-        GateOp(GateKind.CV, (b, c), condition),
+        gate(_CV, (a, c), condition),
+        gate(_CV, (b, c), condition),
         cx,
-        GateOp(GateKind.CVDG, (b, c), condition),
+        gate(_CVDG, (b, c), condition),
         cx,
     ]
 
@@ -138,7 +144,7 @@ def lower_circuit(circuit: Circuit) -> Circuit:
     """
     instructions = []
     for instr in circuit.instructions:
-        if isinstance(instr, GateOp) and instr.gate is GateKind.CCX:
+        if isinstance(instr, GateOp) and instr.gate is _CCX:
             instructions += _ccx_expansion(*instr.targets, instr.condition)
         else:
             instructions.append(instr)

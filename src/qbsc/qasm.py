@@ -168,22 +168,49 @@ class _Parser:
         self.measure_line: re.Pattern | None = None
 
     def parse(self) -> Circuit:
+        """Read each line in order. Once the first statement is read, the
+        registers are fixed (a declaration can only raise), so what a line
+        does depends on its text and the open condition alone: a line that
+        parsed is recorded in that condition's table, and where it recurs
+        under that condition it is replayed instead of parsed again."""
+        instructions = self.instructions
+        # Open condition value (None outside a block) -> {raw line: (the
+        # instruction it appended or None, the condition it left open, that
+        # condition's table)}.
+        tables: dict[int | None, dict] = {None: {}}
+        table = tables[None]
         for line_no, raw in enumerate(self.lines, start=1):
-            if self.gate_line is not None and self._matched_statement(raw):
+            seen = table.get(raw)
+            if seen is not None:
+                instr, self.condition, table = seen
+                if instr is not None:
+                    instructions.append(instr)
                 continue
-            stripped = raw.strip()
-            if not stripped:
-                continue
-            if stripped.startswith("//"):
-                self._comment(stripped)
-                continue
-            self._statement(_Scanner(raw, line_no))
+            count = len(instructions)
+            self._line(raw, line_no)
+            if self.saw_statement:
+                condition = self.condition
+                after = tables.setdefault(None if condition is None else condition.value, {})
+                table[raw] = (instructions[-1] if len(instructions) > count else None,
+                              condition, after)
+                table = after
         if not self.saw_version:
             raise QasmSyntaxError("empty document", 1, 1, "'OPENQASM 3.0;'")
         if self.condition is not None:
             raise QasmSyntaxError("unterminated if block", len(self.lines), 1, "'}'")
         # every index was range-checked against the declarations above
         return Circuit._trusted(self.num_qubits, self.num_clbits, self.instructions)
+
+    def _line(self, raw: str, line_no: int):
+        if self.gate_line is not None and self._matched_statement(raw):
+            return
+        stripped = raw.strip()
+        if not stripped:
+            return
+        if stripped.startswith("//"):
+            self._comment(stripped)
+            return
+        self._statement(_Scanner(raw, line_no))
 
     def _compile_patterns(self):
         """Patterns accepting exactly what the scanner accepts for a gate or

@@ -1,9 +1,9 @@
-"""Trusted construction and the one-walk compile: the builders hand whole
-instruction lists to the ``Circuit`` constructor, so these tests re-check
-their output through the validating path, and check the runners' compile
-walk against the public census and permutation checks. Also the register
-width cap at every front end, the soundness sweeps' backend names, and the
-lane transpose."""
+"""Trusted construction and the one-walk compile: the builders make their
+gates with the unchecked ``GateOp._trusted`` and hand whole instruction lists
+to the unchecked ``Circuit._trusted``, so these tests re-check their output
+through the validating path, and check the runners' compile walk against the
+public census and permutation checks. Also the register width cap at every
+front end, the soundness sweeps' backend names, and the lane transpose."""
 
 import random
 import tracemalloc
@@ -29,8 +29,14 @@ from qbsc.circuit import (
 )
 from qbsc.cli import EXIT_BAD_INPUT, main
 from qbsc.comparator import BuilderVariant, Operands, build_gqbsc
-from qbsc.errors import CircuitError, InvalidBitstring, NonClassicalGate, QasmSyntaxError
-from qbsc.gates import lower_circuit
+from qbsc.errors import (
+    CircuitError,
+    DuplicateTarget,
+    InvalidBitstring,
+    NonClassicalGate,
+    QasmSyntaxError,
+)
+from qbsc.gates import decompose_ccx, lower_circuit
 from qbsc.simulate import ClassicalRunner, DenseRunner, _compile
 
 from _oracles import (
@@ -82,6 +88,37 @@ class TestTrustedConstruction:
         # measurements, the correction X
         assert len(distinct) == 4 * 6 + 5
         assert len({id(i) for i in lower_circuit(body).instructions}) == 4 * 6 + 5 + 3 * 12
+
+    def test_builders_and_lowering_make_gates_unchecked(self, monkeypatch):
+        rng = random.Random(7)
+        cases = []
+        for variant in BuilderVariant:
+            for n in (1, 2, 7, 64):
+                a_bits = tuple(rng.getrandbits(1) for _ in range(n))
+                b_bits = tuple(rng.getrandbits(1) for _ in range(n))
+                reference = append_built_gqbsc(a_bits, b_bits,
+                                               variant is BuilderVariant.ALGORITHMIC)
+                cases.append((Operands(a_bits, b_bits), variant, reference,
+                              append_lowered(reference)))
+        checked = []
+        post_init = GateOp.__post_init__
+
+        def counting(op):
+            checked.append(op)
+            post_init(op)
+
+        monkeypatch.setattr(GateOp, "__post_init__", counting)
+        for ops, variant, reference, lowered_reference in cases:
+            built = build_gqbsc(ops, variant)
+            lowered = lower_circuit(built)
+            assert not checked, (ops.n, variant)
+            assert circuit_to_json(built) == circuit_to_json(reference)
+            assert circuit_to_json(lowered) == circuit_to_json(lowered_reference)
+        block = comparator.build_1bc(0, 1, 2, 3, 0, 1)
+        assert decompose_ccx(block[1]) and not checked
+        with pytest.raises(DuplicateTarget):  # the public constructor still checks
+            GateOp(GateKind.CX, (0, 0))
+        assert len(checked) == 1
 
     def test_unequal_operand_widths_are_refused(self):
         with pytest.raises(InvalidBitstring):
@@ -160,6 +197,27 @@ class TestWidthCap:
             assert tracemalloc.get_traced_memory()[1] < 1 << 20
         finally:
             tracemalloc.stop()
+
+    OVER_CAP = (MAX_WIDTH - 2) // 2 + 1  # 2n + 2 qubits, two more than the cap
+
+    @pytest.mark.parametrize("entry", [
+        lambda zeros, digits: build_gqbsc(Operands(zeros, zeros)),
+        lambda zeros, digits: comparator.compare(digits, "0"),
+        lambda zeros, digits: comparator.compare(int(digits, 2), 1),
+        lambda zeros, digits: comparator.soundness_check_random(len(digits), 1),
+        lambda zeros, digits: comparator.soundness_check_exhaustive(len(digits)),
+    ])
+    def test_comparator_refused_before_it_is_built(self, entry):
+        zeros, digits = (0,) * self.OVER_CAP, "1" * self.OVER_CAP
+        tracemalloc.start()
+        try:
+            with pytest.raises(CircuitError) as err:
+                entry(zeros, digits)
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == (f"register widths {2 * self.OVER_CAP + 2}, 2"
+                                  f" exceed the cap of {MAX_WIDTH}")
 
     @pytest.mark.parametrize("max_bits", [(MAX_WIDTH - 2) // 2 + 1, 10**12])
     def test_verify_max_bits(self, max_bits, monkeypatch):

@@ -14,6 +14,7 @@ from qbsc.errors import (
     DuplicateTarget,
     IndexOutOfRange,
     QasmSyntaxError,
+    QbscError,
     UndeclaredRegister,
     UnsupportedInstruction,
 )
@@ -291,3 +292,93 @@ class TestStatementPatterns:
         assert len(circuit.instructions) == 2
         with pytest.raises(QasmSyntaxError):
             parse(text + "cx[0] = measure x[1];\n")
+
+
+class _Unique(str):
+    """A line equal to no other line."""
+
+    __hash__ = object.__hash__
+
+    def __eq__(self, other):
+        return self is other
+
+
+class _ScanningParser(qasm._Parser):
+    """The parser with no line ever replayed: each line is distinct."""
+
+    def __init__(self, text):
+        super().__init__(text)
+        self.lines = [_Unique(line) for line in self.lines]
+
+
+def _outcome(parser):
+    """The circuit ``parser`` gives, or its error's class and message."""
+    try:
+        return parser.parse()
+    except QbscError as err:
+        return type(err), str(err)
+
+
+class TestLineReplay:
+    HEADER = TestParseErrors.HEADER
+
+    def test_same_gate_text_under_each_condition(self):
+        body = ["x q[0];", "if (cr == 1) {", "x q[0];", "}", "x q[0];", "if (cr == 2) {",
+                "x q[0];", "}", "if (cr == 1) {", "x q[0];", "}", "x q[0];", "cx q[0], q[1];",
+                "if (cr == 2) {", "cx q[0], q[1];", "}"]
+        expected = new_circuit(3, 2)
+        for value in (None, 1, None, 2, 1, None):
+            expected.x(0, None if value is None else ClassicalCondition((0, 1), value))
+        expected.cx(0, 1).cx(0, 1, ClassicalCondition((0, 1), 2))
+        assert parse(self.HEADER + "\n".join(body) + "\n") == expected
+
+    @pytest.mark.parametrize("body, line, column, expected", [
+        # a block's closing brace again, after the block has closed
+        (["if (cr == 1) {", "x q[0];", "}", "}"], 7, 2, "statement"),
+        # an if line again, inside the block it opened before
+        (["if (cr == 1) {", "x q[0];", "}", "if (cr == 1) {", "if (cr == 1) {"], 8, 3,
+         "a flat if block"),
+        # the declarations and the header again, after statements
+        (["x q[0];", "qubit[3] q;"], 5, 6, "declarations before statements"),
+        (["x q[0];", "bit[2] cr;"], 5, 4, "declarations before statements"),
+        (["x q[0];", "OPENQASM 3.0;"], 5, 10, "gate, measure, if, or declaration"),
+    ])
+    def test_repeated_state_changing_line_raises_at_its_position(self, body, line, column,
+                                                                 expected):
+        text = self.HEADER + "\n".join(body) + "\n"
+        with pytest.raises(QasmSyntaxError) as err:
+            parse(text)
+        assert (err.value.line, err.value.column, err.value.expected) == (line, column, expected)
+        assert _outcome(qasm._Parser(text)) == _outcome(_ScanningParser(text))
+
+    @pytest.mark.parametrize("variant", list(BuilderVariant))
+    def test_parsed_export_shares_instructions(self, variant):
+        rng = random.Random(variant.value)
+        built = build_gqbsc(Operands(tuple(rng.getrandbits(1) for _ in range(1000)),
+                                     tuple(rng.getrandbits(1) for _ in range(1000))), variant)
+        text = export(built)
+        parsed = parse(text)
+        assert parsed == built
+        assert len({id(i) for i in parsed.instructions}) <= len(set(text.split("\n")))
+        scanned = _ScanningParser(text).parse()  # the reference replays nothing
+        assert scanned == built
+        assert len({id(i) for i in scanned.instructions}) == len(scanned.instructions)
+
+    @settings(max_examples=150, deadline=None)
+    @given(circuit_strategy(num_qubits=3), st.randoms(use_true_random=False))
+    def test_replay_matches_parsing_every_line(self, circuit, rnd):
+        """Shuffled, repeated and dropped lines of an export parse, or fail,
+        exactly as they do with no line replayed."""
+        lines = export(circuit).split("\n")
+        for _ in range(rnd.randrange(6)):
+            k = rnd.randrange(len(lines))
+            edit = rnd.randrange(3)
+            if edit == 0:
+                lines.insert(rnd.randrange(len(lines) + 1), lines[k])
+            elif edit == 1:
+                j = rnd.randrange(len(lines))
+                lines[k], lines[j] = lines[j], lines[k]
+            elif len(lines) > 1:
+                del lines[k]
+        text = "\n".join(lines)
+        assert _outcome(qasm._Parser(text)) == _outcome(_ScanningParser(text))
