@@ -283,9 +283,9 @@ def cmd_verify(max_bits, samples, exhaustive_limit, variant, backend, seed, fmt,
     else:
         lines = [f"variant={row['variant']} n={row['n']}: {row['pairs']} pairs,"
                  f" {row['mismatches']} mismatches" for row in per_n]
-        lines.append(f"total: {total_pairs} pairs, {total_mismatches} mismatches"
-                     f" ({elapsed:.2f}s)")
+        lines.append(f"total: {total_pairs} pairs, {total_mismatches} mismatches")
         payload = "\n".join(lines) + "\n"
+        click.echo(f"verify took {elapsed:.2f}s", err=True)  # keeps stdout byte-identical
     _emit(payload, out)
     if total_mismatches:
         sys.exit(EXIT_MISMATCH)

@@ -38,6 +38,10 @@ class SimulationError(QbscError):
     """Execution-time failure in a backend."""
 
 
+class SimulationArgumentError(SimulationError, ValueError):
+    """A noise probability, shot count or backend name out of range."""
+
+
 class TooManyQubits(SimulationError):
     """Circuit exceeds the dense backend's qubit cap."""
 

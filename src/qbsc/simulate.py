@@ -40,6 +40,14 @@ Born draw and the readout flip). Shot s of ``sample`` reads the row of
 a block of shots at once, transcribing numpy's seeding in array arithmetic,
 so a shot costs no generator construction and its row is identical to that
 generator's. A noiseless classical ``sample`` is deterministic: one run.
+
+A noisy classical ``sample`` runs the quiet trajectory once, every draw 1.0,
+which fires no event (draws are tested with ``<`` and p, q <= 1); it takes d
+uniforms. A shot whose first d uniforms are all >= max(p, q) is calm and ends
+as that run: one numpy test per block of rows counts the calm shots, and only
+the others run through the interpreter. The dense backend runs every shot,
+since a Born draw can make its quiet trajectory non-unique. A block of rows
+holds at most ``_ROW_BYTES``.
 """
 from __future__ import annotations
 
@@ -57,7 +65,8 @@ from .circuit import (
     MeasureOp,
     census_walk,
 )
-from .errors import NonClassicalGate, NormDrift, SimulationError, TooManyQubits
+from .errors import (NonClassicalGate, NormDrift, SimulationArgumentError, SimulationError,
+                     TooManyQubits)
 from .gates import V, VDG
 
 DEFAULT_DENSE_CAP = 24
@@ -86,8 +95,10 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _M32 = 0xFFFFFFFF
 _M128 = (1 << 128) - 1
 _PCG_MULT = 2549297995355413924 << 64 | 4865540595714422341
-# Shots seeded per vectorised pass; bounds ``sample``'s memory, not its result.
+# Shots seeded per vectorised pass, and the bytes of pre-drawn rows one block
+# holds (K is ~30,000 at n=1000); they bound ``sample``'s memory, not its result.
 _SEED_BLOCK = 1024
+_ROW_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -98,10 +109,11 @@ class NoiseModel:
     readout_flip: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.depolarizing_per_gate <= 1.0:
-            raise ValueError(f"depolarizing probability out of range: {self.depolarizing_per_gate}")
-        if not 0.0 <= self.readout_flip <= 1.0:
-            raise ValueError(f"readout-flip probability out of range: {self.readout_flip}")
+        p, q = self.depolarizing_per_gate, self.readout_flip
+        if not 0.0 <= p <= 1.0:
+            raise SimulationArgumentError(f"depolarizing probability out of range: {p}")
+        if not 0.0 <= q <= 1.0:
+            raise SimulationArgumentError(f"readout-flip probability out of range: {q}")
 
 
 @dataclass(frozen=True)
@@ -207,16 +219,19 @@ def _pcg_words(pool: list) -> list:
 
 
 def _shot_rows(seed_words: list[int], start: int, stop: int, k: int):
-    """Yield ``np.random.default_rng([seed, s]).random(k)`` as a list for each
-    shot s in [start, stop), ``seed_words`` being ``_seed_words(seed)``.
+    """Yield the shots s in [start, stop) as blocks, each a float64 array
+    whose rows are ``np.random.default_rng([seed, s]).random(k)``,
+    ``seed_words`` being ``_seed_words(seed)``.
 
     The pool hashing runs over a block of shots at once; each shot's srandom
-    runs on Python ints and sets the state of one reused generator. The shots
-    of a block share their entropy word count and every word but the lowest,
-    so a block never straddles a multiple of 2^32.
+    runs on Python ints and sets the state of one reused generator, which
+    fills the shot's row in place. A block holds at most ``_ROW_BYTES`` of
+    rows (one row at least), and its shots share their entropy word count and
+    every word but the lowest, so a block never straddles a multiple of 2^32.
     """
     gen = np.random.Generator(np.random.PCG64())
     bitgen = gen.bit_generator
+    block = max(1, _ROW_BYTES // (8 * max(k, 1)))
     while start < stop:
         end = min(stop, start + _SEED_BLOCK, ((start >> 32) + 1) << 32)
         size = end - start
@@ -224,13 +239,18 @@ def _shot_rows(seed_words: list[int], start: int, stop: int, k: int):
         high = _words(start >> 32) if start >> 32 else []
         entropy = ([np.full(size, w, np.uint32) for w in seed_words] + [low]
                    + [np.full(size, w, np.uint32) for w in high])
-        for s_hi, s_lo, i_hi, i_lo in zip(*(w.tolist() for w in _pcg_words(_hash_pool(entropy)))):
-            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
-            state = inc  # first step, from state 0
-            state = ((state + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _M128
-            bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                            "has_uint32": 0, "uinteger": 0}
-            yield gen.random(k).tolist()
+        words = _pcg_words(_hash_pool(entropy))
+        for i in range(0, size, block):
+            part = [w[i:i + block].tolist() for w in words]
+            rows = np.empty((len(part[0]), k))
+            for row, s_hi, s_lo, i_hi, i_lo in zip(rows, *part):
+                inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
+                state = inc  # first step, from state 0
+                state = ((state + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _M128
+                bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                                "has_uint32": 0, "uinteger": 0}
+                gen.random(out=row)
+            yield rows
         start = end
 
 
@@ -559,7 +579,7 @@ def select_backend(circuit: Circuit, requested: str = "auto") -> str:
     if requested == "auto":
         return "classical" if circuit.is_permutation_only() else "dense"
     if requested not in ("classical", "dense"):
-        raise ValueError(f"unknown backend {requested!r}")
+        raise SimulationArgumentError(f"unknown backend {requested!r}")
     return requested
 
 
@@ -570,13 +590,14 @@ def sample(circuit: Circuit, initial_bits=None, shots: int = 1,
 
     Shot s draws from ``np.random.default_rng([seed, s])``, so histograms are
     reproducible and independent of execution order; a seed numpy rejects
-    raises numpy's error. A noiseless classical sample is one run.
+    raises numpy's error. A noiseless classical sample is one run; a noisy
+    one interprets only the shots that are not calm (module docstring).
     """
     if isinstance(shots, (bool, np.bool_)) or not hasattr(shots, "__index__"):
-        raise ValueError(f"shots must be an integer: {shots!r}")
+        raise SimulationArgumentError(f"shots must be an integer: {shots!r}")
     shots = operator.index(shots)
     if shots < 1:
-        raise ValueError("shots must be >= 1")
+        raise SimulationArgumentError("shots must be >= 1")
     seed_words = _seed_words(seed)  # checked even where no shot draws
     chosen = select_backend(circuit, backend)
     runner = (ClassicalRunner(circuit) if chosen == "classical"
@@ -584,9 +605,23 @@ def sample(circuit: Circuit, initial_bits=None, shots: int = 1,
     bits = _coerce_bits(initial_bits, circuit.num_qubits)
     if noise is None and chosen == "classical":
         return Histogram(shots, {_register(runner._shot(bits, None, None)): shots})
+    k = _draw_bound(runner._static)
     counts: dict[tuple[int, ...], int] = {}  # by final clbits
+    if chosen == "classical":
+        # a draw of 1.0 fires nothing, so a shot whose first ``calm_draws``
+        # uniforms are all >= max(p, q) draws as this run does and ends as it
+        ones = iter([1.0] * k)
+        quiet = runner._shot(bits, ones.__next__, noise)
+        calm_draws = k - operator.length_hint(ones)
+        bar = max(noise.depolarizing_per_gate, noise.readout_flip)
+        counts[quiet] = 0
     shot = runner._shot
-    for row in _shot_rows(seed_words, 0, shots, _draw_bound(runner._static)):
-        cl = shot(bits, iter(row).__next__, noise)
-        counts[cl] = counts.get(cl, 0) + 1
-    return Histogram(shots, dict(sorted((_register(cl), c) for cl, c in counts.items())))
+    for rows in _shot_rows(seed_words, 0, shots, k):
+        if chosen == "classical":
+            calm = (rows[:, :calm_draws] >= bar).all(axis=1)
+            counts[quiet] += int(np.count_nonzero(calm))
+            rows = rows[~calm]
+        for row in rows:
+            cl = shot(bits, iter(row.tolist()).__next__, noise)
+            counts[cl] = counts.get(cl, 0) + 1
+    return Histogram(shots, dict(sorted((_register(cl), c) for cl, c in counts.items() if c)))

@@ -186,6 +186,12 @@ class TestDeterminism:
         second = invoke(runner, *args).stdout_bytes
         assert first == second
 
+    def test_verify_text_report_is_byte_identical(self, runner):
+        first, second = (invoke(runner, "verify", "--max-bits", "4") for _ in range(2))
+        assert first.stdout_bytes == second.stdout_bytes
+        assert first.stdout.endswith("\ntotal: 340 pairs, 0 mismatches\n")
+        assert first.stderr.startswith("verify took ")
+
     def test_module_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "qbsc", "compare", "--a", "9", "--b", "4"],

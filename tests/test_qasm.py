@@ -1,7 +1,9 @@
 """Text serialization: exporter output, parser errors, and roundtrips."""
 
+import gc
 import random
 import re
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -363,6 +365,20 @@ class TestLineReplay:
         scanned = _ScanningParser(text).parse()  # the reference replays nothing
         assert scanned == built
         assert len({id(i) for i in scanned.instructions}) == len(scanned.instructions)
+
+    @pytest.mark.parametrize("n", [3, 1000])
+    def test_tables_freed_without_the_cycle_collector(self, n):
+        text = export(build_gqbsc(encode_operands("1" * n, "0" * n)))
+        gc.collect()
+        gc.disable()
+        try:
+            parsed = parse(text)
+            last = weakref.ref(parsed.instructions[-1])
+            del parsed
+            alive = last() is not None
+        finally:
+            gc.enable()
+        assert not alive
 
     @settings(max_examples=150, deadline=None)
     @given(circuit_strategy(num_qubits=3), st.randoms(use_true_random=False))

@@ -29,11 +29,14 @@ K = 13
 SEEDS = [0, 7, 123456789, 2**32 - 1, 2**32, 2**64 + 3, np.int64(5)]
 BENCH_NOISE = NoiseModel(0.01, 0.02)
 NOISES = [NoiseModel(0.2, 0.1), BENCH_NOISE]
+# with the noise models where no shot, or every shot, is calm
+CALM_NOISES = NOISES + [NoiseModel(0, 0), NoiseModel(1.0, 1.0)]
 VARIANTS = (BuilderVariant.FIGURE, BuilderVariant.ALGORITHMIC)
 
 
 def rows(seed, start: int, stop: int, k: int = K) -> list[list[float]]:
-    return list(simulate._shot_rows(simulate._seed_words(seed), start, stop, k))
+    return [row.tolist() for block in simulate._shot_rows(simulate._seed_words(seed), start, stop, k)
+            for row in block]
 
 
 def numpy_rows(seed, start: int, stop: int, k: int = K) -> list[list[float]]:
@@ -47,6 +50,19 @@ def per_shot(runner, bits, shots: int, noise, seed: int) -> Histogram:
         value = runner.run_value(bits, np.random.default_rng([seed, s]), noise)
         counts[value] = counts.get(value, 0) + 1
     return Histogram(shots, dict(sorted(counts.items())))
+
+
+def count_lanes(monkeypatch) -> list:
+    """Record each entry into the classical interpreter from here on."""
+    entered = []
+    run_lanes = ClassicalRunner._run_lanes
+
+    def counted(self, *args, **kwargs):
+        entered.append(1)
+        return run_lanes(self, *args, **kwargs)
+
+    monkeypatch.setattr(ClassicalRunner, "_run_lanes", counted)
+    return entered
 
 
 def _basis_input(data, nq: int) -> tuple[int, ...]:
@@ -191,3 +207,78 @@ class TestDifferentialHistograms:
             tracemalloc.stop()
         assert histogram.shots == 50_000
         assert peak < 512 * 1024
+
+
+class TestCalmShots:
+    """A noisy classical ``sample`` settles each shot whose draws are all
+    >= max(p, q) as the quiet run, and interprets only the others."""
+
+    @pytest.mark.parametrize("shots", [1, 1024, 3000])
+    def test_silent_noise_runs_once(self, shots, monkeypatch):
+        circuit = build_gqbsc(encode_operands(5, 6))
+        want = Histogram(shots, {run_classical(circuit).register_value: shots})
+        entered = count_lanes(monkeypatch)
+        assert sample(circuit, shots=shots, noise=NoiseModel(0, 0), seed=3) == want
+        assert len(entered) == 1
+
+    @pytest.mark.parametrize("noise", [NoiseModel(1.0, 0), NoiseModel(0, 1.0)])
+    def test_certain_noise_runs_every_shot(self, noise, monkeypatch):
+        circuit = build_gqbsc(encode_operands(5, 6))
+        want = per_shot(ClassicalRunner(circuit), None, 40, noise, 9)
+        entered = count_lanes(monkeypatch)
+        assert sample(circuit, shots=40, noise=noise, seed=9) == want
+        assert len(entered) == 1 + 40  # the quiet run, then every shot
+
+    @pytest.mark.parametrize("noise", [NoiseModel(0.5, 0.25), NoiseModel(0.25, 0.5)])
+    def test_uniform_equal_to_the_bar_is_calm(self, noise, monkeypatch):
+        circuit = build_gqbsc(encode_operands(5, 6))
+        runner = ClassicalRunner(circuit)
+        bits = (0,) * circuit.num_qubits
+        at_bar = [0.5] * simulate._draw_bound(runner._static)
+        rows = [at_bar,
+                [0.1] + at_bar[1:],  # the first depolarizing draw hits (Pauli Y)
+                at_bar[:-1] + [0.0]]  # below the bar only past the quiet run's draws
+        counts: dict[int, int] = {}
+        for row in rows:
+            value = simulate._register(runner._shot(bits, iter(row).__next__, noise))
+            counts[value] = counts.get(value, 0) + 1
+        monkeypatch.setattr(simulate, "_shot_rows", lambda *args: iter([np.array(rows)]))
+        entered = count_lanes(monkeypatch)
+        assert sample(circuit, shots=3, noise=noise) == Histogram(3, dict(sorted(counts.items())))
+        assert len(entered) == 2  # the quiet run and the second row
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_equals_per_shot_reference_and_dense(self, data):
+        circuit = data.draw(permutation_circuits())
+        bits = _basis_input(data, circuit.num_qubits)
+        seed = data.draw(st.integers(0, 2**64))
+        noise = data.draw(st.sampled_from(CALM_NOISES))
+        got = sample(circuit, bits, shots=12, noise=noise, seed=seed, backend="classical")
+        assert got == per_shot(ClassicalRunner(circuit), bits, 12, noise, seed)
+        assert got == reference_sample(circuit, bits, 12, noise, seed)
+        assert got == sample(circuit, bits, shots=12, noise=noise, seed=seed, backend="dense")
+
+    @pytest.mark.parametrize("row_bytes", [1, 8 * 76 * 3, 1 << 16])
+    def test_row_blocks_leave_histograms_unchanged(self, row_bytes, monkeypatch):
+        body = build_gqbsc(Operands((0,) * 3, (0,) * 3))
+        bits = bits_for(5, 6, 3)
+        want = per_shot(ClassicalRunner(body), bits, 300, BENCH_NOISE, 4)
+        monkeypatch.setattr(simulate, "_ROW_BYTES", row_bytes)
+        assert sample(body, bits, shots=300, noise=BENCH_NOISE, seed=4) == want
+
+    def test_row_blocks_capped_at_n1000(self):
+        # a shot's row holds K = 29,998 uniforms here, 240 kB: 8 rows in one
+        # block would take 1.9 MB and 1024 rows 246 MB
+        circuit = build_gqbsc(encode_operands("1" * 1000, "1" * 999 + "0"))
+        runner = ClassicalRunner(circuit)
+        assert simulate._draw_bound(runner._static) == 29_998
+        sample(circuit, shots=1, noise=BENCH_NOISE, seed=1)
+        tracemalloc.start()
+        try:
+            histogram = sample(circuit, shots=8, noise=BENCH_NOISE, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 1024 * 1024
+        assert histogram == per_shot(runner, None, 8, BENCH_NOISE, 1)

@@ -1,5 +1,7 @@
 """Backends: dense statevector, classical fast path, sampling, and noise."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,8 @@ from hypothesis import strategies as st
 
 from qbsc.circuit import ClassicalCondition, GateKind, GateOp, new_circuit
 from qbsc.comparator import Operands, build_gqbsc, encode_operands
-from qbsc.errors import NonClassicalGate, SimulationError, TooManyQubits
+from qbsc.errors import (NonClassicalGate, QbscError, SimulationArgumentError, SimulationError,
+                         TooManyQubits)
 from qbsc.gates import lower_circuit
 from qbsc.simulate import (
     MAX_LANES,
@@ -255,6 +258,26 @@ class TestBackendSelection:
         assert select_backend(circuit, "dense") == "dense"
         with pytest.raises(ValueError):
             select_backend(circuit, "qpu")
+
+
+class TestArgumentErrors:
+    CALLS = {
+        "p above 1": lambda c: NoiseModel(1.5, 0),
+        "p nan": lambda c: NoiseModel(math.nan, 0),
+        "q below 0": lambda c: NoiseModel(0, -0.1),
+        "q nan": lambda c: NoiseModel(0, math.nan),
+        "zero shots": lambda c: sample(c, shots=0),
+        "bool shots": lambda c: sample(c, shots=True),
+        "float shots": lambda c: sample(c, shots=2.0),
+        "unknown backend": lambda c: select_backend(c, "qpu"),
+        "unknown sample backend": lambda c: sample(c, backend="qpu"),
+    }
+
+    @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
+    def test_typed_error_that_is_a_value_error(self, call):
+        with pytest.raises(SimulationArgumentError) as err:
+            call(build_gqbsc(encode_operands(1, 0)))
+        assert isinstance(err.value, QbscError) and isinstance(err.value, ValueError)
 
 
 class TestSampling:
