@@ -168,7 +168,17 @@ class MeasureOp:
 
 @dataclass(frozen=True)
 class BarrierOp:
+    """``label`` is None or a non-empty one-line string without edge
+    whitespace, which QASM's ``// barrier <label>`` comment carries intact."""
+
     label: str | None = None
+
+    def __post_init__(self):
+        label = self.label
+        if label is not None and (not isinstance(label, str) or not label
+                                  or label != label.strip() or "\n" in label):
+            raise CircuitError(f"barrier label must be None or a non-empty one-line"
+                               f" string without edge whitespace, got {label!r}")
 
 
 Instruction = Union[GateOp, MeasureOp, BarrierOp]

@@ -45,6 +45,9 @@ DEFAULT_SEED = 1234
 _SWEEP_GRID = (1, 80, 160, 240, 320, 400, 480, 560, 640, 720, 800, 880, 960, 1000)
 _CENSUS_GRID = (1, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100)
 
+#: Widest --exhaustive-limit verify takes: 4^12 (about 16.8M) pairs per variant.
+MAX_EXHAUSTIVE_LIMIT = 12
+
 EXIT_MISMATCH = 1
 EXIT_BAD_INPUT = 2
 EXIT_BACKEND = 3
@@ -227,7 +230,8 @@ def _random_widths(exhaustive_limit: int, max_bits: int) -> list[int]:
 @click.option("--samples", type=int, default=100, show_default=True,
               help="Random pairs per sampled width beyond the exhaustive threshold.")
 @click.option("--exhaustive-limit", type=int, default=8, show_default=True,
-              help="Widths up to this are checked over all 4^n pairs.")
+              help=f"Widths up to this (at most {MAX_EXHAUSTIVE_LIMIT}) are checked"
+                   " over all 4^n pairs.")
 @click.option("--variant", type=click.Choice(["figure", "algorithmic", "both"]),
               default="figure", show_default=True)
 @backend_option
@@ -244,6 +248,10 @@ def cmd_verify(max_bits, samples, exhaustive_limit, variant, backend, seed, fmt,
     """
     if max_bits < 1 or samples < 0 or exhaustive_limit < 0:
         click.echo("error: widths and budgets must be positive", err=True)
+        sys.exit(EXIT_BAD_INPUT)
+    if exhaustive_limit > MAX_EXHAUSTIVE_LIMIT:
+        click.echo(f"error: --exhaustive-limit {exhaustive_limit} is over the cap of"
+                   f" {MAX_EXHAUSTIVE_LIMIT}", err=True)
         sys.exit(EXIT_BAD_INPUT)
     if 2 * max_bits + 2 > MAX_WIDTH:
         click.echo(f"error: --max-bits {max_bits} needs {2 * max_bits + 2} qubits,"

@@ -43,7 +43,7 @@ from .circuit import (
     _check_cap,
 )
 from .errors import DuplicateTarget, EmptyOperand, InvalidBitstring
-from .simulate import MAX_LANES, ClassicalRunner, DenseRunner, RunResult, select_backend
+from .simulate import MAX_LANES, RunResult, _runner
 
 # GateKind members read per block, bound once: a member read is a call.
 _X, _CCX = GateKind.X, GateKind.CCX
@@ -238,13 +238,10 @@ def compare(a, b, backend: str = "auto",
     """
     ops = encode_operands(a, b)
     body = _body(ops.n, variant)
-    chosen = select_backend(body, backend)
-    if chosen == "classical":
-        run = ClassicalRunner(body).run(ops.initial_qubit_bits())
-    else:
-        run = DenseRunner(body).run(ops.initial_qubit_bits(), seed=seed)
+    runner = _runner(body, backend)
+    run = runner.run(ops.initial_qubit_bits(), seed=seed)
     r0, r1 = run.classical_bits[:2]
-    return ComparisonOutcome(r0, r1, interpret(r0, r1), chosen, variant, ops.n, body, run)
+    return ComparisonOutcome(r0, r1, interpret(r0, r1), runner.backend, variant, ops.n, body, run)
 
 
 # -- verification sweeps -------------------------------------------------------
@@ -268,26 +265,6 @@ def _reference_flag_lanes(a_lanes: list[int], b_lanes: list[int], full: int,
     return r0, r1
 
 
-def _runner(body: Circuit, backend: str) -> ClassicalRunner | DenseRunner:
-    """The runner for ``backend`` as :func:`compare` resolves it."""
-    chosen = select_backend(body, backend)
-    return ClassicalRunner(body) if chosen == "classical" else DenseRunner(body)
-
-
-def _flag_lanes(runner: ClassicalRunner | DenseRunner, qubits: list[int],
-                lanes: int) -> tuple[int, int]:
-    """Final (r0, r1) lane ints of one chunk: the classical runner runs it
-    bit-sliced, the dense runner lane by lane."""
-    if isinstance(runner, ClassicalRunner):
-        return tuple(runner.run_lanes(qubits, lanes)[1])
-    r0 = r1 = 0
-    for lane in range(lanes):
-        value = runner.run_value([v >> lane & 1 for v in qubits], None, None)
-        r0 |= (value & 1) << lane
-        r1 |= (value >> 1) << lane
-    return r0, r1
-
-
 def _transpose(values, n: int) -> list[int]:
     """Lane ints of n-bit values, MSB first: bit l of entry i is bit n-1-i
     of values[l]. ``values`` are Python ints or an unsigned numpy array;
@@ -305,8 +282,7 @@ def _transpose(values, n: int) -> list[int]:
     return [int.from_bytes(flat[i:i + stride], "little") for i in range(0, n * stride, stride)]
 
 
-def _chunk_mismatches(runner: ClassicalRunner | DenseRunner, n: int, a, b, less, greater,
-                      variant: BuilderVariant) -> int:
+def _chunk_mismatches(runner, n: int, a, b, less, greater, variant: BuilderVariant) -> int:
     """Run one chunk of operand pairs (a[l], b[l]) in lane l and count the
     lanes failing either oracle.
 
@@ -315,7 +291,7 @@ def _chunk_mismatches(runner: ClassicalRunner | DenseRunner, n: int, a, b, less,
     """
     lanes = len(less)
     a_lanes, b_lanes = _transpose(a, n), _transpose(b, n)
-    r0, r1 = _flag_lanes(runner, a_lanes + b_lanes + [0, 0], lanes)
+    r0, r1 = runner._clbit_lanes(a_lanes + b_lanes + [0, 0], lanes)
     ref0, ref1 = _reference_flag_lanes(a_lanes, b_lanes, (1 << lanes) - 1, variant)
     class_bad = (r1 ^ _lane_mask(less)) | ((r0 & ~r1) ^ _lane_mask(greater))  # interpret()
     flags_bad = (r0 ^ ref0) | (r1 ^ ref1)

@@ -25,6 +25,13 @@ comparator (24 qubits) took 38.5 s and 542 MB with the former all-amplitude
 numpy engine and takes 0.37 ms and 29 MB (2-vCPU Xeon VM). The qubit cap is
 unchanged (default 24).
 
+A backend is a ``_Runner`` subclass and supplies two things: its name,
+``backend``, and ``_execute``, the interpreter that runs one basis input to
+its final clbits. The base compiles the circuit and owns everything else, so
+``run(initial_bits, seed, noise)``, ``run_value`` and the per-shot entry
+behave the same on both backends. ``_runner`` resolves a backend name through
+``select_backend`` and builds its runner.
+
 Noise is a stochastic trajectory model: after each fired gate every touched
 qubit is depolarized with probability p (a uniformly random Pauli X/Y/Z is
 applied), and each recorded measurement bit flips with probability q. For
@@ -32,22 +39,24 @@ permutation circuits the Pauli trajectory keeps the state in the basis, so
 the classical backend applies the identical model (X/Y flip the bit, Z is a
 pure phase) and reproduces the dense backend draw-for-draw under one seed.
 
-A noisy run reads its uniforms from one pre-drawn row, ``rng.random(K)``, K
-being the most one shot can consume: 2 per touched qubit of a fired gate (the
-depolarizing draw and, on a hit, the Pauli draw) and 2 per measurement (the
-Born draw and the readout flip). Shot s of ``sample`` reads the row of
+A run draws when it is noisy, or when it is seeded and its circuit can
+superpose (it has CV or CV-dagger), since only then can a measurement need a
+Born draw. It reads its uniforms from one pre-drawn row, ``rng.random(K)``,
+K being the most one shot can consume: 2 per touched qubit of a fired gate
+(the depolarizing draw and, on a hit, the Pauli draw) and 2 per measurement
+(the Born draw and the readout flip). Shot s of ``sample`` reads the row of
 ``np.random.default_rng([seed, s])``; ``sample`` derives those generators for
 a block of shots at once, transcribing numpy's seeding in array arithmetic,
 so a shot costs no generator construction and its row is identical to that
-generator's. A noiseless classical ``sample`` is deterministic: one run.
+generator's. A ``sample`` whose shots draw nothing is deterministic: one run.
 
-A noisy classical ``sample`` runs the quiet trajectory once, every draw 1.0,
-which fires no event (draws are tested with ``<`` and p, q <= 1); it takes d
-uniforms. A shot whose first d uniforms are all >= max(p, q) is calm and ends
-as that run: one numpy test per block of rows counts the calm shots, and only
-the others run through the interpreter. The dense backend runs every shot,
-since a Born draw can make its quiet trajectory non-unique. A block of rows
-holds at most ``_ROW_BYTES``.
+A noisy ``sample`` of a circuit that cannot superpose runs the quiet
+trajectory once, every draw 1.0, which fires no event (draws are tested with
+``<`` and p, q <= 1); it takes d uniforms. A shot whose first d uniforms are
+all >= max(p, q) is calm and ends as that run: one numpy test per block of
+rows counts the calm shots, and only the others run through the interpreter.
+A circuit that can superpose runs every shot, since a Born draw can make its
+quiet trajectory non-unique. A block of rows holds at most ``_ROW_BYTES``.
 """
 from __future__ import annotations
 
@@ -132,12 +141,18 @@ class RunResult:
 
 @dataclass(frozen=True)
 class Histogram:
+    """Register value -> shot count; at least one shot, no negative count."""
+
     shots: int
     counts: dict[int, int]
 
     def __post_init__(self):
+        if self.shots < 1:
+            raise SimulationArgumentError(f"histogram needs >= 1 shot, got {self.shots}")
+        if any(c < 0 for c in self.counts.values()):
+            raise SimulationArgumentError(f"histogram counts must be >= 0: {self.counts}")
         if sum(self.counts.values()) != self.shots:
-            raise ValueError("histogram counts do not sum to shots")
+            raise SimulationArgumentError("histogram counts do not sum to shots")
 
     def argmax(self) -> int:
         """Most frequent register value (smallest value wins ties)."""
@@ -261,19 +276,8 @@ def _draw_bound(census: GateCensus) -> int:
     return 2 * touched + 2 * census.measure_count
 
 
-def _row_draw(rng: np.random.Generator, census: GateCensus):
-    """Draw function over one pre-drawn row of ``rng``."""
-    if rng is None:
-        raise SimulationError("a noisy run needs a generator, got rng=None")
-    return iter(rng.random(_draw_bound(census)).tolist()).__next__
-
-
 def _register(cl) -> int:
     return sum(b << k for k, b in enumerate(cl))
-
-
-def _new_counters() -> dict[str, int]:
-    return dict.fromkeys(_COUNTER_KEYS + ("conditional_x_count",), 0)
 
 
 def _compile(circuit: Circuit):
@@ -305,18 +309,74 @@ def _compile(circuit: Circuit):
     return prog, census
 
 
-class ClassicalRunner:
-    """Precompiled bit-level executor for permutation-only circuits."""
+class _Runner:
+    """One backend's executor of a compiled circuit. A backend supplies
+    ``backend``, its name, and ``_execute(bits, draw, noise, counters=None,
+    trace=None)``, its interpreter: the final clbits of one run from basis
+    input ``bits``, ``draw`` giving its uniforms, ``counters`` adding the
+    gates fired and ``trace`` getting (clbit, value) per measurement."""
+
+    backend: str
 
     def __init__(self, circuit: Circuit):
-        self._prog, self._static = _compile(circuit)
-        if self._static.cv or self._static.cvdg:
-            first = next(op[0] for op in self._prog if op[0] >= _OP_CV)
-            # a counter key is its gate's name
-            raise NonClassicalGate(f"{_COUNTER_KEYS[first]} is not a classical permutation gate")
         self.circuit = circuit
         self.num_qubits = circuit.num_qubits
         self.num_clbits = circuit.num_clbits
+        self._prog, self._static = _compile(circuit)
+        # only CV/CV-dagger take a basis state out of the basis
+        self._superposes = bool(self._static.cv or self._static.cvdg)
+
+    def _draw(self, rng: np.random.Generator | None, noise: NoiseModel | None):
+        """Draw function over one pre-drawn row of ``rng``, or None where the
+        run draws nothing (module docstring)."""
+        if noise is None and (rng is None or not self._superposes):
+            return None
+        if rng is None:
+            raise SimulationError("a noisy run needs a generator, got rng=None")
+        return iter(rng.random(_draw_bound(self._static)).tolist()).__next__
+
+    def run(self, initial_bits=None, seed: int | None = None,
+            noise: NoiseModel | None = None) -> RunResult:
+        """One run with its measurement trace and executed census; a noisy
+        run without a seed draws fresh entropy."""
+        bits = _coerce_bits(initial_bits, self.num_qubits)
+        rng = None if seed is None and noise is None else np.random.default_rng(seed)
+        counters = dict.fromkeys(_COUNTER_KEYS + ("conditional_x_count",), 0)
+        trace: list[tuple[int, int]] = []
+        cl = self._execute(bits, self._draw(rng, noise), noise, counters, trace)
+        return RunResult(tuple(cl), tuple(trace), dataclasses.replace(self._static, **counters))
+
+    def run_value(self, initial_bits, rng: np.random.Generator | None,
+                  noise: NoiseModel | None) -> int:
+        """Register value of one (possibly noisy) trajectory."""
+        bits = _coerce_bits(initial_bits, self.num_qubits)
+        return _register(self._shot(bits, self._draw(rng, noise), noise))
+
+    def _shot(self, bits: tuple[int, ...], draw, noise: NoiseModel | None) -> tuple[int, ...]:
+        """Final clbits of one trajectory."""
+        return tuple(self._execute(bits, draw, noise))
+
+    def _clbit_lanes(self, qubits: list[int], lanes: int) -> list[int]:
+        """Final clbit lane ints of ``lanes`` noiseless runs, ``qubits`` as in
+        :meth:`ClassicalRunner.run_lanes`; one run per lane."""
+        cl = [0] * self.num_clbits
+        for lane in range(lanes):
+            for c, bit in enumerate(self._shot(tuple(v >> lane & 1 for v in qubits), None, None)):
+                cl[c] |= bit << lane
+        return cl
+
+
+class ClassicalRunner(_Runner):
+    """Precompiled bit-level executor for permutation-only circuits."""
+
+    backend = "classical"
+
+    def __init__(self, circuit: Circuit):
+        super().__init__(circuit)
+        if self._superposes:
+            first = next(op[0] for op in self._prog if op[0] >= _OP_CV)
+            # a counter key is its gate's name
+            raise NonClassicalGate(f"{_COUNTER_KEYS[first]} is not a classical permutation gate")
 
     def run_lanes(self, qubits, lanes: int) -> tuple[list[int], list[int]]:
         """Run ``lanes`` basis inputs at once, bit-sliced.
@@ -338,10 +398,10 @@ class ClassicalRunner:
                    draw=None, noise: NoiseModel | None = None):
         """The interpreter. A condition becomes the mask of lanes where it
         holds; ``counters`` adds the lanes each gate fired in, ``trace`` gets
-        (clbit, lane int) per measurement. With ``draw`` (one lane only, no
-        counters) it draws ``noise`` in the dense backend's order: per fired
-        gate and touched qubit one depolarizing draw, plus the Pauli draw when
-        it hits; per measurement one readout-flip draw."""
+        (clbit, lane int) per measurement. With ``draw`` (one lane only) it
+        draws ``noise`` in the dense backend's order: per fired gate and
+        touched qubit one depolarizing draw, plus the Pauli draw when it hits;
+        per measurement one readout-flip draw."""
         full = (1 << lanes) - 1
         cl = [0] * self.num_clbits
         if draw is not None:
@@ -370,38 +430,27 @@ class ClassicalRunner:
                     # X and Y flip a basis state; Z only phases it
                     if draw() < p and int(draw() * 3) != 2:
                         q[qb] ^= 1
-            elif counters is not None:
+            if counters is not None:
                 fired = act.bit_count()
                 counters[_COUNTER_KEYS[op]] += fired
                 if op == _OP_X and cond is not None:
                     counters["conditional_x_count"] += fired
         return q, cl
 
+    def _execute(self, bits, draw, noise, counters=None, trace=None) -> list[int]:
+        return self._run_lanes(list(bits), 1, counters, trace, draw, noise)[1]
+
+    def _clbit_lanes(self, qubits: list[int], lanes: int) -> list[int]:
+        """Bit-sliced: one :meth:`run_lanes` pass for every lane."""
+        return self.run_lanes(qubits, lanes)[1]
+
     def run_bits(self, initial_bits=None) -> tuple[int, ...]:
         """Fast path: final classical bits only."""
         return tuple(self._run_lanes(list(_coerce_bits(initial_bits, self.num_qubits)), 1)[1])
 
-    def run(self, initial_bits=None) -> RunResult:
-        counters = _new_counters()
-        trace: list[tuple[int, int]] = []
-        _, cl = self._run_lanes(list(_coerce_bits(initial_bits, self.num_qubits)), 1,
-                                counters, trace)
-        return RunResult(tuple(cl), tuple(trace), dataclasses.replace(self._static, **counters))
-
     def final_qubits(self, initial_bits=None) -> tuple[int, ...]:
         """Qubit values after the run (used to check operand preservation)."""
         return tuple(self._run_lanes(list(_coerce_bits(initial_bits, self.num_qubits)), 1)[0])
-
-    def run_value(self, initial_bits, rng: np.random.Generator | None,
-                  noise: NoiseModel | None) -> int:
-        """Register value of one (possibly noisy) trajectory."""
-        bits = _coerce_bits(initial_bits, self.num_qubits)
-        draw = _row_draw(rng, self._static) if noise is not None else None
-        return _register(self._shot(bits, draw, noise))
-
-    def _shot(self, bits: tuple[int, ...], draw, noise: NoiseModel | None) -> tuple[int, ...]:
-        """Final clbits of one trajectory."""
-        return tuple(self._run_lanes(list(bits), 1, draw=draw, noise=noise)[1])
 
 
 # V and V-dagger as row-major Python complex tuples (m00, m01, m10, m11).
@@ -479,20 +528,18 @@ def check_dense_width(num_qubits: int, qubit_cap: int = DEFAULT_DENSE_CAP) -> No
         raise TooManyQubits(f"{num_qubits} qubits exceeds dense cap {qubit_cap}")
 
 
-class DenseRunner:
+class DenseRunner(_Runner):
     """Precompiled statevector executor with mid-circuit measurement; the
     state maps basis index (bit q is qubit q) to nonzero amplitude."""
 
+    backend = "dense"
+
     def __init__(self, circuit: Circuit, qubit_cap: int = DEFAULT_DENSE_CAP):
         check_dense_width(circuit.num_qubits, qubit_cap)
-        self.circuit = circuit
-        self.num_qubits = circuit.num_qubits
-        self.num_clbits = circuit.num_clbits
-        self._prog, self._static = _compile(circuit)
+        super().__init__(circuit)
 
-    def _execute(self, bits: tuple[int, ...], draw, noise: NoiseModel | None,
-                 counters=None, trace=None) -> list[int]:
-        """The interpreter; ``draw`` gives the run's uniforms (None: no seed)."""
+    def _execute(self, bits, draw, noise, counters=None, trace=None) -> list[int]:
+        """The interpreter; ``draw`` None (no seed) fails a Born draw."""
         amps = {_register(bits): 1 + 0j}
         cl = [0] * self.num_clbits
         p, q_flip = (noise.depolarizing_per_gate, noise.readout_flip) if noise else (0, 0)
@@ -540,27 +587,6 @@ class DenseRunner:
             raise NormDrift(f"final norm {norm}")
         return cl
 
-    def run(self, initial_bits=None, seed: int | None = None,
-            noise: NoiseModel | None = None) -> RunResult:
-        draw = None
-        if seed is not None or noise is not None:
-            draw = _row_draw(np.random.default_rng(seed), self._static)
-        bits = _coerce_bits(initial_bits, self.num_qubits)
-        counters = _new_counters()
-        trace: list[tuple[int, int]] = []
-        cl = self._execute(bits, draw, noise, counters, trace)
-        return RunResult(tuple(cl), tuple(trace), dataclasses.replace(self._static, **counters))
-
-    def run_value(self, initial_bits, rng: np.random.Generator | None,
-                  noise: NoiseModel | None) -> int:
-        bits = _coerce_bits(initial_bits, self.num_qubits)
-        draw = None if rng is None and noise is None else _row_draw(rng, self._static)
-        return _register(self._shot(bits, draw, noise))
-
-    def _shot(self, bits: tuple[int, ...], draw, noise: NoiseModel | None) -> tuple[int, ...]:
-        """Final clbits of one trajectory."""
-        return tuple(self._execute(bits, draw, noise))
-
 
 def run_dense(circuit: Circuit, initial_bits=None, seed: int | None = None,
               *, noise: NoiseModel | None = None,
@@ -583,6 +609,14 @@ def select_backend(circuit: Circuit, requested: str = "auto") -> str:
     return requested
 
 
+def _runner(circuit: Circuit, backend: str = "auto",
+            qubit_cap: int = DEFAULT_DENSE_CAP) -> _Runner:
+    """The runner of ``backend`` as :func:`select_backend` resolves it."""
+    if select_backend(circuit, backend) == "classical":
+        return ClassicalRunner(circuit)
+    return DenseRunner(circuit, qubit_cap)
+
+
 def sample(circuit: Circuit, initial_bits=None, shots: int = 1,
            noise: NoiseModel | None = None, seed: int = 0,
            backend: str = "auto", qubit_cap: int = DEFAULT_DENSE_CAP) -> Histogram:
@@ -590,8 +624,9 @@ def sample(circuit: Circuit, initial_bits=None, shots: int = 1,
 
     Shot s draws from ``np.random.default_rng([seed, s])``, so histograms are
     reproducible and independent of execution order; a seed numpy rejects
-    raises numpy's error. A noiseless classical sample is one run; a noisy
-    one interprets only the shots that are not calm (module docstring).
+    raises numpy's error. A sample whose shots draw nothing is one run; a
+    noisy one of a circuit that cannot superpose interprets only the shots
+    that are not calm (module docstring).
     """
     if isinstance(shots, (bool, np.bool_)) or not hasattr(shots, "__index__"):
         raise SimulationArgumentError(f"shots must be an integer: {shots!r}")
@@ -599,15 +634,14 @@ def sample(circuit: Circuit, initial_bits=None, shots: int = 1,
     if shots < 1:
         raise SimulationArgumentError("shots must be >= 1")
     seed_words = _seed_words(seed)  # checked even where no shot draws
-    chosen = select_backend(circuit, backend)
-    runner = (ClassicalRunner(circuit) if chosen == "classical"
-              else DenseRunner(circuit, qubit_cap))
+    runner = _runner(circuit, backend, qubit_cap)
     bits = _coerce_bits(initial_bits, circuit.num_qubits)
-    if noise is None and chosen == "classical":
+    calm_path = not runner._superposes
+    if noise is None and calm_path:  # no shot draws: one run
         return Histogram(shots, {_register(runner._shot(bits, None, None)): shots})
     k = _draw_bound(runner._static)
     counts: dict[tuple[int, ...], int] = {}  # by final clbits
-    if chosen == "classical":
+    if calm_path:
         # a draw of 1.0 fires nothing, so a shot whose first ``calm_draws``
         # uniforms are all >= max(p, q) draws as this run does and ends as it
         ones = iter([1.0] * k)
@@ -617,7 +651,7 @@ def sample(circuit: Circuit, initial_bits=None, shots: int = 1,
         counts[quiet] = 0
     shot = runner._shot
     for rows in _shot_rows(seed_words, 0, shots, k):
-        if chosen == "classical":
+        if calm_path:
             calm = (rows[:, :calm_draws] >= bar).all(axis=1)
             counts[quiet] += int(np.count_nonzero(calm))
             rows = rows[~calm]

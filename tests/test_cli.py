@@ -67,6 +67,18 @@ class TestCompare:
 
 
 class TestVerify:
+    @pytest.mark.parametrize("limit", ["13", str(10**9)])
+    def test_exhaustive_limit_over_cap_exits_2(self, runner, limit, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("swept before checking --exhaustive-limit")
+
+        monkeypatch.setattr("qbsc.cli.soundness_check_exhaustive", refuse)
+        monkeypatch.setattr("qbsc.cli.soundness_check_random", refuse)
+        result = runner.invoke(main, ["verify", "--max-bits", "1", "--exhaustive-limit", limit])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "--exhaustive-limit" in result.stderr
+
     def test_single_width(self, runner):
         result = invoke(runner, "verify", "--max-bits", "1")
         assert result.exit_code == 0

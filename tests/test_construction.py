@@ -239,14 +239,14 @@ class TestSweepBackends:
 
     @pytest.mark.parametrize("sweep", SWEEPS)
     def test_unknown_backend_raises(self, sweep, monkeypatch):
-        monkeypatch.setattr(comparator, "DenseRunner", None)  # nothing may run
+        monkeypatch.setattr("qbsc.simulate.DenseRunner", None)  # nothing may run
         with pytest.raises(ValueError, match="unknown backend 'bogus'"):
             sweep("bogus")
 
     @pytest.mark.parametrize("sweep", SWEEPS)
     def test_auto_resolves_to_classical(self, sweep, monkeypatch):
         expected = sweep("classical")
-        monkeypatch.setattr(comparator, "DenseRunner", None)
+        monkeypatch.setattr("qbsc.simulate.DenseRunner", None)
         assert sweep("auto") == expected
         assert expected[1] == 0
 
@@ -281,13 +281,13 @@ class TestExhaustiveLaneOrder:
     def test_lane_l_of_chunk_c_holds_pair_c_lanes_plus_l(self, monkeypatch, n, max_lanes):
         """Lane a*2^n + b holds the pair (a, b), chunk after chunk."""
         chunks = []
-        flag_lanes = comparator._flag_lanes
+        clbit_lanes = ClassicalRunner._clbit_lanes
 
         def recording(runner, qubits, lanes):
             chunks.append((qubits, lanes))
-            return flag_lanes(runner, qubits, lanes)
+            return clbit_lanes(runner, qubits, lanes)
 
-        monkeypatch.setattr(comparator, "_flag_lanes", recording)
+        monkeypatch.setattr(ClassicalRunner, "_clbit_lanes", recording)
         monkeypatch.setattr(comparator, "MAX_LANES", max_lanes)
         assert comparator.soundness_check_exhaustive(n) == (1 << 2 * n, 0)
         pairs = []

@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbsc.circuit import ClassicalCondition, new_circuit
+from qbsc.circuit import (BarrierOp, ClassicalCondition, circuit_from_json, circuit_to_json,
+                          new_circuit)
 from qbsc.comparator import BuilderVariant, Operands, build_gqbsc, encode_operands
 from qbsc import qasm
 from qbsc.errors import (
+    CircuitError,
     DuplicateTarget,
     IndexOutOfRange,
     QasmSyntaxError,
@@ -71,6 +73,38 @@ class TestExport:
         from qbsc.gates import lower_circuit
         text = export(lower_circuit(build_gqbsc(encode_operands(1, 0))))
         assert "cv q[" in text and "cvdg q[" in text
+
+
+class TestBarrierLabels:
+    """A label QASM's ``// barrier <label>`` comment cannot carry intact is
+    refused where a barrier is made, so every barrier round-trips."""
+
+    ACCEPTED = [None, "1bc", "/1bc", "a b", "x\ty", "a // b", "barrier", "é"]
+    REJECTED = ["", " ", "  pad ", " x", "x ", "\tx", "a\nb", "x\n", ["x"], 5, b"x"]
+
+    @pytest.mark.parametrize("label", ACCEPTED)
+    def test_accepted_label_round_trips(self, label):
+        circuit = new_circuit(1, 0).barrier(label).x(0).barrier(label)
+        assert parse(export(circuit)) == circuit
+        assert circuit_from_json(circuit_to_json(circuit)) == circuit
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text())
+    def test_every_accepted_text_round_trips(self, label):
+        try:
+            circuit = new_circuit(1, 0).barrier(label)
+        except CircuitError:
+            return
+        assert parse(export(circuit)) == circuit
+
+    @pytest.mark.parametrize("label", REJECTED)
+    def test_rejected_label_raises(self, label):
+        with pytest.raises(CircuitError, match="barrier label"):
+            BarrierOp(label)
+        with pytest.raises(CircuitError, match="barrier label"):
+            new_circuit(1, 0).barrier(label)
+        with pytest.raises(CircuitError, match="barrier label"):
+            circuit_from_json({"qubits": 1, "clbits": 0, "instr": [{"b": label}]})
 
 
 class TestParseErrors:

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbsc.circuit import ClassicalCondition, GateKind, GateOp, new_circuit
-from qbsc.comparator import Operands, build_gqbsc, encode_operands
+from qbsc import simulate
+from qbsc.comparator import Operands, build_gqbsc, compare, encode_operands
 from qbsc.errors import (NonClassicalGate, QbscError, SimulationArgumentError, SimulationError,
                          TooManyQubits)
 from qbsc.gates import lower_circuit
@@ -180,6 +181,7 @@ class TestLaneInterpreter:
         lane_ints = [sum(bits[q] << lane for lane, bits in enumerate(batch)) for q in range(nq)]
         classical, dense = ClassicalRunner(circuit), DenseRunner(circuit)
         final_q, cl = classical.run_lanes(lane_ints, len(batch))
+        assert dense._clbit_lanes(lane_ints, len(batch)) == cl  # lane by lane
         for lane, bits in enumerate(batch):
             expected = dense.run(bits)
             assert tuple((c >> lane) & 1 for c in cl) == expected.classical_bits
@@ -200,6 +202,48 @@ class TestLaneInterpreter:
         for shot in range(8):
             assert (classical.run_value(bits, np.random.default_rng([seed, shot]), noise)
                     == dense.run_value(bits, np.random.default_rng([seed, shot]), noise))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_shared_run_matches_dense(self, data):
+        # one run() for both backends: same bits, trace and executed census,
+        # noisy or not, under one seed
+        circuit = data.draw(permutation_circuits())
+        bits = data.draw(st.tuples(*[st.integers(0, 1)] * circuit.num_qubits))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        noise = data.draw(st.sampled_from([None, NoiseModel(0.05, 0.05), NoiseModel(0.5, 0.3)]))
+        assert (ClassicalRunner(circuit).run(bits, seed, noise)
+                == DenseRunner(circuit).run(bits, seed, noise))
+
+    def test_seeded_noiseless_permutation_run_draws_nothing(self, monkeypatch):
+        # a row of the n=1000 comparator is ~30,000 uniforms; CLI compare
+        # always passes a seed
+        def no_row(census):
+            raise AssertionError("drew a row")
+
+        monkeypatch.setattr(simulate, "_draw_bound", no_row)
+        body = build_gqbsc(Operands((0,) * 3, (0,) * 3))
+        bits = bits_for(5, 6, 3)
+        for runner in (ClassicalRunner(body), DenseRunner(body)):
+            assert runner.run(bits, seed=1234).classical_bits == (1, 1)
+            rng = np.random.default_rng(1)
+            state = rng.bit_generator.state
+            assert runner.run_value(bits, rng, None) == 3
+            assert rng.bit_generator.state == state
+        assert compare("1" * 1000, "1" * 999 + "0", seed=1234).comparison.value == "Greater"
+
+    def test_noiseless_permutation_sample_is_one_run_on_dense(self, monkeypatch):
+        execute, calls = DenseRunner._execute, []
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return execute(self, *args, **kwargs)
+
+        monkeypatch.setattr(DenseRunner, "_execute", counted)
+        circuit = build_gqbsc(encode_operands(5, 6))
+        got = sample(circuit, shots=64, seed=3, backend="dense")
+        assert got == Histogram(64, {run_classical(circuit).register_value: 64})
+        assert len(calls) == 1
 
     def test_lane_count_capped(self):
         runner = ClassicalRunner(new_circuit(1, 0))
@@ -303,9 +347,16 @@ class TestSampling:
         histogram = sample(circuit, shots=500, noise=NoiseModel(0.02, 0.02), seed=5)
         assert sum(histogram.counts.values()) == 500
 
-    def test_histogram_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            Histogram(10, {0: 3})
+    @pytest.mark.parametrize("shots, counts", [
+        (10, {0: 3}),            # counts short of shots
+        (0, {}),                 # no shot: argmax would have no count to pick
+        (-1, {0: -1}),
+        (2, {0: 3, 1: -1}),      # sums to shots through a negative count
+    ])
+    def test_histogram_invariant_enforced(self, shots, counts):
+        with pytest.raises(SimulationArgumentError):
+            Histogram(shots, counts)
+        assert issubclass(SimulationArgumentError, ValueError)
 
     def test_noisy_argmax_is_expected_state(self):
         circuit = build_gqbsc(encode_operands(0, 0))
