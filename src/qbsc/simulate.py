@@ -45,18 +45,23 @@ Born draw. It reads its uniforms from one pre-drawn row, ``rng.random(K)``,
 K being the most one shot can consume: 2 per touched qubit of a fired gate
 (the depolarizing draw and, on a hit, the Pauli draw) and 2 per measurement
 (the Born draw and the readout flip). Shot s of ``sample`` reads the row of
-``np.random.default_rng([seed, s])``; ``sample`` derives those generators for
-a block of shots at once, transcribing numpy's seeding in array arithmetic,
-so a shot costs no generator construction and its row is identical to that
-generator's. A ``sample`` whose shots draw nothing is deterministic: one run.
+``np.random.default_rng([seed, s])``; ``sample`` seeds those generators for
+a block of shots at once, transcribing numpy's seeding (PCG64's 128-bit words
+as uint64 halves) in array arithmetic, so a shot costs no generator
+construction and its row is identical to that generator's. A ``sample``
+whose shots draw nothing is deterministic: one run.
 
 A noisy ``sample`` of a circuit that cannot superpose runs the quiet
 trajectory once, every draw 1.0, which fires no event (draws are tested with
-``<`` and p, q <= 1); it takes d uniforms. A shot whose first d uniforms are
-all >= max(p, q) is calm and ends as that run: one numpy test per block of
-rows counts the calm shots, and only the others run through the interpreter.
-A circuit that can superpose runs every shot, since a Born draw can make its
-quiet trajectory non-unique. A block of rows holds at most ``_ROW_BYTES``.
+``<`` and p, q <= 1); it takes d uniforms, each tested against its bound: p
+(depolarizing) or q (readout flip). A shot whose uniform j is >= bound j for
+every j < d is calm and ends as that run. Where a seeding block's expected
+calm shots, size * prod(1 - bound j), outweigh ``_STEP_SHOTS`` per draw, the
+block steps its shots' PCG64 streams d times in array arithmetic, else one
+numpy test per block of rows finds the calm shots; only the others get a
+row and run through the interpreter. A circuit that can superpose runs every
+shot, since a Born draw can make its quiet trajectory non-unique. A block of
+rows holds at most ``_ROW_BYTES``.
 """
 from __future__ import annotations
 
@@ -102,12 +107,17 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _M32 = 0xFFFFFFFF
-_M128 = (1 << 128) - 1
-_PCG_MULT = 2549297995355413924 << 64 | 4865540595714422341
+# PCG64 runs on uint64 (high, low) halves of its 128-bit words; every operand
+# stays np.uint64, since numpy 1.24 turns uint64 mixed with int64 into float64.
+_U1, _U11, _U32, _U58, _U63, _U64, _U_M32 = (np.uint64(c) for c in (1, 11, 32, 58, 63, 64, _M32))
+_PCG_MULT_HI, _PCG_MULT_LO = np.uint64(2549297995355413924), np.uint64(4865540595714422341)
 # Shots seeded per vectorised pass, and the bytes of pre-drawn rows one block
 # holds (K is ~30,000 at n=1000); they bound ``sample``'s memory, not its result.
 _SEED_BLOCK = 1024
 _ROW_BYTES = 1 << 16
+# An array step of a 1,024-shot seeding block costs what setting the generator
+# and filling the row of this many shots does (41 us vs 5.2 us).
+_STEP_SHOTS = 8
 
 
 @dataclass(frozen=True)
@@ -141,16 +151,19 @@ class RunResult:
 
 @dataclass(frozen=True)
 class Histogram:
-    """Register value -> shot count; at least one shot, no negative count."""
+    """Register value -> shot count: a dict whose keys and counts are integers
+    >= 0 (numpy's too, not bools), summing to ``shots`` >= 1."""
 
     shots: int
     counts: dict[int, int]
 
     def __post_init__(self):
-        if self.shots < 1:
-            raise SimulationArgumentError(f"histogram needs >= 1 shot, got {self.shots}")
-        if any(c < 0 for c in self.counts.values()):
-            raise SimulationArgumentError(f"histogram counts must be >= 0: {self.counts}")
+        if not _is_int(self.shots) or self.shots < 1:
+            raise SimulationArgumentError(f"histogram needs >= 1 shot, got {self.shots!r}")
+        if not isinstance(self.counts, dict) or not all(
+                _is_int(x) and x >= 0 for pair in self.counts.items() for x in pair):
+            raise SimulationArgumentError(f"histogram counts must map integers >= 0 to integers "
+                                          f">= 0: {self.counts!r}")
         if sum(self.counts.values()) != self.shots:
             raise SimulationArgumentError("histogram counts do not sum to shots")
 
@@ -158,6 +171,11 @@ class Histogram:
         """Most frequent register value (smallest value wins ties)."""
         best = max(self.counts.values())
         return min(v for v, c in self.counts.items() if c == best)
+
+
+def _is_int(x) -> bool:
+    """An integer, numpy's included, but not a bool."""
+    return not isinstance(x, (bool, np.bool_)) and hasattr(x, "__index__")
 
 
 def _coerce_bits(initial_bits, num_qubits: int) -> tuple[int, ...]:
@@ -233,40 +251,99 @@ def _pcg_words(pool: list) -> list:
     return [out[i] | out[i + 1] << 32 for i in range(0, 8, 2)]
 
 
-def _shot_rows(seed_words: list[int], start: int, stop: int, k: int):
+def _step(hi, lo, inc_hi, inc_lo):
+    """PCG64's LCG step, state * mult + inc mod 2^128, on uint64 halves."""
+    # the high half of lo * mult_lo, from 32-bit pieces (Hacker's Delight mulhi)
+    m0, m1 = _PCG_MULT_LO & _U_M32, _PCG_MULT_LO >> _U32
+    l0, l1 = lo & _U_M32, lo >> _U32
+    t = l1 * m0 + (l0 * m0 >> _U32)
+    carry = ((t & _U_M32) + l0 * m1) >> _U32
+    hi = l1 * m1 + (t >> _U32) + carry + hi * _PCG_MULT_LO + lo * _PCG_MULT_HI + inc_hi
+    lo = lo * _PCG_MULT_LO + inc_lo
+    return hi + (lo < inc_lo), lo
+
+
+def _block_states(seed_words: list[int], start: int, end: int) -> list:
+    """PCG64 as ``default_rng([seed, s])`` seeds it, for the shots s in
+    [start, end), which share every entropy word but the lowest: uint64
+    arrays of the state's high and low halves, then the increment's."""
+    size = end - start
+    low = np.arange(size, dtype=np.uint32) + np.uint32(start & _M32)
+    high = _words(start >> 32) if start >> 32 else []
+    entropy = ([np.full(size, w, np.uint32) for w in seed_words] + [low]
+               + [np.full(size, w, np.uint32) for w in high])
+    s_hi, s_lo, i_hi, i_lo = _pcg_words(_hash_pool(entropy))
+    inc_hi, inc_lo = i_hi << _U1 | i_lo >> _U63, i_lo << _U1 | _U1
+    lo = inc_lo + s_lo  # srandom: state 0 steps to inc, takes the seed, steps
+    return [*_step(inc_hi + s_hi + (lo < s_lo), lo, inc_hi, inc_lo), inc_hi, inc_lo]
+
+
+def _uniforms(state: list, d: int):
+    """Yield ``d`` draws of ``random()`` from ``_block_states``, an array each:
+    a step, its XSL-RR output, numpy's 53-bit double."""
+    hi, lo, inc_hi, inc_lo = state
+    for _ in range(d):
+        hi, lo = _step(hi, lo, inc_hi, inc_lo)
+        x, rot = hi ^ lo, hi >> _U58
+        yield ((x >> rot | x << (_U64 - rot & _U63)) >> _U11) * 2.0 ** -53
+
+
+def _shot_rows(seed_words: list[int], start: int, stop: int, k: int, bounds=None):
     """Yield the shots s in [start, stop) as blocks, each a float64 array
     whose rows are ``np.random.default_rng([seed, s]).random(k)``,
-    ``seed_words`` being ``_seed_words(seed)``.
-
-    The pool hashing runs over a block of shots at once; each shot's srandom
-    runs on Python ints and sets the state of one reused generator, which
-    fills the shot's row in place. A block holds at most ``_ROW_BYTES`` of
-    rows (one row at least), and its shots share their entropy word count and
-    every word but the lowest, so a block never straddles a multiple of 2^32.
+    ``seed_words`` being ``_seed_words(seed)``; given the quiet run's
+    ``bounds``, a seeding block that pays to step leaves out its calm shots
+    (module docstring). A block holds at most ``_ROW_BYTES`` of rows (one row
+    at least), and its shots share their entropy word count and every word
+    but the lowest, so a block never straddles a multiple of 2^32.
     """
     gen = np.random.Generator(np.random.PCG64())
     bitgen = gen.bit_generator
     block = max(1, _ROW_BYTES // (8 * max(k, 1)))
+    d = 0 if bounds is None else len(bounds)
+    calm_share = 0.0 if bounds is None else float(np.prod(1.0 - bounds))
     while start < stop:
         end = min(stop, start + _SEED_BLOCK, ((start >> 32) + 1) << 32)
-        size = end - start
-        low = np.arange(size, dtype=np.uint32) + np.uint32(start & _M32)
-        high = _words(start >> 32) if start >> 32 else []
-        entropy = ([np.full(size, w, np.uint32) for w in seed_words] + [low]
-                   + [np.full(size, w, np.uint32) for w in high])
-        words = _pcg_words(_hash_pool(entropy))
-        for i in range(0, size, block):
-            part = [w[i:i + block].tolist() for w in words]
+        state = _block_states(seed_words, start, end)
+        if (end - start) * calm_share > _STEP_SHOTS * d:
+            calm = np.ones(end - start, bool)  # one boolean per shot, no shots x d matrix
+            for u, bound in zip(_uniforms(state, d), bounds):
+                calm &= u >= bound
+            state = [w[~calm] for w in state]
+        for i in range(0, len(state[0]), block):
+            part = [w[i:i + block].tolist() for w in state]
             rows = np.empty((len(part[0]), k))
             for row, s_hi, s_lo, i_hi, i_lo in zip(rows, *part):
-                inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
-                state = inc  # first step, from state 0
-                state = ((state + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _M128
-                bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                bitgen.state = {"bit_generator": "PCG64",
+                                "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo},
                                 "has_uint32": 0, "uinteger": 0}
                 gen.random(out=row)
             yield rows
         start = end
+
+
+class _QuietDraw(float):
+    """A draw of the quiet run: 1.0, which fires no event, since draws are
+    tested with ``<`` and p, q <= 1; it records what it is tested against."""
+
+    def __lt__(self, other):
+        self.bounds.append(other)
+        return False
+
+
+def _quiet_run(runner: _Runner, bits: tuple[int, ...], noise: NoiseModel, shots: int):
+    """Final clbits of the quiet trajectory and the bound of each of its draws:
+    the p or q the draw is tested against for the first ``shots`` draws (each
+    record is a Python call), then max(p, q), which is never lower."""
+    k = _draw_bound(runner._static)
+    one = _QuietDraw(1.0)
+    one.bounds = []
+    draws = iter([one] * min(k, shots) + [1.0] * (k - min(k, shots)))
+    quiet = runner._shot(bits, draws.__next__, noise)
+    bounds = np.full(k - operator.length_hint(draws),
+                     max(noise.depolarizing_per_gate, noise.readout_flip), dtype=float)
+    bounds[:len(one.bounds)] = one.bounds
+    return quiet, bounds
 
 
 def _draw_bound(census: GateCensus) -> int:
@@ -626,9 +703,10 @@ def sample(circuit: Circuit, initial_bits=None, shots: int = 1,
     reproducible and independent of execution order; a seed numpy rejects
     raises numpy's error. A sample whose shots draw nothing is one run; a
     noisy one of a circuit that cannot superpose interprets only the shots
-    that are not calm (module docstring).
+    with a uniform below its draw's p or q in the quiet run, and gives only
+    them a row where a block pays to step its streams (module docstring).
     """
-    if isinstance(shots, (bool, np.bool_)) or not hasattr(shots, "__index__"):
+    if not _is_int(shots):
         raise SimulationArgumentError(f"shots must be an integer: {shots!r}")
     shots = operator.index(shots)
     if shots < 1:
@@ -641,21 +719,14 @@ def sample(circuit: Circuit, initial_bits=None, shots: int = 1,
         return Histogram(shots, {_register(runner._shot(bits, None, None)): shots})
     k = _draw_bound(runner._static)
     counts: dict[tuple[int, ...], int] = {}  # by final clbits
-    if calm_path:
-        # a draw of 1.0 fires nothing, so a shot whose first ``calm_draws``
-        # uniforms are all >= max(p, q) draws as this run does and ends as it
-        ones = iter([1.0] * k)
-        quiet = runner._shot(bits, ones.__next__, noise)
-        calm_draws = k - operator.length_hint(ones)
-        bar = max(noise.depolarizing_per_gate, noise.readout_flip)
-        counts[quiet] = 0
+    quiet, bounds = _quiet_run(runner, bits, noise, shots) if calm_path else (None, None)
     shot = runner._shot
-    for rows in _shot_rows(seed_words, 0, shots, k):
+    for rows in _shot_rows(seed_words, 0, shots, k, bounds):
         if calm_path:
-            calm = (rows[:, :calm_draws] >= bar).all(axis=1)
-            counts[quiet] += int(np.count_nonzero(calm))
-            rows = rows[~calm]
+            rows = rows[~(rows[:, :len(bounds)] >= bounds).all(axis=1)]
         for row in rows:
             cl = shot(bits, iter(row.tolist()).__next__, noise)
             counts[cl] = counts.get(cl, 0) + 1
+    if calm_path:  # every shot not interpreted is calm
+        counts[quiet] = counts.get(quiet, 0) + shots - sum(counts.values())
     return Histogram(shots, dict(sorted((_register(cl), c) for cl, c in counts.items() if c)))

@@ -282,3 +282,95 @@ class TestCalmShots:
             tracemalloc.stop()
         assert peak < 4 * 1024 * 1024
         assert histogram == per_shot(runner, None, 8, BENCH_NOISE, 1)
+
+
+# the most quiet-run draws one full seeding block can pay to step
+PAY_BOUND = simulate._SEED_BLOCK // simulate._STEP_SHOTS
+
+
+class TestArrayStreams:
+    """The calm prefix steps PCG64 in uint64 array arithmetic; its uniforms
+    and the rows it leaves must be numpy's own."""
+
+    @pytest.mark.parametrize("seed", SEEDS, ids=repr)
+    def test_stepped_prefix_equals_numpy(self, seed):
+        state = simulate._block_states(simulate._seed_words(seed), 0, 40)
+        got = np.stack(list(simulate._uniforms(state, PAY_BOUND)), axis=1)
+        assert got.tolist() == numpy_rows(seed, 0, 40, PAY_BOUND)
+
+    @pytest.mark.parametrize("block", [3, 1024])
+    def test_prefix_rows_across_2_32_for_every_d(self, block, monkeypatch):
+        monkeypatch.setattr(simulate, "_SEED_BLOCK", block)
+        monkeypatch.setattr(simulate, "_STEP_SHOTS", 0)  # every block steps
+        seed, start, stop = 2**64 + 3, 2**32 - 2, 2**32 + 5  # 4, then 5 entropy words
+        full = numpy_rows(seed, start, stop, PAY_BOUND)
+        words = simulate._seed_words(seed)
+        for d in range(1, PAY_BOUND + 1):
+            got = [row.tolist() for rows in simulate._shot_rows(words, start, stop, d,
+                                                                np.full(d, 0.02))
+                   for row in rows]
+            assert got == [row[:d] for row in full if min(row[:d]) < 0.02], d
+
+    def test_prefix_uniform_at_its_bound_is_calm(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_STEP_SHOTS", 0)  # every block steps
+        words, d = simulate._seed_words(7), 20
+        row = numpy_rows(7, 3, 4, d)[0]
+        at = [r.tolist() for rows in simulate._shot_rows(words, 3, 4, d, np.array(row))
+              for r in rows]
+        above = [r.tolist() for rows in simulate._shot_rows(words, 3, 4, d, np.nextafter(row, 1))
+                 for r in rows]
+        assert at == [] and above == [row]
+
+
+class TestPerDrawBounds:
+    """A shot is calm when each of the quiet run's draws is >= the p or q that
+    draw is tested against, not only when all are >= max(p, q)."""
+
+    @pytest.mark.parametrize("runner_class", [ClassicalRunner, DenseRunner])
+    def test_n1_quiet_run_bounds(self, runner_class):
+        runner = runner_class(build_gqbsc(Operands((0,), (0,))))
+        p, q = 0.01, 0.02
+        # every n=1 op fires: x q1; ccx q0,q1,q2; x q0; x q1; ccx q0,q1,q3;
+        # x q0; measure q2; measure q3
+        want = [p] + [p, p, p] + [p] + [p] + [p, p, p] + [p] + [q] + [q]
+        for a, b in [(0, 0), (0, 1), (1, 0), (1, 1)]:
+            bits = bits_for(a, b, 1)
+            quiet, bounds = simulate._quiet_run(runner, bits, NoiseModel(p, q), shots=1024)
+            assert bounds.tolist() == want
+            assert quiet == runner._shot(bits, None, None)
+            # past ``shots`` draws a bound is max(p, q)
+            _, bounds = simulate._quiet_run(runner, bits, NoiseModel(p, q), shots=3)
+            assert bounds.tolist() == want[:3] + [q] * 9
+
+    @pytest.mark.parametrize("noise, draw", [(NoiseModel(0.01, 0.02), 0),   # a gate draw
+                                             (NoiseModel(0.02, 0.01), 10)])  # a readout draw
+    def test_draw_under_max_but_over_its_own_bound_is_calm(self, noise, draw, monkeypatch):
+        circuit = build_gqbsc(Operands((0,), (0,)))
+        runner = ClassicalRunner(circuit)
+        bits = (0,) * circuit.num_qubits
+        row = [0.5] * simulate._draw_bound(runner._static)
+        row[draw] = 0.015  # below max(p, q), not below the draw's own bound
+        quiet = runner._shot(bits, None, None)
+        assert runner._shot(bits, iter(row).__next__, noise) == quiet
+        monkeypatch.setattr(simulate, "_shot_rows", lambda *args: iter([np.array([row] * 16)]))
+        entered = count_lanes(monkeypatch)
+        want = Histogram(16, {simulate._register(quiet): 16})
+        assert sample(circuit, shots=16, noise=noise) == want
+        assert len(entered) == 1  # the quiet run only
+
+    @pytest.mark.parametrize("backend", ["classical", "dense"])
+    @pytest.mark.parametrize("noise", CALM_NOISES, ids=repr)
+    @pytest.mark.parametrize("step_shots", [0, 10**9], ids=["steps", "never-steps"])
+    def test_both_sides_of_the_pay_rule(self, step_shots, noise, backend, monkeypatch):
+        body = build_gqbsc(Operands((0,) * 3, (0,) * 3))
+        bits = bits_for(5, 6, 3)
+        want = per_shot(simulate._runner(body, backend), bits, 200, noise, 4)
+        stepped = []
+        uniforms = simulate._uniforms
+        monkeypatch.setattr(simulate, "_uniforms",
+                            lambda *args: stepped.append(1) or uniforms(*args))
+        monkeypatch.setattr(simulate, "_SEED_BLOCK", 64)
+        monkeypatch.setattr(simulate, "_STEP_SHOTS", step_shots)
+        assert sample(body, bits, shots=200, noise=noise, seed=4, backend=backend) == want
+        # a bound of 1.0 leaves no shot calm, so no block steps
+        assert bool(stepped) == (step_shots == 0 and noise.depolarizing_per_gate < 1)

@@ -352,11 +352,24 @@ class TestSampling:
         (0, {}),                 # no shot: argmax would have no count to pick
         (-1, {0: -1}),
         (2, {0: 3, 1: -1}),      # sums to shots through a negative count
+        (True, {1: 1}),          # a bool shot count
+        (np.True_, {1: 1}),
+        (3.0, {0: 3}),           # a float shot count
+        (3, {1: 2.0, 2: 1.0}),   # float counts
+        (1, {0: True}),          # a bool count
+        (1, {-1: 1}),            # a negative register value
+        (1, {0.0: 1}),           # a float register value
+        (1, {True: 1}),          # a bool register value
+        (1, [(0, 1)]),           # counts not a dict
     ])
     def test_histogram_invariant_enforced(self, shots, counts):
         with pytest.raises(SimulationArgumentError):
             Histogram(shots, counts)
         assert issubclass(SimulationArgumentError, ValueError)
+
+    def test_histogram_takes_numpy_integers(self):
+        histogram = Histogram(np.int64(3), {np.uint8(1): np.int64(2), 2: np.int32(1)})
+        assert histogram.argmax() == 1 and histogram == Histogram(3, {1: 2, 2: 1})
 
     def test_noisy_argmax_is_expected_state(self):
         circuit = build_gqbsc(encode_operands(0, 0))
