@@ -110,7 +110,7 @@ def main():
 @click.option("--b", "b_text", required=True, help="Decimal or bin:<bits>.")
 @variant_option
 @backend_option
-@seed_option
+@click.option("--seed", type=click.IntRange(min=0), default=DEFAULT_SEED, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text",
               show_default=True)
 @out_option

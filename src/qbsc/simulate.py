@@ -48,20 +48,20 @@ K being the most one shot can consume: 2 per touched qubit of a fired gate
 ``np.random.default_rng([seed, s])``; ``sample`` seeds those generators for
 a block of shots at once, transcribing numpy's seeding (PCG64's 128-bit words
 as uint64 halves) in array arithmetic, so a shot costs no generator
-construction and its row is identical to that generator's. A ``sample``
-whose shots draw nothing is deterministic: one run.
+construction and its row is identical to that generator's.
 
-A noisy ``sample`` of a circuit that cannot superpose runs the quiet
-trajectory once, every draw 1.0, which fires no event (draws are tested with
-``<`` and p, q <= 1); it takes d uniforms, each tested against its bound: p
-(depolarizing) or q (readout flip). A shot whose uniform j is >= bound j for
-every j < d is calm and ends as that run. Where a seeding block's expected
-calm shots, size * prod(1 - bound j), outweigh ``_STEP_SHOTS`` per draw, the
-block steps its shots' PCG64 streams d times in array arithmetic, else one
-numpy test per block of rows finds the calm shots; only the others get a
-row and run through the interpreter. A circuit that can superpose runs every
-shot, since a Born draw can make its quiet trajectory non-unique. A block of
-rows holds at most ``_ROW_BYTES``.
+``sample`` runs the quiet trajectory first, every draw 1.0, which fires no
+event (draws are tested with ``<`` and p, q, p1 <= 1); it takes d uniforms,
+each tested against its bound: p (depolarizing), q (readout flip) or p1
+(Born). If d is 0, that run is the sample. A shot whose uniform j is >=
+bound j for every j < d is calm and ends as the quiet run; any other follows
+it up to its first event, the first uniform below its bound, and resumes
+from the quiet run's last mark (its state after an op that drew) at or
+before it. Where a seeding block's expected calm shots, size * prod(1 -
+bound j), outweigh ``_STEP_SHOTS`` per draw, the block steps its shots'
+PCG64 streams d times in array arithmetic, else one numpy test per block of
+rows finds the events; only the other shots get a row. A block of rows
+holds at most ``_ROW_BYTES``, and so do the marks.
 """
 from __future__ import annotations
 
@@ -324,26 +324,45 @@ def _shot_rows(seed_words: list[int], start: int, stop: int, k: int, bounds=None
 
 class _QuietDraw(float):
     """A draw of the quiet run: 1.0, which fires no event, since draws are
-    tested with ``<`` and p, q <= 1; it records what it is tested against."""
+    tested with ``<`` and p, q, p1 <= 1; it records what it is tested against."""
 
     def __lt__(self, other):
         self.bounds.append(other)
         return False
 
 
-def _quiet_run(runner: _Runner, bits: tuple[int, ...], noise: NoiseModel, shots: int):
-    """Final clbits of the quiet trajectory and the bound of each of its draws:
-    the p or q the draw is tested against for the first ``shots`` draws (each
-    record is a Python call), then max(p, q), which is never lower."""
+def _quiet_run(runner: _Runner, bits: tuple[int, ...], noise: NoiseModel | None, shots: int):
+    """Final clbits of the quiet trajectory, each draw's bound and the marks.
+
+    A circuit that cannot superpose records the first ``shots`` bounds (a
+    record is a Python call), then takes max(p, q), never lower; one that can
+    records all, as only 1.0 would bound a Born draw. A mark (draws taken,
+    start) is taken after an op that drew, about every K / 2 / budget draws:
+    ``start`` is the next op's index and a copy of the state, or None at 0
+    draws. The budget is one mark per shot and ``_ROW_BYTES``, a word per
+    qubit and clbit."""
     k = _draw_bound(runner._static)
     one = _QuietDraw(1.0)
     one.bounds = []
-    draws = iter([one] * min(k, shots) + [1.0] * (k - min(k, shots)))
-    quiet = runner._shot(bits, draws.__next__, noise)
-    bounds = np.full(k - operator.length_hint(draws),
-                     max(noise.depolarizing_per_gate, noise.readout_flip), dtype=float)
+    kept = k if runner._superposes else min(k, shots)
+    draws = iter([one] * kept + [1.0] * (k - kept))
+    marks = [(0, None)]
+    budget = min(shots, _ROW_BYTES // (8 * (runner.num_qubits + runner.num_clbits)))
+    step = due = max(1, k // (2 * max(budget, 1)))
+
+    def mark(ops, state, cl):
+        nonlocal due
+        if len(marks) < budget and (taken := k - operator.length_hint(draws)) >= due:
+            i = len(runner._prog) - operator.length_hint(ops)
+            marks.append((taken, (i, state.copy(), tuple(cl))))
+            due = taken + step
+
+    drawing = noise is not None or runner._superposes  # as ``_Runner._draw`` with a generator
+    quiet = tuple(runner._execute(bits, draws.__next__ if drawing else None, noise, mark=mark))
+    p, q = (noise.depolarizing_per_gate, noise.readout_flip) if noise else (0, 0)
+    bounds = np.full(k - operator.length_hint(draws), max(p, q), dtype=float)
     bounds[:len(one.bounds)] = one.bounds
-    return quiet, bounds
+    return quiet, bounds, marks
 
 
 def _draw_bound(census: GateCensus) -> int:
@@ -387,19 +406,22 @@ def _compile(circuit: Circuit):
 
 
 class _Runner:
-    """One backend's executor of a compiled circuit. A backend supplies
-    ``backend``, its name, and ``_execute(bits, draw, noise, counters=None,
-    trace=None)``, its interpreter: the final clbits of one run from basis
-    input ``bits``, ``draw`` giving its uniforms, ``counters`` adding the
-    gates fired and ``trace`` getting (clbit, value) per measurement."""
+    """One backend's executor of a compiled circuit (``_compiled``, if given).
+    A backend supplies ``backend``, its name, and ``_execute(bits, draw,
+    noise, counters=None, trace=None, start=None, mark=None)``: the final
+    clbits of one run from basis input ``bits`` or from ``start``, a mark's
+    (op index, state, clbits), ``draw`` giving its uniforms, ``counters``
+    adding the gates fired, ``trace`` getting (clbit, value) per measurement
+    and ``mark(ops, state, cl)`` called after fired ops, ``ops`` iterating
+    the program."""
 
     backend: str
 
-    def __init__(self, circuit: Circuit):
+    def __init__(self, circuit: Circuit, _compiled=None):
         self.circuit = circuit
         self.num_qubits = circuit.num_qubits
         self.num_clbits = circuit.num_clbits
-        self._prog, self._static = _compile(circuit)
+        self._prog, self._static = _compiled or _compile(circuit)
         # only CV/CV-dagger take a basis state out of the basis
         self._superposes = bool(self._static.cv or self._static.cvdg)
 
@@ -429,9 +451,9 @@ class _Runner:
         bits = _coerce_bits(initial_bits, self.num_qubits)
         return _register(self._shot(bits, self._draw(rng, noise), noise))
 
-    def _shot(self, bits: tuple[int, ...], draw, noise: NoiseModel | None) -> tuple[int, ...]:
-        """Final clbits of one trajectory."""
-        return tuple(self._execute(bits, draw, noise))
+    def _shot(self, bits: tuple[int, ...], draw, noise, start=None) -> tuple[int, ...]:
+        """Final clbits of one trajectory, from ``start`` if given."""
+        return tuple(self._execute(bits, draw, noise, start=start))
 
     def _clbit_lanes(self, qubits: list[int], lanes: int) -> list[int]:
         """Final clbit lane ints of ``lanes`` noiseless runs, ``qubits`` as in
@@ -448,8 +470,8 @@ class ClassicalRunner(_Runner):
 
     backend = "classical"
 
-    def __init__(self, circuit: Circuit):
-        super().__init__(circuit)
+    def __init__(self, circuit: Circuit, _compiled=None):
+        super().__init__(circuit, _compiled)
         if self._superposes:
             first = next(op[0] for op in self._prog if op[0] >= _OP_CV)
             # a counter key is its gate's name
@@ -472,18 +494,22 @@ class ClassicalRunner(_Runner):
         return self._run_lanes(q, lanes)
 
     def _run_lanes(self, q: list[int], lanes: int, counters=None, trace=None,
-                   draw=None, noise: NoiseModel | None = None):
+                   draw=None, noise: NoiseModel | None = None, start=None, mark=None):
         """The interpreter. A condition becomes the mask of lanes where it
         holds; ``counters`` adds the lanes each gate fired in, ``trace`` gets
         (clbit, lane int) per measurement. With ``draw`` (one lane only) it
         draws ``noise`` in the dense backend's order: per fired gate and
         touched qubit one depolarizing draw, plus the Pauli draw when it hits;
-        per measurement one readout-flip draw."""
+        per measurement one readout-flip draw. ``start`` and ``mark`` are as
+        in :class:`_Runner`, a mark's state being ``q``."""
         full = (1 << lanes) - 1
-        cl = [0] * self.num_clbits
+        if start is None:
+            ops, cl = iter(self._prog), [0] * self.num_clbits
+        else:
+            ops, q, cl = iter(self._prog[start[0]:]), list(start[1]), list(start[2])
         if draw is not None:
             p, flip_p = noise.depolarizing_per_gate, noise.readout_flip
-        for op, a0, a1, a2, cond, touched in self._prog:
+        for op, a0, a1, a2, cond, touched in ops:
             act = full
             if cond is not None:
                 for mb, flip in cond:
@@ -507,6 +533,8 @@ class ClassicalRunner(_Runner):
                     # X and Y flip a basis state; Z only phases it
                     if draw() < p and int(draw() * 3) != 2:
                         q[qb] ^= 1
+                if mark is not None:
+                    mark(ops, q, cl)
             if counters is not None:
                 fired = act.bit_count()
                 counters[_COUNTER_KEYS[op]] += fired
@@ -514,8 +542,8 @@ class ClassicalRunner(_Runner):
                     counters["conditional_x_count"] += fired
         return q, cl
 
-    def _execute(self, bits, draw, noise, counters=None, trace=None) -> list[int]:
-        return self._run_lanes(list(bits), 1, counters, trace, draw, noise)[1]
+    def _execute(self, bits, draw, noise, counters=None, trace=None, start=None, mark=None):
+        return self._run_lanes(list(bits), 1, counters, trace, draw, noise, start, mark)[1]
 
     def _clbit_lanes(self, qubits: list[int], lanes: int) -> list[int]:
         """Bit-sliced: one :meth:`run_lanes` pass for every lane."""
@@ -611,17 +639,20 @@ class DenseRunner(_Runner):
 
     backend = "dense"
 
-    def __init__(self, circuit: Circuit, qubit_cap: int = DEFAULT_DENSE_CAP):
+    def __init__(self, circuit: Circuit, qubit_cap: int = DEFAULT_DENSE_CAP, _compiled=None):
         check_dense_width(circuit.num_qubits, qubit_cap)
-        super().__init__(circuit)
+        super().__init__(circuit, _compiled)
 
-    def _execute(self, bits, draw, noise, counters=None, trace=None) -> list[int]:
-        """The interpreter; ``draw`` None (no seed) fails a Born draw."""
-        amps = {_register(bits): 1 + 0j}
-        cl = [0] * self.num_clbits
+    def _execute(self, bits, draw, noise, counters=None, trace=None, start=None, mark=None):
+        """The interpreter; ``draw`` None (no seed) fails a Born draw. A
+        mark's state, ``amps``, is shared: no helper changes a map in place."""
+        if start is None:
+            ops, amps, cl = iter(self._prog), {_register(bits): 1 + 0j}, [0] * self.num_clbits
+        else:
+            ops, amps, cl = iter(self._prog[start[0]:]), start[1], list(start[2])
         p, q_flip = (noise.depolarizing_per_gate, noise.readout_flip) if noise else (0, 0)
 
-        for op, a0, a1, a2, cond, touched in self._prog:
+        for op, a0, a1, a2, cond, touched in ops:
             if cond is not None:
                 fire = 1
                 for mb, flip in cond:
@@ -639,8 +670,7 @@ class DenseRunner(_Runner):
                 cl[a1] = outcome
                 if trace is not None:
                     trace.append((a1, outcome))
-                continue
-            if op == _OP_X:
+            elif op == _OP_X:
                 amps = _flip(amps, 0, 1 << a0)
             elif op == _OP_CX:
                 amps = _flip(amps, 1 << a0, 1 << a1)
@@ -658,6 +688,8 @@ class DenseRunner(_Runner):
                             amps = _pauli_y(amps, 1 << qb)
                         else:
                             amps = _pauli_z(amps, 1 << qb)
+            if mark is not None:
+                mark(ops, amps, cl)
 
         norm = math.sqrt(_mass(amps))
         if abs(norm - 1.0) > _NORM_TOL:
@@ -688,10 +720,15 @@ def select_backend(circuit: Circuit, requested: str = "auto") -> str:
 
 def _runner(circuit: Circuit, backend: str = "auto",
             qubit_cap: int = DEFAULT_DENSE_CAP) -> _Runner:
-    """The runner of ``backend`` as :func:`select_backend` resolves it."""
+    """The runner of ``backend`` as :func:`select_backend` resolves it ('auto'
+    from its own compile's census)."""
+    compiled = None
+    if backend == "auto":
+        compiled = _compile(circuit)
+        backend = "dense" if compiled[1].cv or compiled[1].cvdg else "classical"
     if select_backend(circuit, backend) == "classical":
-        return ClassicalRunner(circuit)
-    return DenseRunner(circuit, qubit_cap)
+        return ClassicalRunner(circuit, compiled)
+    return DenseRunner(circuit, qubit_cap, compiled)
 
 
 def sample(circuit: Circuit, initial_bits=None, shots: int = 1,
@@ -701,10 +738,9 @@ def sample(circuit: Circuit, initial_bits=None, shots: int = 1,
 
     Shot s draws from ``np.random.default_rng([seed, s])``, so histograms are
     reproducible and independent of execution order; a seed numpy rejects
-    raises numpy's error. A sample whose shots draw nothing is one run; a
-    noisy one of a circuit that cannot superpose interprets only the shots
-    with a uniform below its draw's p or q in the quiet run, and gives only
-    them a row where a block pays to step its streams (module docstring).
+    raises numpy's error. A shot whose uniforms clear their draws' bounds in
+    the quiet run ends as that run, any other resumes from a mark of it
+    (module docstring).
     """
     if not _is_int(shots):
         raise SimulationArgumentError(f"shots must be an integer: {shots!r}")
@@ -714,19 +750,21 @@ def sample(circuit: Circuit, initial_bits=None, shots: int = 1,
     seed_words = _seed_words(seed)  # checked even where no shot draws
     runner = _runner(circuit, backend, qubit_cap)
     bits = _coerce_bits(initial_bits, circuit.num_qubits)
-    calm_path = not runner._superposes
-    if noise is None and calm_path:  # no shot draws: one run
-        return Histogram(shots, {_register(runner._shot(bits, None, None)): shots})
-    k = _draw_bound(runner._static)
+    quiet, bounds, marks = _quiet_run(runner, bits, noise, shots)
+    d = len(bounds)
+    if not d:  # no shot draws: one run
+        return Histogram(shots, {_register(quiet): shots})
+    taken = np.array([offset for offset, _ in marks])
     counts: dict[tuple[int, ...], int] = {}  # by final clbits
-    quiet, bounds = _quiet_run(runner, bits, noise, shots) if calm_path else (None, None)
     shot = runner._shot
-    for rows in _shot_rows(seed_words, 0, shots, k, bounds):
-        if calm_path:
-            rows = rows[~(rows[:, :len(bounds)] >= bounds).all(axis=1)]
-        for row in rows:
-            cl = shot(bits, iter(row.tolist()).__next__, noise)
+    for rows in _shot_rows(seed_words, 0, shots, _draw_bound(runner._static), bounds):
+        below = rows[:, :d] < bounds
+        hit = below.any(axis=1)
+        # the last mark at or before each shot's first event
+        at = np.searchsorted(taken, below[hit].argmax(axis=1), "right") - 1
+        for row, m in zip(rows[hit], at.tolist()):
+            offset, start = marks[m]
+            cl = shot(bits, iter(row[offset:].tolist()).__next__, noise, start)
             counts[cl] = counts.get(cl, 0) + 1
-    if calm_path:  # every shot not interpreted is calm
-        counts[quiet] = counts.get(quiet, 0) + shots - sum(counts.values())
+    counts[quiet] = counts.get(quiet, 0) + shots - sum(counts.values())  # the calm shots
     return Histogram(shots, dict(sorted((_register(cl), c) for cl, c in counts.items() if c)))

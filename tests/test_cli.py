@@ -56,6 +56,16 @@ class TestCompare:
         result = runner.invoke(main, ["compare", "--a", "0b1", "--b", "1"])
         assert result.exit_code == 2
 
+    def test_negative_seed_exits_2(self, runner):
+        # numpy's generators reject it; verify's random.Random does not
+        proc = subprocess.run(
+            [sys.executable, "-m", "qbsc", "compare", "--a", "3", "--b", "5", "--seed", "-1"],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
+        assert "Error: Invalid value for '--seed'" in proc.stderr
+        assert invoke(runner, "verify", "--max-bits", "2", "--seed", "-1").exit_code == 0
+
     def test_dense_backend_flag(self, runner):
         result = invoke(runner, "compare", "--a", "3", "--b", "1", "--backend", "dense")
         assert "backend: dense" in result.output

@@ -8,6 +8,7 @@ reference engine, which keeps its own buffered stream.
 """
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -52,16 +53,17 @@ def per_shot(runner, bits, shots: int, noise, seed: int) -> Histogram:
     return Histogram(shots, dict(sorted(counts.items())))
 
 
-def count_lanes(monkeypatch) -> list:
-    """Record each entry into the classical interpreter from here on."""
+def count_lanes(monkeypatch, cls=ClassicalRunner, name="_run_lanes") -> list:
+    """Record each entry into a backend's interpreter (by default the
+    classical one) from here on."""
     entered = []
-    run_lanes = ClassicalRunner._run_lanes
+    interpreter = getattr(cls, name)
 
     def counted(self, *args, **kwargs):
         entered.append(1)
-        return run_lanes(self, *args, **kwargs)
+        return interpreter(self, *args, **kwargs)
 
-    monkeypatch.setattr(ClassicalRunner, "_run_lanes", counted)
+    monkeypatch.setattr(cls, name, counted)
     return entered
 
 
@@ -335,11 +337,11 @@ class TestPerDrawBounds:
         want = [p] + [p, p, p] + [p] + [p] + [p, p, p] + [p] + [q] + [q]
         for a, b in [(0, 0), (0, 1), (1, 0), (1, 1)]:
             bits = bits_for(a, b, 1)
-            quiet, bounds = simulate._quiet_run(runner, bits, NoiseModel(p, q), shots=1024)
+            quiet, bounds, _ = simulate._quiet_run(runner, bits, NoiseModel(p, q), shots=1024)
             assert bounds.tolist() == want
             assert quiet == runner._shot(bits, None, None)
             # past ``shots`` draws a bound is max(p, q)
-            _, bounds = simulate._quiet_run(runner, bits, NoiseModel(p, q), shots=3)
+            _, bounds, _ = simulate._quiet_run(runner, bits, NoiseModel(p, q), shots=3)
             assert bounds.tolist() == want[:3] + [q] * 9
 
     @pytest.mark.parametrize("noise, draw", [(NoiseModel(0.01, 0.02), 0),   # a gate draw
@@ -374,3 +376,118 @@ class TestPerDrawBounds:
         assert sample(body, bits, shots=200, noise=noise, seed=4, backend=backend) == want
         # a bound of 1.0 leaves no shot calm, so no block steps
         assert bool(stepped) == (step_shots == 0 and noise.depolarizing_per_gate < 1)
+
+
+# CV on a set control leaves the target even, so its measurement is a Born draw
+BORN = new_circuit(2, 1).x(0).cv(0, 1).measure(1, 0)
+
+
+class TestResumedShots:
+    """The quiet run's marks: a shot that is not calm resumes from the last
+    mark at or before its first event, on either backend, and a sample whose
+    quiet run draws nothing is one run."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_equals_per_shot_oracle(self, data):
+        dense = data.draw(st.booleans())
+        circuit = data.draw(statevector_circuits(max_qubits=4) if dense
+                            else permutation_circuits())
+        bits = _basis_input(data, circuit.num_qubits)
+        seed = data.draw(st.integers(0, 2**64))
+        noise = data.draw(st.sampled_from([None, NoiseModel(0, 0), NoiseModel(1.0, 1.0),
+                                           NoiseModel(0.2, 0.1), NoiseModel(0.1, 0.3), BENCH_NOISE]))
+        shots = data.draw(st.integers(1, 40))
+        runner = (DenseRunner if dense else ClassicalRunner)(circuit)
+        # seeding blocks of 8 shots; some samples step every block
+        with mock.patch.object(simulate, "_SEED_BLOCK", 8), \
+                mock.patch.object(simulate, "_STEP_SHOTS", data.draw(st.sampled_from([0, 8]))):
+            got = sample(circuit, bits, shots=shots, noise=noise, seed=seed,
+                         backend=runner.backend)
+        assert got == per_shot(runner, bits, shots, noise, seed)
+
+    @pytest.mark.parametrize("noise", [None, BENCH_NOISE, NoiseModel(0.3, 0.2)], ids=repr)
+    def test_born_draw_in_the_quiet_run(self, noise, monkeypatch):
+        runner = DenseRunner(BORN)
+        quiet, bounds, _ = simulate._quiet_run(runner, (0, 0), noise, shots=64)
+        assert quiet == (0,)  # a quiet Born draw of 1.0 reads 0
+        if noise is None:
+            assert bounds.tolist() == pytest.approx([0.5])
+        else:
+            p, q = noise.depolarizing_per_gate, noise.readout_flip
+            assert bounds.tolist() == pytest.approx([p, p, p, 0.5, q])
+        want = per_shot(runner, None, 64, noise, 5)
+        assert want == reference_sample(BORN, None, 64, noise, 5)
+        entered = count_lanes(monkeypatch, DenseRunner, "_execute")
+        assert sample(BORN, shots=64, noise=noise, seed=5) == want
+        assert 1 < len(entered) < 1 + 64  # some shots are calm, some are not
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_noiseless_lowered_sample_is_one_run(self, variant, monkeypatch):
+        body = lower_circuit(build_gqbsc(Operands((0,) * 3, (0,) * 3), variant))
+        bits = bits_for(5, 6, 3)
+        want = per_shot(DenseRunner(body), bits, 16, None, 2)
+        entered = count_lanes(monkeypatch, DenseRunner, "_execute")
+        assert sample(body, bits, shots=16, seed=2) == want
+        assert len(entered) == 1
+
+    @pytest.mark.parametrize("backend", ["classical", "dense"])
+    def test_every_mark_resumes_to_the_quiet_run(self, backend):
+        body = build_gqbsc(Operands((0,) * 3, (0,) * 3))
+        if backend == "dense":
+            body = lower_circuit(body)
+        runner = simulate._runner(body, backend)
+        bits = bits_for(5, 6, 3)
+        quiet, bounds, marks = simulate._quiet_run(runner, bits, BENCH_NOISE, shots=1024)
+        k = simulate._draw_bound(runner._static)
+        offsets = [offset for offset, _ in marks]
+        assert offsets[0] == 0 and marks[0][1] is None
+        assert offsets == sorted(set(offsets)) and offsets[-1] <= len(bounds)
+        assert len(marks) > len(bounds) // 4  # spread over the whole quiet run
+        for offset, start in marks:
+            assert runner._shot(bits, iter([1.0] * (k - offset)).__next__, BENCH_NOISE,
+                                start) == quiet
+
+    def test_dropped_marks_leave_histograms_unchanged(self, monkeypatch):
+        body = build_gqbsc(Operands((0,) * 3, (0,) * 3))
+        bits = bits_for(5, 6, 3)
+        want = per_shot(ClassicalRunner(body), bits, 512, BENCH_NOISE, 4)
+        quiet_run = simulate._quiet_run
+
+        def every_third(*args):
+            quiet, bounds, marks = quiet_run(*args)
+            return quiet, bounds, marks[::3]
+
+        monkeypatch.setattr(simulate, "_quiet_run", every_third)
+        assert sample(body, bits, shots=512, noise=BENCH_NOISE, seed=4) == want
+
+    @pytest.mark.parametrize("backend", ["classical", "dense"])
+    def test_control_resuming_one_mark_late_changes_the_histogram(self, backend, monkeypatch):
+        body = build_gqbsc(Operands((0,) * 3, (0,) * 3))
+        if backend == "dense":
+            body = lower_circuit(body)
+        bits = bits_for(5, 6, 3)
+        shots = 512 if backend == "classical" else 64
+        want = per_shot(simulate._runner(body, backend), bits, shots, BENCH_NOISE, 4)
+        assert sample(body, bits, shots=shots, noise=BENCH_NOISE, seed=4, backend=backend) == want
+        searchsorted = np.searchsorted
+        monkeypatch.setattr(np, "searchsorted",
+                            lambda a, v, side: np.minimum(searchsorted(a, v, side) + 1, len(a)))
+        late = sample(body, bits, shots=shots, noise=BENCH_NOISE, seed=4, backend=backend)
+        assert late != want
+
+    def test_marks_bounded_at_n1000(self):
+        circuit = build_gqbsc(encode_operands("1" * 1000, "1" * 999 + "0"))
+        runner = ClassicalRunner(circuit)
+        width = circuit.num_qubits + circuit.num_clbits
+        bits = (0,) * circuit.num_qubits
+        for shots in (1, 8, 1024):
+            _, bounds, marks = simulate._quiet_run(runner, bits, BENCH_NOISE, shots)
+            assert len(marks) <= shots
+            assert len(marks) * 8 * width <= simulate._ROW_BYTES
+            assert [offset for offset, _ in marks] == sorted({offset for offset, _ in marks})
+            for _, start in marks[1:]:
+                assert len(start[1]) == circuit.num_qubits and len(start[2]) == circuit.num_clbits
+        # 8 shots and more keep marks past the start, spread over the quiet run
+        assert len(marks) == simulate._ROW_BYTES // (8 * width) > 1
+        assert marks[-1][0] > len(bounds) // 2

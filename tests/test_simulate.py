@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qbsc import circuit as circuit_module
 from qbsc.circuit import ClassicalCondition, GateKind, GateOp, new_circuit
 from qbsc import simulate
 from qbsc.comparator import Operands, build_gqbsc, compare, encode_operands
@@ -302,6 +303,29 @@ class TestBackendSelection:
         assert select_backend(circuit, "dense") == "dense"
         with pytest.raises(ValueError):
             select_backend(circuit, "qpu")
+
+    def test_runner_walks_the_census_once(self, monkeypatch):
+        walks = []
+        for module in (circuit_module, simulate):
+            walk = module.census_walk
+            monkeypatch.setattr(module, "census_walk",
+                                lambda *args, walk=walk: walks.append(1) or walk(*args))
+        body = build_gqbsc(encode_operands(3, 1))
+        lowered = lower_circuit(body)
+        for circuit, backend in [(body, "classical"), (lowered, "dense")]:
+            for name in ("auto", backend):
+                walks.clear()
+                assert simulate._runner(circuit, name).backend == backend
+                assert len(walks) == 1, name
+            walks.clear()
+            sample(circuit, shots=8, noise=NoiseModel(0.01, 0.02), seed=1)
+            assert len(walks) == 1
+        # the explicit names keep their refusals, classes and messages
+        with pytest.raises(NonClassicalGate, match="^cv is not a classical permutation gate$"):
+            simulate._runner(lowered, "classical")
+        wide = lower_circuit(build_gqbsc(encode_operands(2**11, 1)))
+        with pytest.raises(TooManyQubits, match=f"^{wide.num_qubits} qubits exceeds dense cap 24$"):
+            simulate._runner(wide)
 
 
 class TestArgumentErrors:
