@@ -296,8 +296,7 @@ class Circuit:
 
     def is_permutation_only(self) -> bool:
         """True when every gate is classical (X/CX/CCX), i.e. basis-preserving."""
-        census = static_census(self)
-        return census.cv == census.cvdg == 0
+        return static_census(self).permutation_only
 
 
 def new_circuit(num_qubits: int, num_clbits: int) -> Circuit:
@@ -327,6 +326,11 @@ class GateCensus:
     block_count_1bc: int = 0
     width_qubits: int = 0
     width_total: int = 0
+
+    @property
+    def permutation_only(self) -> bool:
+        """True when no gate is CV/CV-dagger, the only ones that superpose."""
+        return self.cv == self.cvdg == 0
 
     @property
     def total_unit_cost(self) -> int:

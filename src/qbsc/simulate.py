@@ -78,6 +78,7 @@ from .circuit import (
     GateKind,
     MeasureOp,
     census_walk,
+    static_census,
 )
 from .errors import (NonClassicalGate, NormDrift, SimulationArgumentError, SimulationError,
                      TooManyQubits)
@@ -115,6 +116,8 @@ _PCG_MULT_HI, _PCG_MULT_LO = np.uint64(2549297995355413924), np.uint64(486554059
 # holds (K is ~30,000 at n=1000); they bound ``sample``'s memory, not its result.
 _SEED_BLOCK = 1024
 _ROW_BYTES = 1 << 16
+# Words a dense mark keeps per amplitude: a dict slot, its int key and complex.
+_AMP_WORDS = 13
 # An array step of a 1,024-shot seeding block costs what setting the generator
 # and filling the row of this many shots does (41 us vs 5.2 us).
 _STEP_SHOTS = 8
@@ -336,26 +339,26 @@ def _quiet_run(runner: _Runner, bits: tuple[int, ...], noise: NoiseModel | None,
 
     A circuit that cannot superpose records the first ``shots`` bounds (a
     record is a Python call), then takes max(p, q), never lower; one that can
-    records all, as only 1.0 would bound a Born draw. A mark (draws taken,
-    start) is taken after an op that drew, about every K / 2 / budget draws:
-    ``start`` is the next op's index and a copy of the state, or None at 0
-    draws. The budget is one mark per shot and ``_ROW_BYTES``, a word per
-    qubit and clbit."""
+    records all, as only 1.0 would bound a Born draw. After each op that
+    drew, while the marks hold at most ``_ROW_BYTES`` of state (a word per
+    qubit and clbit, ``_AMP_WORDS`` per dense amplitude), a mark (draws
+    taken, start) keeps the next op's index and a copy of the state."""
     k = _draw_bound(runner._static)
     one = _QuietDraw(1.0)
     one.bounds = []
     kept = k if runner._superposes else min(k, shots)
     draws = iter([one] * kept + [1.0] * (k - kept))
     marks = [(0, None)]
-    budget = min(shots, _ROW_BYTES // (8 * (runner.num_qubits + runner.num_clbits)))
-    step = due = max(1, k // (2 * max(budget, 1)))
+    room = _ROW_BYTES // 8
+    entry = _AMP_WORDS if runner.backend == "dense" else 1
 
     def mark(ops, state, cl):
-        nonlocal due
-        if len(marks) < budget and (taken := k - operator.length_hint(draws)) >= due:
-            i = len(runner._prog) - operator.length_hint(ops)
+        nonlocal room
+        taken, words = k - operator.length_hint(draws), entry * len(state) + len(cl)
+        if taken > marks[-1][0] and words <= room:
+            room -= words
+            i = len(runner._prog) - operator.length_hint(ops)  # the next op
             marks.append((taken, (i, state.copy(), tuple(cl))))
-            due = taken + step
 
     drawing = noise is not None or runner._superposes  # as ``_Runner._draw`` with a generator
     quiet = tuple(runner._execute(bits, draws.__next__ if drawing else None, noise, mark=mark))
@@ -422,8 +425,7 @@ class _Runner:
         self.num_qubits = circuit.num_qubits
         self.num_clbits = circuit.num_clbits
         self._prog, self._static = _compiled or _compile(circuit)
-        # only CV/CV-dagger take a basis state out of the basis
-        self._superposes = bool(self._static.cv or self._static.cvdg)
+        self._superposes = not self._static.permutation_only
 
     def _draw(self, rng: np.random.Generator | None, noise: NoiseModel | None):
         """Draw function over one pre-drawn row of ``rng``, or None where the
@@ -709,10 +711,10 @@ def run_classical(circuit: Circuit, initial_bits=None) -> RunResult:
     return ClassicalRunner(circuit).run(initial_bits)
 
 
-def select_backend(circuit: Circuit, requested: str = "auto") -> str:
-    """Resolve 'auto' to the cheapest valid backend for this circuit."""
+def select_backend(circuit: Circuit, requested: str = "auto", census=None) -> str:
+    """Resolve 'auto' to the cheapest valid backend, from ``census`` if given."""
     if requested == "auto":
-        return "classical" if circuit.is_permutation_only() else "dense"
+        return "classical" if (census or static_census(circuit)).permutation_only else "dense"
     if requested not in ("classical", "dense"):
         raise SimulationArgumentError(f"unknown backend {requested!r}")
     return requested
@@ -720,13 +722,9 @@ def select_backend(circuit: Circuit, requested: str = "auto") -> str:
 
 def _runner(circuit: Circuit, backend: str = "auto",
             qubit_cap: int = DEFAULT_DENSE_CAP) -> _Runner:
-    """The runner of ``backend`` as :func:`select_backend` resolves it ('auto'
-    from its own compile's census)."""
-    compiled = None
-    if backend == "auto":
-        compiled = _compile(circuit)
-        backend = "dense" if compiled[1].cv or compiled[1].cvdg else "classical"
-    if select_backend(circuit, backend) == "classical":
+    """The runner of ``backend`` as :func:`select_backend` resolves it."""
+    compiled = _compile(circuit)
+    if select_backend(circuit, backend, compiled[1]) == "classical":
         return ClassicalRunner(circuit, compiled)
     return DenseRunner(circuit, qubit_cap, compiled)
 

@@ -443,7 +443,7 @@ class TestResumedShots:
         offsets = [offset for offset, _ in marks]
         assert offsets[0] == 0 and marks[0][1] is None
         assert offsets == sorted(set(offsets)) and offsets[-1] <= len(bounds)
-        assert len(marks) > len(bounds) // 4  # spread over the whole quiet run
+        assert len(marks) > len(bounds) // 4  # one after each op that drew
         for offset, start in marks:
             assert runner._shot(bits, iter([1.0] * (k - offset)).__next__, BENCH_NOISE,
                                 start) == quiet
@@ -483,11 +483,38 @@ class TestResumedShots:
         bits = (0,) * circuit.num_qubits
         for shots in (1, 8, 1024):
             _, bounds, marks = simulate._quiet_run(runner, bits, BENCH_NOISE, shots)
-            assert len(marks) <= shots
-            assert len(marks) * 8 * width <= simulate._ROW_BYTES
+            assert (len(marks) - 1) * 8 * width <= simulate._ROW_BYTES
             assert [offset for offset, _ in marks] == sorted({offset for offset, _ in marks})
             for _, start in marks[1:]:
                 assert len(start[1]) == circuit.num_qubits and len(start[2]) == circuit.num_clbits
-        # 8 shots and more keep marks past the start, spread over the quiet run
-        assert len(marks) == simulate._ROW_BYTES // (8 * width) > 1
-        assert marks[-1][0] > len(bounds) // 2
+            # marks are taken until the budget runs out
+            assert len(marks) == 1 + simulate._ROW_BYTES // (8 * width) > 2
+
+    def test_dense_marks_charged_by_amplitude(self):
+        # CV on a set control doubles the amplitudes: 2^9 after nine of them
+        circuit = new_circuit(14, 1).x(0)
+        for t in range(1, 10):
+            circuit.cv(0, t)
+        for _ in range(300):
+            circuit.x(13)
+        circuit.measure(13, 0)
+        runner = DenseRunner(circuit)
+        tracemalloc.start()
+        try:
+            quiet, bounds, marks = simulate._quiet_run(runner, (0,) * 14, BENCH_NOISE, 1024)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        words = [simulate._AMP_WORDS * len(amps) + len(cl) for _, (_, amps, cl) in marks[1:]]
+        assert sum(words) * 8 <= simulate._ROW_BYTES
+        assert held - bounds.nbytes <= simulate._ROW_BYTES  # the charge is not below the cost
+        assert marks[-1][0] < len(bounds) // 2  # the budget runs out early in the run
+        for offset, start in marks:
+            assert runner._shot((0,) * 14, iter([1.0] * len(bounds)).__next__, BENCH_NOISE,
+                                start) == quiet
+        assert (sample(circuit, shots=64, noise=BENCH_NOISE, seed=3)
+                == per_shot(runner, None, 64, BENCH_NOISE, 3))
+
+    @pytest.mark.parametrize("noise", [None, BENCH_NOISE], ids=repr)
+    def test_zero_width_circuit(self, noise):
+        assert sample(new_circuit(0, 0), shots=4, noise=noise, seed=1) == Histogram(4, {0: 4})

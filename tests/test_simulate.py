@@ -320,6 +320,9 @@ class TestBackendSelection:
             walks.clear()
             sample(circuit, shots=8, noise=NoiseModel(0.01, 0.02), seed=1)
             assert len(walks) == 1
+            assert select_backend(circuit) == backend
+        # 'auto' reads the census it is given, as _runner gives its compile's
+        assert select_backend(body, "auto", simulate._compile(lowered)[1]) == "dense"
         # the explicit names keep their refusals, classes and messages
         with pytest.raises(NonClassicalGate, match="^cv is not a classical permutation gate$"):
             simulate._runner(lowered, "classical")
