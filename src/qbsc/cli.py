@@ -6,8 +6,11 @@ constant); json/csv bytes are stable across runs. Files are written to a
 temporary sibling and renamed into place so an error never leaves a partial
 file behind.
 
-Exit codes: 0 success, 1 verification mismatch, 2 invalid operands or ranges,
-3 backend/resource errors.
+Exit codes: 0 success, 1 verification mismatch, 2 invalid input (operands,
+widths over the register cap, method names, flag ranges), 3 backend or
+resource errors. The command group maps every toolkit error to its code in
+one place and prints it as one ``error:`` line; click checks flag ranges and
+reports them in its ``Invalid value for '--flag'`` form.
 """
 from __future__ import annotations
 
@@ -29,7 +32,7 @@ from .comparator import (
     soundness_check_exhaustive,
     soundness_check_random,
 )
-from .errors import OperandError, QbscError
+from .errors import CircuitError, OperandError, QbscError, UnknownMethod
 from .resources import (
     CSV_HEADER,
     Case,
@@ -100,7 +103,21 @@ out_option = click.option("--out", type=click.Path(dir_okay=False), default=None
 seed_option = click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True)
 
 
-@click.group()
+class _ExitCodeGroup(click.Group):
+    """Command group that turns a toolkit error into its exit code: 2 for bad
+    input (at the CLI a ``CircuitError`` is the register width cap), 3 for
+    any other."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except QbscError as exc:
+            click.echo(f"error: {exc}", err=True)
+            bad_input = isinstance(exc, (OperandError, UnknownMethod, CircuitError))
+            sys.exit(EXIT_BAD_INPUT if bad_input else EXIT_BACKEND)
+
+
+@click.group(cls=_ExitCodeGroup)
 def main():
     """Bit-string comparator toolkit: build, run, verify, and cost circuits."""
 
@@ -116,18 +133,11 @@ def main():
 @out_option
 def cmd_compare(a_text, b_text, variant, backend, seed, fmt, out):
     """Compare two operands and report the class, flags, and resources."""
-    try:
-        a, b = _parse_operand(a_text), _parse_operand(b_text)
-        outcome = compare(a, b, backend=backend, variant=BuilderVariant(variant), seed=seed)
-        # resource numbers refer to the value-independent body compare() ran
-        # once, with the operands as the initial state (no prep gates)
-        measured = measured_report(outcome.body, run=outcome.run)
-    except OperandError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_BAD_INPUT)
-    except QbscError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_BACKEND)
+    a, b = _parse_operand(a_text), _parse_operand(b_text)
+    outcome = compare(a, b, backend=backend, variant=BuilderVariant(variant), seed=seed)
+    # resource numbers refer to the value-independent body compare() ran
+    # once, with the operands as the initial state (no prep gates)
+    measured = measured_report(outcome.body, run=outcome.run)
     resources = {
         "qubits": measured.qubits,
         "width": measured.width_total,
@@ -168,12 +178,8 @@ def cmd_compare(a_text, b_text, variant, backend, seed, fmt, out):
 @out_option
 def cmd_build(a_text, b_text, variant, fmt, out):
     """Build the comparator circuit and print a summary or its JSON form."""
-    try:
-        ops = encode_operands(_parse_operand(a_text), _parse_operand(b_text))
-        circuit = build_gqbsc(ops, BuilderVariant(variant))
-    except OperandError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_BAD_INPUT)
+    ops = encode_operands(_parse_operand(a_text), _parse_operand(b_text))
+    circuit = build_gqbsc(ops, BuilderVariant(variant))
     if fmt == "json":
         payload = json.dumps(circuit_to_json(circuit), indent=2, sort_keys=True) + "\n"
     else:
@@ -200,17 +206,8 @@ def cmd_build(a_text, b_text, variant, fmt, out):
 @out_option
 def cmd_export(a_text, b_text, variant, out):
     """Serialize the comparator circuit to the textual subset."""
-    try:
-        ops = encode_operands(_parse_operand(a_text), _parse_operand(b_text))
-        circuit = build_gqbsc(ops, BuilderVariant(variant))
-        payload = qasm.export(circuit)
-    except OperandError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_BAD_INPUT)
-    except QbscError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_BACKEND)
-    _emit(payload, out)
+    ops = encode_operands(_parse_operand(a_text), _parse_operand(b_text))
+    _emit(qasm.export(build_gqbsc(ops, BuilderVariant(variant))), out)
 
 
 def _random_widths(exhaustive_limit: int, max_bits: int) -> list[int]:
@@ -226,12 +223,11 @@ def _random_widths(exhaustive_limit: int, max_bits: int) -> list[int]:
 
 
 @main.command("verify")
-@click.option("--max-bits", type=int, default=1000, show_default=True)
-@click.option("--samples", type=int, default=100, show_default=True,
+@click.option("--max-bits", type=click.IntRange(min=1), default=1000, show_default=True)
+@click.option("--samples", type=click.IntRange(min=0), default=100, show_default=True,
               help="Random pairs per sampled width beyond the exhaustive threshold.")
-@click.option("--exhaustive-limit", type=int, default=8, show_default=True,
-              help=f"Widths up to this (at most {MAX_EXHAUSTIVE_LIMIT}) are checked"
-                   " over all 4^n pairs.")
+@click.option("--exhaustive-limit", type=click.IntRange(0, MAX_EXHAUSTIVE_LIMIT), default=8,
+              show_default=True, help="Widths up to this are checked over all 4^n pairs.")
 @click.option("--variant", type=click.Choice(["figure", "algorithmic", "both"]),
               default="figure", show_default=True)
 @backend_option
@@ -246,41 +242,28 @@ def cmd_verify(max_bits, samples, exhaustive_limit, variant, backend, seed, fmt,
     beyond that, seeded random pairs are drawn at a doubling ladder of widths
     ending at --max-bits.
     """
-    if max_bits < 1 or samples < 0 or exhaustive_limit < 0:
-        click.echo("error: widths and budgets must be positive", err=True)
-        sys.exit(EXIT_BAD_INPUT)
-    if exhaustive_limit > MAX_EXHAUSTIVE_LIMIT:
-        click.echo(f"error: --exhaustive-limit {exhaustive_limit} is over the cap of"
-                   f" {MAX_EXHAUSTIVE_LIMIT}", err=True)
-        sys.exit(EXIT_BAD_INPUT)
     if 2 * max_bits + 2 > MAX_WIDTH:
-        click.echo(f"error: --max-bits {max_bits} needs {2 * max_bits + 2} qubits,"
-                   f" over the cap of {MAX_WIDTH}", err=True)
-        sys.exit(EXIT_BAD_INPUT)
+        raise CircuitError(f"--max-bits {max_bits} needs {2 * max_bits + 2} qubits,"
+                           f" over the cap of {MAX_WIDTH}")
     variants = ([BuilderVariant.FIGURE, BuilderVariant.ALGORITHMIC]
                 if variant == "both" else [BuilderVariant(variant)])
-    backend = "classical" if backend == "auto" else backend
     widths = [(n, True) for n in range(1, min(max_bits, exhaustive_limit) + 1)]
     if samples > 0:
         widths += [(n, False) for n in _random_widths(exhaustive_limit, max_bits)]
     started = time.monotonic()
     per_n = []
     total_pairs = total_mismatches = 0
-    try:
-        if backend == "dense":  # refuse before the first run, not at the widest width
-            check_dense_width(2 * max((n for n, _ in widths), default=0) + 2)
-        for v in variants:
-            for n, exhaustive in widths:
-                if exhaustive:
-                    pairs, bad = soundness_check_exhaustive(n, v, backend)
-                else:
-                    pairs, bad = soundness_check_random(n, samples, seed, v, backend)
-                per_n.append({"variant": v.value, "n": n, "pairs": pairs, "mismatches": bad})
-                total_pairs += pairs
-                total_mismatches += bad
-    except QbscError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_BACKEND)
+    if backend == "dense":  # refuse before the first run, not at the widest width
+        check_dense_width(2 * max((n for n, _ in widths), default=0) + 2)
+    for v in variants:
+        for n, exhaustive in widths:
+            if exhaustive:
+                pairs, bad = soundness_check_exhaustive(n, v, backend)
+            else:
+                pairs, bad = soundness_check_random(n, samples, seed, v, backend)
+            per_n.append({"variant": v.value, "n": n, "pairs": pairs, "mismatches": bad})
+            total_pairs += pairs
+            total_mismatches += bad
     elapsed = time.monotonic() - started
     if fmt == "json":
         payload = json.dumps({
@@ -301,7 +284,7 @@ def cmd_verify(max_bits, samples, exhaustive_limit, variant, backend, seed, fmt,
 
 @main.command("sweep")
 @click.option("--metric", type=click.Choice(["ancilla", "cost", "delay"]), required=True)
-@click.option("--n", "n_values", type=int, multiple=True,
+@click.option("--n", "n_values", type=click.IntRange(min=1), multiple=True,
               help="Width(s); repeatable. Defaults to the standard grid.")
 @click.option("--method", "methods", multiple=True,
               help="Method name(s); defaults to all seven.")
@@ -313,15 +296,8 @@ def cmd_verify(max_bits, samples, exhaustive_limit, variant, backend, seed, fmt,
 def cmd_sweep(metric, n_values, methods, case, fmt, out):
     """Emit closed-form resource values as CSV or JSON rows."""
     ns = list(n_values) if n_values else list(_SWEEP_GRID)
-    if any(n < 1 for n in ns):
-        click.echo("error: widths must be >= 1", err=True)
-        sys.exit(EXIT_BAD_INPUT)
     chosen_case = {"equal": Case.EQUAL, "unequal": Case.UNEQUAL, "both": None}[case]
-    try:
-        rows = sweep(list(methods) or None, ns, metric, chosen_case)
-    except QbscError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_BAD_INPUT)
+    rows = sweep(list(methods) or None, ns, metric, chosen_case)
     for note in sweep_notes(rows):
         click.echo(note, err=True)
     payload = _rows_payload(
@@ -331,7 +307,7 @@ def cmd_sweep(metric, n_values, methods, case, fmt, out):
 
 
 @main.command("census")
-@click.option("--n", "n_values", type=int, multiple=True,
+@click.option("--n", "n_values", type=click.IntRange(min=1), multiple=True,
               help="Width(s); repeatable. Defaults to the growth grid.")
 @variant_option
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
@@ -340,9 +316,6 @@ def cmd_sweep(metric, n_values, methods, case, fmt, out):
 def cmd_census(n_values, variant, fmt, out):
     """Gate census of the built comparator body at each width."""
     ns = list(n_values) if n_values else list(_CENSUS_GRID)
-    if any(n < 1 for n in ns):
-        click.echo("error: widths must be >= 1", err=True)
-        sys.exit(EXIT_BAD_INPUT)
     growth = gate_growth(ns, BuilderVariant(variant))
     rows = []
     for g in growth:

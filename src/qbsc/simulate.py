@@ -66,6 +66,7 @@ holds at most ``_ROW_BYTES``, and so do the marks.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -334,38 +335,32 @@ class _QuietDraw(float):
         return False
 
 
-def _quiet_run(runner: _Runner, bits: tuple[int, ...], noise: NoiseModel | None, shots: int):
+def _quiet_run(runner: _Runner, bits: tuple[int, ...], noise: NoiseModel | None):
     """Final clbits of the quiet trajectory, each draw's bound and the marks.
 
-    A circuit that cannot superpose records the first ``shots`` bounds (a
-    record is a Python call), then takes max(p, q), never lower; one that can
-    records all, as only 1.0 would bound a Born draw. After each op that
-    drew, while the marks hold at most ``_ROW_BYTES`` of state (a word per
-    qubit and clbit, ``_AMP_WORDS`` per dense amplitude), a mark (draws
-    taken, start) keeps the next op's index and a copy of the state."""
-    k = _draw_bound(runner._static)
+    Every draw is tested once, so the bounds recorded so far count the draws
+    taken. After each op that drew, while the marks hold at most
+    ``_ROW_BYTES`` of state (a word per qubit and clbit, ``_AMP_WORDS`` per
+    dense amplitude), a mark (draws taken, start) keeps the next op's index
+    and a copy of the state."""
     one = _QuietDraw(1.0)
-    one.bounds = []
-    kept = k if runner._superposes else min(k, shots)
-    draws = iter([one] * kept + [1.0] * (k - kept))
+    bounds = one.bounds = []
     marks = [(0, None)]
     room = _ROW_BYTES // 8
     entry = _AMP_WORDS if runner.backend == "dense" else 1
 
     def mark(ops, state, cl):
         nonlocal room
-        taken, words = k - operator.length_hint(draws), entry * len(state) + len(cl)
+        taken, words = len(bounds), entry * len(state) + len(cl)
         if taken > marks[-1][0] and words <= room:
             room -= words
             i = len(runner._prog) - operator.length_hint(ops)  # the next op
             marks.append((taken, (i, state.copy(), tuple(cl))))
 
     drawing = noise is not None or runner._superposes  # as ``_Runner._draw`` with a generator
-    quiet = tuple(runner._execute(bits, draws.__next__ if drawing else None, noise, mark=mark))
-    p, q = (noise.depolarizing_per_gate, noise.readout_flip) if noise else (0, 0)
-    bounds = np.full(k - operator.length_hint(draws), max(p, q), dtype=float)
-    bounds[:len(one.bounds)] = one.bounds
-    return quiet, bounds, marks
+    draw = itertools.repeat(one).__next__ if drawing else None
+    quiet = tuple(runner._execute(bits, draw, noise, mark=mark))
+    return quiet, np.array(bounds, dtype=float), marks
 
 
 def _draw_bound(census: GateCensus) -> int:
@@ -748,7 +743,7 @@ def sample(circuit: Circuit, initial_bits=None, shots: int = 1,
     seed_words = _seed_words(seed)  # checked even where no shot draws
     runner = _runner(circuit, backend, qubit_cap)
     bits = _coerce_bits(initial_bits, circuit.num_qubits)
-    quiet, bounds, marks = _quiet_run(runner, bits, noise, shots)
+    quiet, bounds, marks = _quiet_run(runner, bits, noise)
     d = len(bounds)
     if not d:  # no shot draws: one run
         return Histogram(shots, {_register(quiet): shots})

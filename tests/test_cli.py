@@ -7,7 +7,9 @@ import sys
 import pytest
 from click.testing import CliRunner
 
+from qbsc.circuit import MAX_WIDTH
 from qbsc.cli import main
+from qbsc.errors import OperandError, SimulationError
 from qbsc.qasm import parse
 
 
@@ -299,3 +301,57 @@ class TestCompareRunsOnce:
                                 lambda *args: calls.append(args) or build(*args))
         assert invoke(runner, "compare", "--a", "700", "--b", "420").exit_code == 0
         assert len(calls) == 1
+
+
+def assert_one_error_line(result, code):
+    assert result.exit_code == code
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
+
+
+class TestErrorBoundary:
+    """The command group maps every toolkit error to one exit code: 2 for bad
+    input, the register width cap included, 3 for a backend error."""
+
+    OVER_CAP = (MAX_WIDTH - 2) // 2 + 1  # 524,288 bits: two qubits over the cap
+
+    @pytest.mark.parametrize("command", ["build", "export", "compare"])
+    def test_over_cap_operand_exits_2(self, runner, command):
+        operand = "bin:" + "1" * self.OVER_CAP
+        result = invoke(runner, command, "--a", operand, "--b", operand)
+        line = assert_one_error_line(result, 2)
+        assert f"cap of {MAX_WIDTH}" in line
+
+    def test_over_cap_census_exits_2(self, runner):
+        result = invoke(runner, "census", "--n", str(self.OVER_CAP))
+        line = assert_one_error_line(result, 2)
+        assert line == (f"error: register widths {2 * self.OVER_CAP + 2}, 2"
+                        f" exceed the cap of {MAX_WIDTH}")
+
+    @pytest.mark.parametrize("target, args", [
+        ("compare", ["compare", "--a", "3", "--b", "5"]),
+        ("build_gqbsc", ["build", "--a", "3", "--b", "5"]),
+        ("build_gqbsc", ["export", "--a", "3", "--b", "5"]),
+        ("soundness_check_exhaustive", ["verify", "--max-bits", "2"]),
+        ("sweep", ["sweep", "--metric", "cost", "--n", "4"]),
+        ("gate_growth", ["census", "--n", "4"]),
+    ], ids=["compare", "build", "export", "verify", "sweep", "census"])
+    @pytest.mark.parametrize("error, code", [(SimulationError, 3), (OperandError, 2)],
+                             ids=["backend", "input"])
+    def test_exit_code_policy(self, runner, monkeypatch, target, args, error, code):
+        def fail(*args, **kwargs):
+            raise error("injected")
+
+        monkeypatch.setattr(f"qbsc.cli.{target}", fail)
+        line = assert_one_error_line(invoke(runner, *args), code)
+        assert line == "error: injected"
+
+    def test_mismatch_exits_1_with_its_report(self, runner, monkeypatch):
+        monkeypatch.setattr("qbsc.cli.soundness_check_exhaustive", lambda *args: (4, 1))
+        result = invoke(runner, "verify", "--max-bits", "1")
+        assert result.exit_code == 1
+        assert result.stdout.endswith("total: 4 pairs, 1 mismatches\n")
+        assert "error:" not in result.stderr

@@ -337,12 +337,9 @@ class TestPerDrawBounds:
         want = [p] + [p, p, p] + [p] + [p] + [p, p, p] + [p] + [q] + [q]
         for a, b in [(0, 0), (0, 1), (1, 0), (1, 1)]:
             bits = bits_for(a, b, 1)
-            quiet, bounds, _ = simulate._quiet_run(runner, bits, NoiseModel(p, q), shots=1024)
+            quiet, bounds, _ = simulate._quiet_run(runner, bits, NoiseModel(p, q))
             assert bounds.tolist() == want
             assert quiet == runner._shot(bits, None, None)
-            # past ``shots`` draws a bound is max(p, q)
-            _, bounds, _ = simulate._quiet_run(runner, bits, NoiseModel(p, q), shots=3)
-            assert bounds.tolist() == want[:3] + [q] * 9
 
     @pytest.mark.parametrize("noise, draw", [(NoiseModel(0.01, 0.02), 0),   # a gate draw
                                              (NoiseModel(0.02, 0.01), 10)])  # a readout draw
@@ -409,7 +406,7 @@ class TestResumedShots:
     @pytest.mark.parametrize("noise", [None, BENCH_NOISE, NoiseModel(0.3, 0.2)], ids=repr)
     def test_born_draw_in_the_quiet_run(self, noise, monkeypatch):
         runner = DenseRunner(BORN)
-        quiet, bounds, _ = simulate._quiet_run(runner, (0, 0), noise, shots=64)
+        quiet, bounds, _ = simulate._quiet_run(runner, (0, 0), noise)
         assert quiet == (0,)  # a quiet Born draw of 1.0 reads 0
         if noise is None:
             assert bounds.tolist() == pytest.approx([0.5])
@@ -438,7 +435,7 @@ class TestResumedShots:
             body = lower_circuit(body)
         runner = simulate._runner(body, backend)
         bits = bits_for(5, 6, 3)
-        quiet, bounds, marks = simulate._quiet_run(runner, bits, BENCH_NOISE, shots=1024)
+        quiet, bounds, marks = simulate._quiet_run(runner, bits, BENCH_NOISE)
         k = simulate._draw_bound(runner._static)
         offsets = [offset for offset, _ in marks]
         assert offsets[0] == 0 and marks[0][1] is None
@@ -481,14 +478,13 @@ class TestResumedShots:
         runner = ClassicalRunner(circuit)
         width = circuit.num_qubits + circuit.num_clbits
         bits = (0,) * circuit.num_qubits
-        for shots in (1, 8, 1024):
-            _, bounds, marks = simulate._quiet_run(runner, bits, BENCH_NOISE, shots)
-            assert (len(marks) - 1) * 8 * width <= simulate._ROW_BYTES
-            assert [offset for offset, _ in marks] == sorted({offset for offset, _ in marks})
-            for _, start in marks[1:]:
-                assert len(start[1]) == circuit.num_qubits and len(start[2]) == circuit.num_clbits
-            # marks are taken until the budget runs out
-            assert len(marks) == 1 + simulate._ROW_BYTES // (8 * width) > 2
+        _, bounds, marks = simulate._quiet_run(runner, bits, BENCH_NOISE)
+        assert (len(marks) - 1) * 8 * width <= simulate._ROW_BYTES
+        assert [offset for offset, _ in marks] == sorted({offset for offset, _ in marks})
+        for _, start in marks[1:]:
+            assert len(start[1]) == circuit.num_qubits and len(start[2]) == circuit.num_clbits
+        # marks are taken until the budget runs out
+        assert len(marks) == 1 + simulate._ROW_BYTES // (8 * width) > 2
 
     def test_dense_marks_charged_by_amplitude(self):
         # CV on a set control doubles the amplitudes: 2^9 after nine of them
@@ -501,7 +497,7 @@ class TestResumedShots:
         runner = DenseRunner(circuit)
         tracemalloc.start()
         try:
-            quiet, bounds, marks = simulate._quiet_run(runner, (0,) * 14, BENCH_NOISE, 1024)
+            quiet, bounds, marks = simulate._quiet_run(runner, (0,) * 14, BENCH_NOISE)
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
