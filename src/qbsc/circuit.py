@@ -74,8 +74,10 @@ class GateKind(Enum):
 
 
 _ARITY = {GateKind.X: 1, GateKind.CX: 2, GateKind.CCX: 3, GateKind.CV: 2, GateKind.CVDG: 2}
-#: Gate kinds by their serialized names (JSON "g", QASM statement head).
+#: Gate kinds by their serialized names (JSON "g", QASM statement head), and
+#: the names by kind (a dict read; the Enum's ``.value`` is a Python call).
 GATE_NAMES: dict[str, GateKind] = {kind.value: kind for kind in GateKind}
+KIND_NAMES: dict[GateKind, str] = {kind: name for name, kind in GATE_NAMES.items()}
 
 #: Default per-kind delay table for structural_depth.
 DEFAULT_DELAYS: dict[GateKind, int] = {kind: kind.unit_delay for kind in GateKind}
@@ -408,25 +410,39 @@ def structural_depth(circuit: Circuit,
     qubit_free = [0] * circuit.num_qubits
     clbit_written = [0] * circuit.num_clbits
     depth = 0
+    # id -> (qubits, condition clbits, delay, clbit written or None), made
+    # once per distinct object; () for a barrier
+    steps: dict = {}
     for instr in circuit.instructions:
-        if isinstance(instr, BarrierOp):
-            continue
-        if isinstance(instr, MeasureOp):
-            start = qubit_free[instr.qubit]
-            end = start + measure_delay
-            qubit_free[instr.qubit] = end
-            clbit_written[instr.clbit] = end
-        else:
-            if instr.gate not in delay_table:
+        step = steps.get(id(instr))
+        if step is None:
+            if isinstance(instr, BarrierOp):
+                step = ()
+            elif isinstance(instr, MeasureOp):
+                step = ((instr.qubit,), (), measure_delay, instr.clbit)
+            elif instr.gate not in delay_table:
                 raise MissingDelayEntry(f"no delay entry for {instr.gate.value}")
-            start = max(qubit_free[q] for q in instr.targets)
-            if instr.condition is not None:
-                for b in instr.condition.mask:
-                    start = max(start, clbit_written[b])
-            end = start + delay_table[instr.gate]
-            for q in instr.targets:
-                qubit_free[q] = end
-        depth = max(depth, end)
+            else:
+                mask = () if instr.condition is None else instr.condition.mask
+                step = (instr.targets, mask, delay_table[instr.gate], None)
+            steps[id(instr)] = step
+        if not step:
+            continue
+        qubits, mask, delay, clbit = step
+        start = qubit_free[qubits[0]]
+        for q in qubits:
+            if qubit_free[q] > start:
+                start = qubit_free[q]
+        for b in mask:
+            if clbit_written[b] > start:
+                start = clbit_written[b]
+        end = start + delay
+        for q in qubits:
+            qubit_free[q] = end
+        if clbit is not None:
+            clbit_written[clbit] = end
+        if end > depth:
+            depth = end
     return depth
 
 
@@ -444,7 +460,7 @@ def circuit_to_json(circuit: Circuit) -> dict:
     instr: list[dict] = []
     for op in circuit.instructions:
         if isinstance(op, GateOp):
-            entry: dict = {"g": op.gate.value, "t": list(op.targets)}
+            entry: dict = {"g": KIND_NAMES[op.gate], "t": list(op.targets)}
             if op.condition is not None:
                 entry["if"] = {"mask": list(op.condition.mask), "eq": op.condition.value}
             instr.append(entry)
@@ -471,40 +487,73 @@ def _labels_from_json(labels: dict, num_qubits: int) -> dict[int, str]:
     return out
 
 
+# A gate entry's table key reads an absent "if" as this condition; the key's
+# flag for "if" keeps the two apart.
+_UNCONDITIONED = {"mask": [], "eq": 0}
+
+
 def circuit_from_json(doc: dict) -> Circuit:
     """Inverse of :func:`circuit_to_json`; a malformed document raises
     :class:`CircuitError`.
 
-    Gates sharing one condition share one :class:`ClassicalCondition`.
+    Equal entries of exact ints (not bools, floats or numpy integers) load as
+    one shared instruction, made and checked once. Gates sharing one
+    condition share one :class:`ClassicalCondition`.
     """
     try:
         circuit = Circuit(doc["qubits"], doc["clbits"])
         if "labels" in doc:
             circuit.labels = _labels_from_json(doc["labels"], circuit.num_qubits)
-        # Keyed with the value types too: 1.0 and True hash like 1, and a
-        # cached condition must not let a rejected form through.
+        nq, nc, instructions = circuit.num_qubits, circuit.num_clbits, circuit.instructions
+        made: dict = {}  # key of exact ints -> the instruction made for it
+        # Keyed with the value types too unless they are exact ints: 1.0 and
+        # True hash like 1, and must not find a condition made from an int.
         conditions: dict[tuple, ClassicalCondition] = {}
-        append = circuit.append
         for entry in doc["instr"]:
-            if "g" in entry:
-                kind = GATE_NAMES.get(entry["g"])
-                if kind is None:
-                    raise CircuitError(f"unknown gate {entry['g']!r}")
-                condition = None
-                if "if" in entry:
-                    mask, eq = tuple(entry["if"]["mask"]), entry["if"]["eq"]
-                    key = (mask, eq, tuple(map(type, mask)), type(eq))
-                    condition = conditions.get(key)
-                    if condition is None:
-                        condition = conditions[key] = ClassicalCondition(mask, eq)
-                append(GateOp(kind, tuple(entry["t"]), condition))
-            elif "m" in entry:
-                qubit, clbit = entry["m"]
-                append(MeasureOp(qubit, clbit))
-            elif "b" in entry:
-                append(BarrierOp(entry["b"]))
-            else:
-                raise CircuitError(f"unrecognized instruction entry: {entry!r}")
+            key = None  # else: name, has "if", target count, targets, mask, eq
+            if type(entry) is dict:
+                if "g" in entry:
+                    values, cond = entry.get("t"), entry.get("if", _UNCONDITIONED)
+                    if (type(values) is list and type(entry["g"]) is str
+                            and type(cond) is dict and type(cond.get("mask")) is list):
+                        key = (entry["g"], "if" in entry, len(values), *values,
+                               *cond["mask"], cond.get("eq"))
+                        values = key[3:]
+                elif "m" in entry:
+                    values = entry["m"]
+                    key = tuple(values) if type(values) is list else None
+                elif "b" in entry and (entry["b"] is None or type(entry["b"]) is str):
+                    key, values = ("b", entry["b"]), ()
+                if key is not None:
+                    for v in values:
+                        if type(v) is not int:
+                            key = None
+                            break
+            instr = made.get(key)
+            if instr is None:
+                if "g" in entry:
+                    kind = GATE_NAMES.get(entry["g"])
+                    if kind is None:
+                        raise CircuitError(f"unknown gate {entry['g']!r}")
+                    condition = None
+                    if "if" in entry:
+                        mask, eq = tuple(entry["if"]["mask"]), entry["if"]["eq"]
+                        ckey = (mask, eq) if key else (mask, eq, tuple(map(type, mask)), type(eq))
+                        condition = conditions.get(ckey)
+                        if condition is None:
+                            condition = conditions[ckey] = ClassicalCondition(mask, eq)
+                    instr = GateOp(kind, tuple(entry["t"]), condition)
+                elif "m" in entry:
+                    qubit, clbit = entry["m"]
+                    instr = MeasureOp(qubit, clbit)
+                elif "b" in entry:
+                    instr = BarrierOp(entry["b"])
+                else:
+                    raise CircuitError(f"unrecognized instruction entry: {entry!r}")
+                _check_instruction(instr, nq, nc)
+                if key is not None:
+                    made[key] = instr
+            instructions.append(instr)
     except QbscError:
         raise
     except (KeyError, TypeError, ValueError, AttributeError) as exc:

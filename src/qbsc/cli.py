@@ -56,13 +56,18 @@ EXIT_BAD_INPUT = 2
 EXIT_BACKEND = 3
 
 
-def _parse_operand(text: str):
-    if text.startswith("bin:"):
-        return text[len("bin:"):]
-    try:
-        return int(text, 10)
-    except ValueError:
-        raise click.BadParameter(f"operand must be decimal or bin:<bits>, got {text!r}")
+class _Operand(click.ParamType):
+    """A decimal operand, or ``bin:<bits>``; click names the flag of a bad one."""
+
+    name = "operand"
+
+    def convert(self, value, param, ctx):
+        if value.startswith("bin:"):
+            return value[len("bin:"):]
+        try:
+            return int(value, 10)
+        except ValueError:
+            self.fail(f"operand must be decimal or bin:<bits>, got {value!r}", param, ctx)
 
 
 def _emit(payload: str, out: str | None):
@@ -123,17 +128,16 @@ def main():
 
 
 @main.command("compare")
-@click.option("--a", "a_text", required=True, help="Decimal or bin:<bits>.")
-@click.option("--b", "b_text", required=True, help="Decimal or bin:<bits>.")
+@click.option("--a", type=_Operand(), required=True, help="Decimal or bin:<bits>.")
+@click.option("--b", type=_Operand(), required=True, help="Decimal or bin:<bits>.")
 @variant_option
 @backend_option
 @click.option("--seed", type=click.IntRange(min=0), default=DEFAULT_SEED, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text",
               show_default=True)
 @out_option
-def cmd_compare(a_text, b_text, variant, backend, seed, fmt, out):
+def cmd_compare(a, b, variant, backend, seed, fmt, out):
     """Compare two operands and report the class, flags, and resources."""
-    a, b = _parse_operand(a_text), _parse_operand(b_text)
     outcome = compare(a, b, backend=backend, variant=BuilderVariant(variant), seed=seed)
     # resource numbers refer to the value-independent body compare() ran
     # once, with the operands as the initial state (no prep gates)
@@ -170,15 +174,15 @@ def cmd_compare(a_text, b_text, variant, backend, seed, fmt, out):
 
 
 @main.command("build")
-@click.option("--a", "a_text", required=True)
-@click.option("--b", "b_text", required=True)
+@click.option("--a", type=_Operand(), required=True)
+@click.option("--b", type=_Operand(), required=True)
 @variant_option
 @click.option("--format", "--emit", "fmt", type=click.Choice(["text", "json"]),
               default="text", show_default=True)
 @out_option
-def cmd_build(a_text, b_text, variant, fmt, out):
+def cmd_build(a, b, variant, fmt, out):
     """Build the comparator circuit and print a summary or its JSON form."""
-    ops = encode_operands(_parse_operand(a_text), _parse_operand(b_text))
+    ops = encode_operands(a, b)
     circuit = build_gqbsc(ops, BuilderVariant(variant))
     if fmt == "json":
         payload = json.dumps(circuit_to_json(circuit), indent=2, sort_keys=True) + "\n"
@@ -200,13 +204,13 @@ def cmd_build(a_text, b_text, variant, fmt, out):
 
 
 @main.command("export")
-@click.option("--a", "a_text", required=True)
-@click.option("--b", "b_text", required=True)
+@click.option("--a", type=_Operand(), required=True)
+@click.option("--b", type=_Operand(), required=True)
 @variant_option
 @out_option
-def cmd_export(a_text, b_text, variant, out):
+def cmd_export(a, b, variant, out):
     """Serialize the comparator circuit to the textual subset."""
-    ops = encode_operands(_parse_operand(a_text), _parse_operand(b_text))
+    ops = encode_operands(a, b)
     _emit(qasm.export(build_gqbsc(ops, BuilderVariant(variant))), out)
 
 

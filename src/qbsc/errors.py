@@ -70,6 +70,10 @@ class UnknownMethod(QbscError, ValueError):
     """Resource model requested for an unknown comparator method."""
 
 
+class ResourceArgumentError(QbscError, ValueError):
+    """A resource-model width below 1, an unknown metric or no widths."""
+
+
 class QasmError(QbscError):
     """Serialization/deserialization failure."""
 

@@ -27,6 +27,7 @@ import re
 
 from .circuit import (
     GATE_NAMES,
+    KIND_NAMES,
     MAX_WIDTH,
     BarrierOp,
     Circuit,
@@ -63,37 +64,38 @@ def export(circuit: Circuit) -> str:
         lines.append(f"bit[{circuit.num_clbits}] cr;")
 
     full_mask = tuple(range(circuit.num_clbits))
-    open_value: int | None = None
-
-    def close_block():
-        nonlocal open_value
-        if open_value is not None:
-            lines.append("}")
-            open_value = None
-
+    open_value: int | None = None  # the condition value of the open if block
+    # id -> (statement, its condition value: None for an unconditioned gate
+    # or a barrier, ... for a measurement, which leaves the block as it is),
+    # made once per distinct object
+    texts: dict = {}
     for instr in circuit.instructions:
-        if isinstance(instr, BarrierOp):
-            close_block()
-            lines.append("// barrier" if instr.label is None else f"// barrier {instr.label}")
-        elif isinstance(instr, MeasureOp):
-            stmt = f"cr[{instr.clbit}] = measure q[{instr.qubit}];"
-            lines.append(_INDENT + stmt if open_value is not None else stmt)
-        else:
-            stmt = f"{instr.gate.value} " + ", ".join(f"q[{t}]" for t in instr.targets) + ";"
-            if instr.condition is None:
-                close_block()
-                lines.append(stmt)
+        text = texts.get(id(instr))
+        if text is None:
+            if isinstance(instr, BarrierOp):
+                text = ("// barrier" if instr.label is None else f"// barrier {instr.label}", None)
+            elif isinstance(instr, MeasureOp):
+                text = (f"cr[{instr.clbit}] = measure q[{instr.qubit}];", ...)
             else:
-                if circuit.num_clbits == 0 or instr.condition.mask != full_mask:
+                condition = instr.condition
+                if condition is not None and (circuit.num_clbits == 0
+                                              or condition.mask != full_mask):
                     raise UnsupportedInstruction(
-                        f"only whole-register conditions serialize: {instr.condition}"
+                        f"only whole-register conditions serialize: {condition}"
                     )
-                if open_value != instr.condition.value:
-                    close_block()
-                    lines.append(f"if (cr == {instr.condition.value}) {{")
-                    open_value = instr.condition.value
-                lines.append(_INDENT + stmt)
-    close_block()
+                text = (f"{KIND_NAMES[instr.gate]} " + ", ".join(f"q[{t}]" for t in instr.targets)
+                        + ";", None if condition is None else condition.value)
+            texts[id(instr)] = text
+        stmt, value = text
+        if value is not ... and value != open_value:
+            if open_value is not None:
+                lines.append("}")
+            if value is not None:
+                lines.append(f"if (cr == {value}) {{")
+            open_value = value
+        lines.append(stmt if open_value is None else _INDENT + stmt)
+    if open_value is not None:
+        lines.append("}")
     return "\n".join(lines) + "\n"
 
 

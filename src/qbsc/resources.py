@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 
 from .circuit import Circuit, GateCensus, static_census, structural_depth
 from .comparator import BuilderVariant, Operands, build_gqbsc
-from .errors import UnknownMethod
+from .errors import ResourceArgumentError, UnknownMethod
 from .simulate import ClassicalRunner, RunResult
 
 
@@ -107,7 +107,7 @@ def formula_report(method, n: int, case: Case | None = None) -> ResourceEstimate
     """
     method = Method.from_name(method)
     if n < 1:
-        raise ValueError(f"width must be >= 1, got {n}")
+        raise ResourceArgumentError(f"width must be >= 1, got {n}")
     if method is Method.WANG:
         return ResourceEstimate(method, n, None, 2 * n, n * n, n * n)
     if method is Method.AL_RABADI:
@@ -174,9 +174,9 @@ def sweep(methods: Iterable | None, n_values: Sequence[int], metric: str,
     methods carry "-" in the case column.
     """
     if metric not in ("ancilla", "cost", "delay"):
-        raise ValueError(f"unknown metric {metric!r}")
+        raise ResourceArgumentError(f"unknown metric {metric!r}")
     if not n_values:
-        raise ValueError("no widths given")
+        raise ResourceArgumentError("no widths given")
     chosen = [Method.from_name(m) for m in methods] if methods else list(METHOD_ORDER)
     chosen.sort(key=METHOD_ORDER.index)
     rows: list[SweepRow] = []

@@ -491,3 +491,118 @@ class TestConstructorChecks:
         assert build_gqbsc(encode_operands(5, 3)) == built
         assert lower_circuit(built).num_qubits == built.num_qubits
         assert qasm.parse(text) == built
+
+
+class TestSharedEntries:
+    """circuit_from_json makes one object per distinct exact-int entry; an
+    equal entry of another type must fail (or load) as it would alone."""
+
+    def _doc(self, *instr):
+        return {"qubits": 2, "clbits": 2, "instr": list(instr)}
+
+    LABEL_ERROR = ("barrier label must be None or a non-empty one-line string"
+                   " without edge whitespace, got ")
+
+    @pytest.mark.parametrize("first, second, error, message", [
+        ({"g": "x", "t": [1]}, {"g": "x", "t": [1.0]}, CircuitError,
+         "qubit must be an integer, got 1.0"),
+        ({"g": "x", "t": [1]}, {"g": "x", "t": [True]}, CircuitError,
+         "qubit must be an integer, got True"),
+        ({"g": "cx", "t": [0, 1]}, {"g": "cx", "t": [False, 1]}, CircuitError,
+         "qubit must be an integer, got False"),
+        ({"m": [0, 0]}, {"m": [0.0, 0]}, CircuitError, "qubit must be an integer, got 0.0"),
+        ({"m": [0, 0]}, {"m": [0, False]}, CircuitError, "clbit must be an integer, got False"),
+        ({"b": "1bc"}, {"b": 5}, CircuitError, LABEL_ERROR + "5"),
+        ({"b": "1bc"}, {"b": ["1bc"]}, CircuitError, LABEL_ERROR + "['1bc']"),
+        ({"b": None}, {"b": 0}, CircuitError, LABEL_ERROR + "0"),
+        ({"g": "x", "t": [1], "if": {"mask": [0], "eq": 1}},
+         {"g": "x", "t": [1], "if": {"mask": [0], "eq": True}}, CircuitError,
+         "condition clbit or value must be an integer, got True"),
+        # entries of one kind never find another kind's or shape's instruction
+        ({"b": "x"}, {"g": "x", "t": []}, ArityMismatch, "x takes 1 qubits, got 0"),
+        ({"g": "x", "t": [1], "if": {"mask": [0, 1], "eq": 0}}, {"g": "x", "t": [1, 0, 1, 0]},
+         ArityMismatch, "x takes 1 qubits, got 4"),
+        ({"g": "x", "t": [1], "if": {"mask": [0, 1], "eq": 0}},
+         {"g": "x", "t": [1, 0], "if": {"mask": [1], "eq": 0}},
+         ArityMismatch, "x takes 1 qubits, got 2"),
+        ({"m": [0, 0]}, {"m": [0, 0, 0]}, CircuitError,
+         "malformed circuit JSON (ValueError: too many values to unpack (expected 2))"),
+        ({"g": "x", "t": [1]}, {"g": "x", "t": [[1]]}, CircuitError,
+         "qubit must be an integer, got [1]"),
+    ])
+    def test_equal_entry_of_another_type_fails_as_alone(self, first, second, error, message):
+        for doc in (self._doc(second), self._doc(first, second)):
+            with pytest.raises(CircuitError) as raised:
+                circuit_from_json(doc)
+            assert type(raised.value) is error
+            assert str(raised.value) == message
+
+    def test_numpy_entry_loads_unshared(self):
+        np = pytest.importorskip("numpy")
+        loaded = circuit_from_json(self._doc({"g": "x", "t": [1]}, {"g": "x", "t": [np.int64(1)]},
+                                             {"g": "x", "t": [1]}))
+        first, second, third = loaded.instructions
+        assert first is third and second is not first and second == first
+        assert type(second.targets[0]) is np.int64
+
+    def test_equal_entries_share_one_object(self):
+        cond = {"mask": [0, 1], "eq": 2}
+        loaded = circuit_from_json(self._doc(
+            {"g": "x", "t": [1], "if": cond}, {"m": [0, 1]}, {"b": "1bc"}, {"b": None},
+            {"g": "x", "t": [1], "if": dict(cond)}, {"m": [0, 1]}, {"b": "1bc"}, {"b": None},
+            {"g": "x", "t": [1]}))
+        ops = loaded.instructions
+        assert [ops[i] is ops[i + 4] for i in range(4)] == [True] * 4
+        assert ops[8] is not ops[0] and ops[8].condition is None
+
+    @pytest.mark.parametrize("variant", ["figure", "algorithmic"])
+    def test_loaded_body_has_the_builders_objects(self, variant):
+        import json
+
+        from qbsc import simulate
+        from qbsc.comparator import BuilderVariant, Operands, build_gqbsc
+
+        body = build_gqbsc(Operands((0,) * 8, (0,) * 8), BuilderVariant(variant))
+        loaded = circuit_from_json(json.loads(json.dumps(circuit_to_json(body))))
+        assert loaded == body
+        assert len({id(op) for op in loaded.instructions}) == len(
+            {id(op) for op in body.instructions})
+        assert simulate._compile(loaded) == simulate._compile(body)
+
+
+def _shared(circuit: Circuit) -> Circuit:
+    """The same circuit with every run of equal instructions made one object."""
+    canon: dict = {}
+    return Circuit(circuit.num_qubits, circuit.num_clbits,
+                   [canon.setdefault(instr, instr) for instr in circuit.instructions])
+
+
+class TestDepthOnSharedObjects:
+    def test_one_object_at_several_positions(self):
+        from dataclasses import replace
+
+        gate, meter = GateOp(GateKind.CX, (0, 1), ClassicalCondition((0,), 1)), MeasureOp(1, 0)
+        shared = Circuit(3, 1, [gate, meter, GateOp(GateKind.X, (2,)), gate, meter, gate])
+        copies = Circuit(3, 1, [replace(op) for op in shared.instructions])
+        assert copies == shared
+        assert len({id(op) for op in copies.instructions}) == len(copies.instructions)
+        for delays, measure_delay in ((None, 0), (None, 2), ({GateKind.CX: 3, GateKind.X: 1}, 1)):
+            assert (structural_depth(shared, delays, measure_delay=measure_delay)
+                    == structural_depth(copies, delays, measure_delay=measure_delay))
+        # CX ends at 1, the meter at 3, the next CX waits for it: 4, then 6, 7
+        assert structural_depth(shared, measure_delay=2) == 7
+        assert brute_force_depth(copies, DEFAULT_DELAYS, measure_delay=2) == 7
+
+    @settings(max_examples=60, deadline=None)
+    @given(circuit_strategy())
+    def test_shared_depth_matches_brute_force(self, circuit):
+        shared = _shared(circuit)
+        assert structural_depth(shared) == structural_depth(circuit)
+        assert structural_depth(shared, measure_delay=2) == brute_force_depth(
+            circuit, DEFAULT_DELAYS, measure_delay=2)
+
+    def test_missing_delay_entry_on_a_shared_gate(self):
+        gate = GateOp(GateKind.CX, (0, 1))
+        circuit = Circuit(2, 0, [GateOp(GateKind.X, (0,)), gate, gate])
+        with pytest.raises(MissingDelayEntry, match="no delay entry for cx"):
+            structural_depth(circuit, {GateKind.X: 1})

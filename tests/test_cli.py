@@ -58,6 +58,15 @@ class TestCompare:
         result = runner.invoke(main, ["compare", "--a", "0b1", "--b", "1"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("command", ["compare", "build", "export"])
+    @pytest.mark.parametrize("flag", ["--a", "--b"])
+    def test_invalid_operand_names_its_flag(self, runner, command, flag):
+        args = {"--a": "1", "--b": "1", flag: "0b1"}
+        result = runner.invoke(main, [command, "--a", args["--a"], "--b", args["--b"]])
+        assert result.exit_code == 2 and result.stdout == ""
+        assert f"Invalid value for '{flag}'" in result.stderr
+        assert "operand must be decimal or bin:<bits>, got '0b1'" in result.stderr
+
     def test_negative_seed_exits_2(self, runner):
         # numpy's generators reject it; verify's random.Random does not
         proc = subprocess.run(

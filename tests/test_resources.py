@@ -3,7 +3,7 @@
 import pytest
 
 from qbsc.comparator import BuilderVariant, Operands, build_gqbsc, encode_operands
-from qbsc.errors import UnknownMethod
+from qbsc.errors import QbscError, ResourceArgumentError, UnknownMethod
 from qbsc.resources import (
     Case,
     Method,
@@ -185,6 +185,18 @@ class TestSweep:
     def test_unknown_metric_rejected(self):
         with pytest.raises(ValueError):
             sweep(None, [1], "speed")
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: formula_report(Method.WANG, 0), "width must be >= 1, got 0"),
+        (lambda: sweep(None, [0], "cost"), "width must be >= 1, got 0"),
+        (lambda: sweep(None, [1], "speed"), "unknown metric 'speed'"),
+        (lambda: sweep(None, [], "cost"), "no widths given"),
+    ])
+    def test_bad_arguments_raise_a_toolkit_error(self, call, message):
+        # still a ValueError, so callers catching that keep working
+        with pytest.raises(ResourceArgumentError, match=message) as raised:
+            call()
+        assert isinstance(raised.value, QbscError) and isinstance(raised.value, ValueError)
 
     def test_known_deviations_flagged(self):
         notes = sweep_notes(sweep(None, [1, 2], "delay"))
