@@ -18,10 +18,11 @@ Conventions fixed here and asserted by the test suite:
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from typing import Mapping, Sequence, Union
+
+import numpy as np
 
 from .errors import (
     ArityMismatch,
@@ -216,15 +217,16 @@ def _check_cap(num_qubits: int, num_clbits: int) -> None:
                            f" exceed the cap of {MAX_WIDTH}")
 
 
+def _is_int(x) -> bool:
+    """An integer, Python's or numpy's, but not a bool (nor numpy's)."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _check_int(value, what: str, size: int | None = None) -> None:
     """Slow path of the width and index checks: ``value`` must be an integer
-    (numpy's too, but not a bool) and, given ``size``, lie in [0, size)."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        operator.index(value)
-    except TypeError:
-        raise CircuitError(f"{what} must be an integer, got {value!r}") from None
+    (see :func:`_is_int`) and, given ``size``, lie in [0, size)."""
+    if not _is_int(value):
+        raise CircuitError(f"{what} must be an integer, got {value!r}")
     if size is not None and not 0 <= value < size:
         raise IndexOutOfRange(f"{what} {value} outside [0, {size})")
 

@@ -145,7 +145,7 @@ def cmd_compare(a, b, variant, backend, seed, fmt, out):
     resources = {
         "qubits": measured.qubits,
         "width": measured.width_total,
-        "ancilla": 2,
+        "ancilla": measured.ancilla,
         "static_cost": measured.static_cost,
         "executed_cost": measured.executed_cost,
         "structural_delay": measured.structural_delay,

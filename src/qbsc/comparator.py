@@ -41,6 +41,7 @@ from .circuit import (
     Instruction,
     MeasureOp,
     _check_cap,
+    _is_int,
 )
 from .errors import DuplicateTarget, EmptyOperand, InvalidBitstring
 from .simulate import MAX_LANES, RunResult, _runner
@@ -98,7 +99,7 @@ def _digits_of(value) -> str:
         if any(ch not in "01" for ch in value):
             raise InvalidBitstring(f"operand contains non-binary characters: {value!r}")
         return value
-    if isinstance(value, int) and not isinstance(value, bool):
+    if _is_int(value):
         if value < 0:
             raise InvalidBitstring(f"operands must be non-negative: {value}")
         return format(value, "b")
@@ -210,22 +211,8 @@ def interpret(r0: int, r1: int) -> ComparisonClass:
 
 
 def reference_flags(ops: Operands, variant: BuilderVariant = BuilderVariant.FIGURE) -> tuple[int, int]:
-    """Classical oracle for the final (r0, r1) flags, variant-faithful.
-
-    Mirrors the circuit exactly: a block fires only while both flags are
-    clear; a correction site flips r0 when the flags read (0, 1).
-    """
-    n = ops.n
-    sites = _correction_sites(n, variant)
-    r0 = r1 = 0
-    for i in range(n):
-        if r0 == 0 and r1 == 0:
-            a_i, b_i = ops.a_bits[i], ops.b_bits[i]
-            r0 = a_i & (1 - b_i)
-            r1 = (1 - a_i) & b_i
-        if i in sites and r0 == 0 and r1 == 1:
-            r0 = 1
-    return r0, r1
+    """Classical oracle for the final (r0, r1) flags: one lane of :func:`_reference_flag_lanes`."""
+    return _reference_flag_lanes(ops.a_bits, ops.b_bits, 1, variant)
 
 
 def compare(a, b, backend: str = "auto",
@@ -253,10 +240,14 @@ def _lane_mask(flags: np.ndarray) -> int:
 
 def _reference_flag_lanes(a_lanes: list[int], b_lanes: list[int], full: int,
                           variant: BuilderVariant) -> tuple[int, int]:
-    """:func:`reference_flags` over lane ints (bit l of each is lane l)."""
+    """The (r0, r1) flags of every lane (bit l of each int is lane l).
+
+    Mirrors the circuit exactly: a block fires only while both flags are
+    clear; a correction site flips r0 when the flags read (0, 1).
+    """
     sites = _correction_sites(len(a_lanes), variant)
     r0 = r1 = 0
-    for i, (a_i, b_i) in enumerate(zip(a_lanes, b_lanes)):
+    for i, (a_i, b_i) in enumerate(zip(a_lanes, b_lanes, strict=True)):
         still_open = full & ~(r0 | r1)
         r0 |= still_open & a_i & ~b_i
         r1 |= still_open & ~a_i & b_i

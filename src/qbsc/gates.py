@@ -1,17 +1,14 @@
 """Gate identities: exact matrices, unitaries, and the Toffoli lowering pass.
 
-The controlled square-root-of-NOT pair is stored with exact complex-rational
-entries so algebraic identities (V·V† = I, V² = X) hold with zero error; the
-simulator boundary converts to complex floats.
+The controlled square-root-of-NOT pair is stored as complex float matrices
+whose entries are all halves, which binary floats hold exactly, so algebraic
+identities (V·V† = I, V² = X) hold with zero error.
 
 Tensor-index convention (applied everywhere): qubit 0 is the most significant
 position of a basis label, so a controlled gate's matrix is block-diagonal
 [I, U] with the control as the first listed target.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -21,71 +18,11 @@ from .errors import NotACCX
 # GateKind members read per instruction, bound once: a member read is a call.
 _CX, _CCX, _CV, _CVDG = GateKind.CX, GateKind.CCX, GateKind.CV, GateKind.CVDG
 
-
-@dataclass(frozen=True)
-class ExactComplex:
-    """Complex number with rational real/imaginary parts."""
-
-    re: Fraction
-    im: Fraction
-
-    def __add__(self, other: "ExactComplex") -> "ExactComplex":
-        return ExactComplex(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "ExactComplex") -> "ExactComplex":
-        return ExactComplex(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other: "ExactComplex") -> "ExactComplex":
-        return ExactComplex(self.re * other.re - self.im * other.im,
-                            self.re * other.im + self.im * other.re)
-
-    def conjugate(self) -> "ExactComplex":
-        return ExactComplex(self.re, -self.im)
-
-    def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
-
-
-def _ec(re, im=0) -> ExactComplex:
-    return ExactComplex(Fraction(re), Fraction(im))
-
-
-ExactMatrix = tuple[tuple[ExactComplex, ...], ...]
-
-
-def exact_matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    n, k, m = len(a), len(b), len(b[0])
-    assert len(a[0]) == k
-    return tuple(
-        tuple(sum((a[i][t] * b[t][j] for t in range(k)), _ec(0)) for j in range(m))
-        for i in range(n)
-    )
-
-
-def exact_adjoint(a: ExactMatrix) -> ExactMatrix:
-    return tuple(tuple(a[j][i].conjugate() for j in range(len(a))) for i in range(len(a[0])))
-
-
-_H = Fraction(1, 2)
-
 #: V, the square root of NOT: a quarter turn where X is the half turn.
-V_EXACT: ExactMatrix = (
-    (ExactComplex(_H, _H), ExactComplex(_H, -_H)),
-    (ExactComplex(_H, -_H), ExactComplex(_H, _H)),
-)
+V = np.array([[0.5 + 0.5j, 0.5 - 0.5j], [0.5 - 0.5j, 0.5 + 0.5j]])
 #: V†, its inverse.
-VDG_EXACT: ExactMatrix = exact_adjoint(V_EXACT)
-X_EXACT: ExactMatrix = ((_ec(0), _ec(1)), (_ec(1), _ec(0)))
-I_EXACT: ExactMatrix = ((_ec(1), _ec(0)), (_ec(0), _ec(1)))
-
-
-def _to_numpy(m: ExactMatrix) -> np.ndarray:
-    return np.array([[e.to_complex() for e in row] for row in m], dtype=complex)
-
-
-V = _to_numpy(V_EXACT)
-VDG = _to_numpy(VDG_EXACT)
-_X = _to_numpy(X_EXACT)
+VDG = V.conj().T.copy()
+_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
 def _controlled(u: np.ndarray) -> np.ndarray:

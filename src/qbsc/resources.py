@@ -29,8 +29,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .circuit import Circuit, GateCensus, static_census, structural_depth
-from .comparator import BuilderVariant, Operands, build_gqbsc
+from .circuit import Circuit, GateCensus, _is_int, static_census, structural_depth
+from .comparator import BuilderVariant, Operands, _body
 from .errors import ResourceArgumentError, UnknownMethod
 from .simulate import ClassicalRunner, RunResult
 
@@ -99,6 +99,12 @@ def _correction_term(n: int) -> int:
     return math.ceil((n - 1) / 2)
 
 
+def _check_integer_widths(n_values) -> None:
+    for n in n_values:
+        if not _is_int(n):
+            raise ResourceArgumentError(f"width must be an integer, got {n!r}")
+
+
 def formula_report(method, n: int, case: Case | None = None) -> ResourceEstimate:
     """Evaluate one method's closed forms at width n.
 
@@ -106,6 +112,7 @@ def formula_report(method, n: int, case: Case | None = None) -> ResourceEstimate
     unequal, worst-case path); the other methods ignore it.
     """
     method = Method.from_name(method)
+    _check_integer_widths([n])
     if n < 1:
         raise ResourceArgumentError(f"width must be >= 1, got {n}")
     if method is Method.WANG:
@@ -177,6 +184,7 @@ def sweep(methods: Iterable | None, n_values: Sequence[int], metric: str,
         raise ResourceArgumentError(f"unknown metric {metric!r}")
     if not n_values:
         raise ResourceArgumentError("no widths given")
+    _check_integer_widths(n_values)
     chosen = [Method.from_name(m) for m in methods] if methods else list(METHOD_ORDER)
     chosen.sort(key=METHOD_ORDER.index)
     rows: list[SweepRow] = []
@@ -232,11 +240,12 @@ def gate_growth(n_values: Sequence[int],
     """Build the value-independent comparator body at each width and count.
 
     Zero operands carry no input-prep X gates, so the census reflects the
-    body only (the prep count would depend on the operand values).
+    body only; an over-cap width raises before its body is allocated.
     """
+    _check_integer_widths(n_values)
     rows = []
     for n in sorted(set(n_values)):
-        census = static_census(build_gqbsc(Operands((0,) * n, (0,) * n), variant))
+        census = static_census(_body(n, variant))
         rows.append(GrowthRow(
             n=n,
             x_gates=census.x,

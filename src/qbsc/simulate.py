@@ -78,6 +78,7 @@ from .circuit import (
     GateCensus,
     GateKind,
     MeasureOp,
+    _is_int,
     census_walk,
     static_census,
 )
@@ -175,11 +176,6 @@ class Histogram:
         """Most frequent register value (smallest value wins ties)."""
         best = max(self.counts.values())
         return min(v for v, c in self.counts.items() if c == best)
-
-
-def _is_int(x) -> bool:
-    """An integer, numpy's included, but not a bool."""
-    return not isinstance(x, (bool, np.bool_)) and hasattr(x, "__index__")
 
 
 def _coerce_bits(initial_bits, num_qubits: int) -> tuple[int, ...]:

@@ -230,6 +230,31 @@ class TestReferenceFlags:
         assert reference_flags(ops, FIGURE) == (1, 1)
         assert reference_flags(ops, ALGORITHMIC) == (1, 1)
 
+    @pytest.mark.parametrize("ops", [Operands((1, 0), (1,)), Operands((1,), (1, 1))])
+    def test_unequal_widths_refused(self, ops):
+        with pytest.raises(ValueError):
+            reference_flags(ops)
+
+    @staticmethod
+    def closed_form(a: int, b: int, n: int, variant: BuilderVariant) -> tuple[int, int]:
+        """(a > b, 0) when a >= b; else (c, 1), c set when a correction site
+        lies at or after the first differing index k (MSB first)."""
+        if a >= b:
+            return int(a > b), 0
+        k = n - (a ^ b).bit_length()
+        if variant is FIGURE:  # sites after every odd index
+            return int(k + (k % 2 == 0) <= n - 1), 1
+        return int(n >= 2), 1  # a site after every index >= 1
+
+    @pytest.mark.parametrize("variant", [FIGURE, ALGORITHMIC])
+    def test_every_pair_to_width_6_matches_the_closed_form(self, variant):
+        for n in range(1, 7):
+            for a in range(1 << n):
+                for b in range(1 << n):
+                    ops = Operands(tuple(map(int, format(a, f"0{n}b"))),
+                                   tuple(map(int, format(b, f"0{n}b"))))
+                    assert reference_flags(ops, variant) == self.closed_form(a, b, n, variant)
+
 
 class TestCompare:
     @pytest.mark.parametrize("a,b,expected", [

@@ -3,7 +3,8 @@ gates with the unchecked ``GateOp._trusted`` and hand whole instruction lists
 to the unchecked ``Circuit._trusted``, so these tests re-check their output
 through the validating path, and check the runners' compile walk against the
 public census and permutation checks. Also the register width cap at every
-front end, the soundness sweeps' backend names, and the lane transpose."""
+front end, the one integer rule at every integer argument, the soundness
+sweeps' backend names, and the lane transpose."""
 
 import random
 import tracemalloc
@@ -14,7 +15,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbsc import comparator, qasm
+from qbsc import comparator, qasm, resources
 from qbsc.circuit import (
     BLOCK_BEGIN,
     BLOCK_END,
@@ -25,6 +26,7 @@ from qbsc.circuit import (
     GateOp,
     circuit_from_json,
     circuit_to_json,
+    new_circuit,
     static_census,
 )
 from qbsc.cli import EXIT_BAD_INPUT, main
@@ -35,9 +37,11 @@ from qbsc.errors import (
     InvalidBitstring,
     NonClassicalGate,
     QasmSyntaxError,
+    ResourceArgumentError,
+    SimulationArgumentError,
 )
 from qbsc.gates import decompose_ccx, lower_circuit
-from qbsc.simulate import ClassicalRunner, DenseRunner, _compile
+from qbsc.simulate import ClassicalRunner, DenseRunner, Histogram, _compile, sample
 
 from _oracles import (
     append_built_gqbsc,
@@ -219,6 +223,15 @@ class TestWidthCap:
         assert str(err.value) == (f"register widths {2 * self.OVER_CAP + 2}, 2"
                                   f" exceed the cap of {MAX_WIDTH}")
 
+    def test_census_refused_before_it_is_built(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CircuitError, match="cap"):
+                resources.gate_growth([self.OVER_CAP])
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
+
     @pytest.mark.parametrize("max_bits", [(MAX_WIDTH - 2) // 2 + 1, 10**12])
     def test_verify_max_bits(self, max_bits, monkeypatch):
         def refuse(*args):
@@ -229,6 +242,57 @@ class TestWidthCap:
         result = CliRunner().invoke(main, ["verify", "--max-bits", str(max_bits)])
         assert result.exit_code == EXIT_BAD_INPUT
         assert "cap" in result.output
+
+
+class TestOneIntegerRule:
+    """Every integer argument takes Python's and numpy's integers and refuses
+    anything else, bools of either kind included, with a toolkit error."""
+
+    @pytest.mark.parametrize("call, error", [
+        pytest.param(lambda: resources.formula_report("Wang", 2.5),
+                     ResourceArgumentError, id="formula_report-float"),
+        pytest.param(lambda: resources.formula_report("Wang", True),
+                     ResourceArgumentError, id="formula_report-bool"),
+        pytest.param(lambda: resources.formula_report("Wang", np.True_),
+                     ResourceArgumentError, id="formula_report-np.True_"),
+        pytest.param(lambda: resources.formula_report("Wang", "3"),
+                     ResourceArgumentError, id="formula_report-str"),
+        pytest.param(lambda: resources.sweep(None, [2.5], "cost"),
+                     ResourceArgumentError, id="sweep-float"),
+        pytest.param(lambda: resources.sweep(None, [2, "3"], "cost"),
+                     ResourceArgumentError, id="sweep-str-before-sorting"),
+        pytest.param(lambda: resources.sweep(None, [False], "cost"),
+                     ResourceArgumentError, id="sweep-bool"),
+        pytest.param(lambda: resources.gate_growth(["3"]),
+                     ResourceArgumentError, id="gate_growth-str"),
+        pytest.param(lambda: resources.gate_growth([2, 2.0]),
+                     ResourceArgumentError, id="gate_growth-float"),
+        pytest.param(lambda: resources.gate_growth([np.True_]),
+                     ResourceArgumentError, id="gate_growth-np.True_"),
+        pytest.param(lambda: Circuit(np.True_, 0), CircuitError, id="circuit-width-np.True_"),
+        pytest.param(lambda: new_circuit(2, 0).x(np.True_),
+                     CircuitError, id="appended-target-np.True_"),
+        pytest.param(lambda: circuit_from_json({"qubits": 2, "clbits": 0,
+                                                "instr": [{"g": "x", "t": [np.True_]}]}),
+                     CircuitError, id="json-target-np.True_"),
+        pytest.param(lambda: Histogram(np.True_, {0: 1}),
+                     SimulationArgumentError, id="histogram-shots-np.True_"),
+        pytest.param(lambda: sample(new_circuit(1, 1), shots=np.True_),
+                     SimulationArgumentError, id="sample-shots-np.True_"),
+        pytest.param(lambda: comparator.encode_operands(np.True_, 1),
+                     InvalidBitstring, id="operand-np.True_"),
+    ])
+    def test_non_integer_refused(self, call, error):
+        with pytest.raises(error):
+            call()
+
+    @pytest.mark.parametrize("integer", [np.int64, np.uint8, np.int32])
+    def test_numpy_integers_accepted(self, integer):
+        encode = comparator.encode_operands
+        assert encode(integer(5), integer(3)) == encode(5, 3)
+        assert resources.formula_report("Wang", integer(3)) == resources.formula_report("Wang", 3)
+        assert resources.sweep(None, [integer(2)], "cost") == resources.sweep(None, [2], "cost")
+        assert resources.gate_growth([integer(2)]) == resources.gate_growth([2])
 
 
 class TestSweepBackends:
