@@ -14,6 +14,7 @@ reports them in its ``Invalid value for '--flag'`` form.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import sys
@@ -33,15 +34,7 @@ from .comparator import (
     soundness_check_random,
 )
 from .errors import CircuitError, OperandError, QbscError, UnknownMethod
-from .resources import (
-    CSV_HEADER,
-    Case,
-    Method,
-    gate_growth,
-    measured_report,
-    sweep,
-    sweep_notes,
-)
+from .resources import Case, Method, SweepRow, gate_growth, measured_report, sweep, sweep_notes
 from .simulate import check_dense_width
 
 DEFAULT_SEED = 1234
@@ -87,13 +80,12 @@ def _emit(payload: str, out: str | None):
         raise
 
 
-def _rows_payload(rows: list[dict], fmt: str) -> str:
+def _rows_payload(rows: list[SweepRow], fmt: str) -> str:
+    records = [dataclasses.asdict(row) for row in rows]
     if fmt == "json":
-        return json.dumps(rows, indent=2, sort_keys=True) + "\n"
-    header = ",".join(rows[0].keys()) if rows else CSV_HEADER
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(str(v) for v in row.values()))
+        return json.dumps(records, indent=2, sort_keys=True) + "\n"
+    lines = [",".join(f.name for f in dataclasses.fields(SweepRow))]
+    lines += [",".join(str(v) for v in record.values()) for record in records]
     return "\n".join(lines) + "\n"
 
 
@@ -142,6 +134,14 @@ def cmd_compare(a, b, variant, backend, seed, fmt, out):
     # resource numbers refer to the value-independent body compare() ran
     # once, with the operands as the initial state (no prep gates)
     measured = measured_report(outcome.body, run=outcome.run)
+    verdict = {
+        "class": outcome.comparison.value,
+        "r0": outcome.r0,
+        "r1": outcome.r1,
+        "n": outcome.n,
+        "backend": outcome.backend,
+        "variant": outcome.variant.value,
+    }
     resources = {
         "qubits": measured.qubits,
         "width": measured.width_total,
@@ -151,25 +151,9 @@ def cmd_compare(a, b, variant, backend, seed, fmt, out):
         "structural_delay": measured.structural_delay,
     }
     if fmt == "json":
-        payload = json.dumps({
-            "class": outcome.comparison.value,
-            "r0": outcome.r0,
-            "r1": outcome.r1,
-            "n": outcome.n,
-            "backend": outcome.backend,
-            "variant": outcome.variant.value,
-            "resources": resources,
-        }, indent=2, sort_keys=True) + "\n"
+        payload = json.dumps({**verdict, "resources": resources}, indent=2, sort_keys=True) + "\n"
     else:
-        lines = [
-            f"class: {outcome.comparison.value}",
-            f"r0: {outcome.r0}",
-            f"r1: {outcome.r1}",
-            f"n: {outcome.n}",
-            f"backend: {outcome.backend}",
-            f"variant: {outcome.variant.value}",
-        ] + [f"{k}: {v}" for k, v in resources.items()]
-        payload = "\n".join(lines) + "\n"
+        payload = "".join(f"{k}: {v}\n" for k, v in {**verdict, **resources}.items())
     _emit(payload, out)
 
 
@@ -304,10 +288,7 @@ def cmd_sweep(metric, n_values, methods, case, fmt, out):
     rows = sweep(list(methods) or None, ns, metric, chosen_case)
     for note in sweep_notes(rows):
         click.echo(note, err=True)
-    payload = _rows_payload(
-        [{"method": r.method, "n": r.n, "case": r.case, "metric": r.metric,
-          "value": r.value} for r in rows], fmt)
-    _emit(payload, out)
+    _emit(_rows_payload(rows, fmt), out)
 
 
 @main.command("census")
@@ -327,8 +308,7 @@ def cmd_census(n_values, variant, fmt, out):
                               ("1bc", g.blocks_1bc), ("block_measures", g.block_measures),
                               ("total_measures", g.total_measures), ("qubits", g.qubits),
                               ("width", g.width)):
-            rows.append({"method": Method.PROPOSED.value, "n": g.n, "case": "-",
-                         "metric": metric, "value": value})
+            rows.append(SweepRow(Method.PROPOSED.value, g.n, "-", metric, value))
     _emit(_rows_payload(rows, fmt), out)
 
 

@@ -43,7 +43,8 @@ from .circuit import (
     _check_cap,
     _is_int,
 )
-from .errors import DuplicateTarget, EmptyOperand, InvalidBitstring
+from .errors import (DuplicateTarget, EmptyOperand, InvalidBitstring, OperandError,
+                     SimulationArgumentError)
 from .simulate import MAX_LANES, RunResult, _runner
 
 # GateKind members read per block, bound once: a member read is a call.
@@ -107,9 +108,24 @@ def _digits_of(value) -> str:
 
 
 def _check_width(n: int) -> None:
-    """Refuse a width whose comparator (2n + 2 qubits) would exceed the
-    register cap, with the error ``Circuit`` raises, before anything is built."""
+    """Refuse a non-integer width, and one whose comparator (2n + 2 qubits)
+    exceeds the register cap with the error ``Circuit`` raises, before anything is built."""
+    if not _is_int(n):
+        raise OperandError(f"width must be an integer, got {n!r}")
     _check_cap(2 * n + 2, 2)
+
+
+def _check_operands(ops: Operands) -> None:
+    """Refuse operands no comparator reads: no bits, unequal widths, or a bit
+    other than 0 and 1."""
+    n = ops.n
+    if n < 1:
+        raise EmptyOperand("comparator needs at least one bit")
+    if len(ops.b_bits) != n:
+        raise InvalidBitstring(f"operand widths differ: {n} and {len(ops.b_bits)}")
+    other = sorted(map(repr, set(ops.a_bits).union(ops.b_bits) - {0, 1}))
+    if other:
+        raise InvalidBitstring(f"operand bits must be 0 or 1, got {', '.join(other)}")
 
 
 def encode_operands(a, b) -> Operands:
@@ -164,11 +180,8 @@ def build_gqbsc(ops: Operands, variant: BuilderVariant = BuilderVariant.FIGURE) 
     Indices are in range by construction, so the list skips the check;
     equal instructions are one shared object, which runners compile once.
     """
+    _check_operands(ops)
     n = ops.n
-    if n < 1:
-        raise EmptyOperand("comparator needs at least one bit")
-    if len(ops.b_bits) != n:
-        raise InvalidBitstring(f"operand widths differ: {n} and {len(ops.b_bits)}")
     _check_width(n)
     qr0, qr1 = 2 * n, 2 * n + 1
     labels = {i: f"a_{i}" for i in range(n)}
@@ -212,6 +225,7 @@ def interpret(r0: int, r1: int) -> ComparisonClass:
 
 def reference_flags(ops: Operands, variant: BuilderVariant = BuilderVariant.FIGURE) -> tuple[int, int]:
     """Classical oracle for the final (r0, r1) flags: one lane of :func:`_reference_flag_lanes`."""
+    _check_operands(ops)
     return _reference_flag_lanes(ops.a_bits, ops.b_bits, 1, variant)
 
 
@@ -341,8 +355,10 @@ def soundness_check_random(n: int, samples: int, seed: int = 0,
     (pairs, mismatches).
 
     They go in chunks of at most ``MAX_LANES`` lanes, as in
-    :func:`soundness_check_exhaustive`.
+    :func:`soundness_check_exhaustive`. ``samples`` is an integer >= 0.
     """
+    if not _is_int(samples) or samples < 0:
+        raise SimulationArgumentError(f"samples must be an integer >= 0, got {samples!r}")
     runner = _runner(_body(n, variant), backend)
     drawn = _random_pairs(n, samples, seed)
     mismatches = 0

@@ -170,9 +170,6 @@ class SweepRow:
     value: int
 
 
-CSV_HEADER = "method,n,case,metric,value"
-
-
 def sweep(methods: Iterable | None, n_values: Sequence[int], metric: str,
           case: Case | None = None) -> list[SweepRow]:
     """Formula values as flat rows, ordered by method then n.
@@ -191,16 +188,12 @@ def sweep(methods: Iterable | None, n_values: Sequence[int], metric: str,
     for method in chosen:
         for n in sorted(set(n_values)):
             # ancilla never depends on the case; only Proposed's cost/delay do
+            cases = [None]
             if method is Method.PROPOSED and metric != "ancilla":
-                cases = [case] if case is not None else [Case.EQUAL, Case.UNEQUAL]
-                for c in cases:
-                    estimate = formula_report(method, n, c)
-                    rows.append(SweepRow(method.value, n, c.value, metric,
-                                         getattr(estimate, metric)))
-            else:
-                estimate = formula_report(method, n)
-                rows.append(SweepRow(method.value, n, "-", metric,
-                                     getattr(estimate, metric)))
+                cases = [case] if case is not None else list(Case)
+            for c in cases:
+                rows.append(SweepRow(method.value, n, "-" if c is None else c.value, metric,
+                                     getattr(formula_report(method, n, c), metric)))
     return rows
 
 

@@ -20,10 +20,9 @@ which is what keeps it identical to dense.
 
 The dense backend runs any gate set. It stores only the nonzero amplitudes,
 as a map from basis index to amplitude, and from a basis input the
-comparator, lowered or noisy, keeps only a few: a run of the lowered n=11
-comparator (24 qubits) took 38.5 s and 542 MB with the former all-amplitude
-numpy engine and takes 0.37 ms and 29 MB (2-vCPU Xeon VM). The qubit cap is
-unchanged (default 24).
+comparator, lowered or noisy, keeps only a few. X/CX/CCX re-key the map
+(``_flip``) and every other gate, CV/CV-dagger and noise Y/Z alike, applies
+its 2x2 through ``_mix``. The qubit cap defaults to 24.
 
 A backend is a ``_Runner`` subclass and supplies two things: its name,
 ``backend``, and ``_execute``, the interpreter that runs one basis input to
@@ -151,7 +150,7 @@ class RunResult:
     @property
     def register_value(self) -> int:
         """Classical register as an integer, clbit 0 least significant."""
-        return sum(bit << k for k, bit in enumerate(self.classical_bits))
+        return _register(self.classical_bits)
 
 
 @dataclass(frozen=True)
@@ -551,8 +550,10 @@ class ClassicalRunner(_Runner):
         return tuple(self._run_lanes(list(_coerce_bits(initial_bits, self.num_qubits)), 1)[0])
 
 
-# V and V-dagger as row-major Python complex tuples (m00, m01, m10, m11).
+# V, V-dagger and the Paulis Y and Z as row-major Python complex tuples
+# (m00, m01, m10, m11).
 _V, _VDG = (tuple(complex(x) for x in m.ravel()) for m in (V, VDG))
+_Y, _Z = (0j, -1j, 1j, 0j), (1 + 0j, 0j, 0j, -1 + 0j)
 
 
 def _flip(amps: dict, ctrl: int, flip: int) -> dict:
@@ -561,12 +562,12 @@ def _flip(amps: dict, ctrl: int, flip: int) -> dict:
 
 
 def _mix(amps: dict, ctrl: int, tgt: int, m: tuple) -> dict:
-    """CV/CV-dagger: apply the 2x2 ``m`` to the target pair of every index
-    whose control bit is set. Exact zeros drop out of the map."""
+    """Apply the 2x2 ``m`` to the target pair of every index holding all
+    ``ctrl`` bits (every index for 0). Exact zeros drop out of the map."""
     m00, m01, m10, m11 = m
     out = {}
     for k, v in amps.items():
-        if not k & ctrl:
+        if k & ctrl != ctrl:
             out[k] = v
             continue
         # a member adds its column of m, so the pair ends as m00*s0 + m01*s1
@@ -576,14 +577,6 @@ def _mix(amps: dict, ctrl: int, tgt: int, m: tuple) -> dict:
         out[k0] = out.get(k0, 0j) + c0
         out[k1] = out.get(k1, 0j) + c1
     return {k: v for k, v in out.items() if v}
-
-
-def _pauli_y(amps: dict, bit: int) -> dict:
-    return {k ^ bit: (-1j * v if k & bit else 1j * v) for k, v in amps.items()}
-
-
-def _pauli_z(amps: dict, bit: int) -> dict:
-    return {k: (-v if k & bit else v) for k, v in amps.items()}
 
 
 def _mass(amps: dict, bit: int = 0) -> float:
@@ -674,13 +667,11 @@ class DenseRunner(_Runner):
             if noise is not None:
                 for qb in touched:
                     if draw() < p:
-                        pauli = int(draw() * 3)
-                        if pauli == 0:
-                            amps = _flip(amps, 0, 1 << qb)
-                        elif pauli == 1:
-                            amps = _pauli_y(amps, 1 << qb)
+                        pauli = int(draw() * 3)  # X, Y, Z
+                        if pauli:
+                            amps = _mix(amps, 0, 1 << qb, _Y if pauli == 1 else _Z)
                         else:
-                            amps = _pauli_z(amps, 1 << qb)
+                            amps = _flip(amps, 0, 1 << qb)
             if mark is not None:
                 mark(ops, amps, cl)
 

@@ -120,6 +120,14 @@ class TestClassicalCondition:
         with pytest.raises(IndexOutOfRange):
             ClassicalCondition((0, 2), 0).holds([0, 1])
 
+    def test_repeated_clbit_is_a_duplicate(self):
+        with pytest.raises(DuplicateTarget, match="repeats a clbit"):
+            ClassicalCondition((0, 0), 0)
+
+    def test_negative_clbit_is_out_of_range(self):
+        with pytest.raises(IndexOutOfRange, match="negative clbit"):
+            ClassicalCondition((-1,), 0)
+
 
 class TestCensus:
     def test_empty_circuit_all_zero(self):

@@ -205,6 +205,16 @@ class TestBuildAndExport:
         assert "Proposed,80,Equal,cost,1120" in target.read_text()
         assert not list(tmp_path.glob(".qbsc-*"))  # no temp litter
 
+    def test_failed_rename_leaves_no_temporary(self, runner, tmp_path, monkeypatch):
+        def fail(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr("qbsc.cli.os.replace", fail)
+        target = tmp_path / "sweep.csv"
+        with pytest.raises(OSError, match="rename refused"):
+            invoke(runner, "sweep", "--metric", "cost", "--n", "80", "--out", str(target))
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("args", [

@@ -29,7 +29,8 @@ from qbsc.comparator import (
     soundness_check_exhaustive,
     soundness_check_random,
 )
-from qbsc.errors import DuplicateTarget, EmptyOperand, InvalidBitstring
+from qbsc.errors import (DuplicateTarget, EmptyOperand, InvalidBitstring, OperandError,
+                         SimulationArgumentError)
 from qbsc.simulate import ClassicalRunner, run_classical, run_dense
 
 from _oracles import int_compare_class
@@ -425,6 +426,68 @@ class TestSweepsCatchBrokenCircuits:
 
     def test_exhaustive_across_several_chunks(self):
         assert soundness_check_exhaustive(9) == (4 ** 9, 0)
+
+
+class TestMalformedSweepArguments:
+    """Both verification sweeps refuse a width or a pair count they cannot
+    check with a toolkit error, before they build a comparator."""
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: soundness_check_exhaustive(2.5), OperandError,
+         "width must be an integer, got 2.5"),
+        (lambda: soundness_check_random(2.5, 3), OperandError,
+         "width must be an integer, got 2.5"),
+        (lambda: soundness_check_exhaustive(True), OperandError,
+         "width must be an integer, got True"),
+        (lambda: soundness_check_random(True, 3), OperandError,
+         "width must be an integer, got True"),
+        (lambda: soundness_check_exhaustive(0), EmptyOperand, "comparator needs at least one bit"),
+        (lambda: soundness_check_random(-2, 3), EmptyOperand, "comparator needs at least one bit"),
+        (lambda: soundness_check_random(4, -5), SimulationArgumentError,
+         "samples must be an integer >= 0, got -5"),
+        (lambda: soundness_check_random(4, 2.5), SimulationArgumentError,
+         "samples must be an integer >= 0, got 2.5"),
+        (lambda: soundness_check_random(4, True), SimulationArgumentError,
+         "samples must be an integer >= 0, got True"),
+        (lambda: soundness_check_random(4, "3"), SimulationArgumentError,
+         "samples must be an integer >= 0, got '3'"),
+    ], ids=["exhaustive-float", "random-float", "exhaustive-bool", "random-bool", "exhaustive-0",
+            "random-negative-width", "samples-negative", "samples-float", "samples-bool",
+            "samples-str"])
+    def test_refused_before_building(self, monkeypatch, call, error, message):
+        import qbsc.comparator as comparator
+
+        built = []
+        original = comparator.build_gqbsc
+        monkeypatch.setattr(comparator, "build_gqbsc",
+                            lambda ops, variant=FIGURE: built.append(original(ops, variant)))
+        with pytest.raises(error) as err:
+            call()
+        assert type(err.value) is error and str(err.value) == message
+        assert not built
+
+    def test_zero_samples_is_an_empty_check(self):
+        assert soundness_check_random(4, 0) == (0, 0)
+
+
+class TestOneOperandShapeRule:
+    """``build_gqbsc`` and ``reference_flags`` refuse the same operands with
+    the same error."""
+
+    @pytest.mark.parametrize("ops, error, message", [
+        (Operands((), ()), EmptyOperand, "comparator needs at least one bit"),
+        (Operands((1, 0), (1,)), InvalidBitstring, "operand widths differ: 2 and 1"),
+        (Operands((1,), (1, 1)), InvalidBitstring, "operand widths differ: 1 and 2"),
+        (Operands((2,), (0,)), InvalidBitstring, "operand bits must be 0 or 1, got 2"),
+        (Operands((0, 1), (1, -1)), InvalidBitstring, "operand bits must be 0 or 1, got -1"),
+        (Operands((0, "1"), (1, 0)), InvalidBitstring, "operand bits must be 0 or 1, got '1'"),
+    ], ids=["empty", "b-shorter", "b-longer", "bit-2", "bit-negative", "bit-str"])
+    @pytest.mark.parametrize("function", [build_gqbsc, reference_flags],
+                             ids=["build_gqbsc", "reference_flags"])
+    def test_same_error_from_both(self, function, ops, error, message):
+        with pytest.raises(error) as err:
+            function(ops)
+        assert type(err.value) is error and str(err.value) == message
 
 
 class TestOperandTypes:

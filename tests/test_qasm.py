@@ -138,6 +138,13 @@ class TestParseErrors:
         with pytest.raises(UndeclaredRegister):
             parse(self.HEADER + "out[0] = measure q[0];\n")
 
+    @pytest.mark.parametrize("text", ["", "// only a comment\n", "\n  \n// c\n"],
+                             ids=["empty", "comment-only", "blank-and-comment"])
+    def test_empty_document(self, text):
+        with pytest.raises(QasmSyntaxError, match="empty document") as err:
+            parse(text)
+        assert (err.value.line, err.value.column) == (1, 1)
+
     def test_missing_version_header(self):
         with pytest.raises(QasmSyntaxError):
             parse("qubit[1] q;\nx q[0];\n")

@@ -11,8 +11,8 @@ from qbsc import circuit as circuit_module
 from qbsc.circuit import ClassicalCondition, GateKind, GateOp, new_circuit
 from qbsc import simulate
 from qbsc.comparator import Operands, build_gqbsc, compare, encode_operands
-from qbsc.errors import (NonClassicalGate, QbscError, SimulationArgumentError, SimulationError,
-                         TooManyQubits)
+from qbsc.errors import (NonClassicalGate, NormDrift, QbscError, SimulationArgumentError,
+                         SimulationError, TooManyQubits)
 from qbsc.gates import lower_circuit
 from qbsc.simulate import (
     MAX_LANES,
@@ -103,6 +103,22 @@ class TestDenseBackend:
             c.cvdg(0, 1)
         c.measure(1, 0)
         assert run_dense(c).classical_bits == (0,)
+
+
+class TestNormDrift:
+    """A state whose norm strays past ``_NORM_TOL`` raises; a tolerance below 0
+    makes every check fail."""
+
+    def test_after_a_born_measurement(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_NORM_TOL", -1.0)
+        born = new_circuit(2, 1).x(0).cv(0, 1).measure(1, 0)
+        with pytest.raises(NormDrift, match="after measuring qubit 1"):
+            run_dense(born, seed=3)
+
+    def test_at_the_end_of_a_run(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_NORM_TOL", -1.0)
+        with pytest.raises(NormDrift, match="final norm"):
+            run_dense(new_circuit(2, 1).x(0).measure(0, 0))
 
 
 class TestClassicalBackend:

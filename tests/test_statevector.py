@@ -22,6 +22,8 @@ from qbsc.simulate import DenseRunner, NoiseModel, sample
 from _oracles import NumpyStatevector, reference_sample
 
 NOISY = NoiseModel(0.05, 0.05)
+# every touched qubit takes a Pauli, so Y and Z are drawn as often as X
+HEAVY = NoiseModel(1.0, 0.0)
 GATES = (GateKind.X, GateKind.CX, GateKind.CCX, GateKind.CV, GateKind.CVDG)
 
 
@@ -58,7 +60,7 @@ class TestAgainstNumpyReference:
         circuit = data.draw(statevector_circuits())
         bits = _basis_input(data, circuit.num_qubits)
         seed = data.draw(st.integers(0, 2**32 - 1))
-        noise = data.draw(st.sampled_from([None, NOISY]))
+        noise = data.draw(st.sampled_from([None, NOISY, HEAVY]))
         assert (DenseRunner(circuit).run(bits, seed, noise)
                 == NumpyStatevector(circuit).run(bits, seed, noise))
 
@@ -68,8 +70,9 @@ class TestAgainstNumpyReference:
         circuit = data.draw(statevector_circuits())
         bits = _basis_input(data, circuit.num_qubits)
         seed = data.draw(st.integers(0, 2**32 - 1))
-        got = DenseRunner(circuit).run_value(bits, np.random.default_rng(seed), NOISY)
-        want = NumpyStatevector(circuit).run_value(bits, np.random.default_rng(seed), NOISY)
+        noise = data.draw(st.sampled_from([NOISY, HEAVY]))
+        got = DenseRunner(circuit).run_value(bits, np.random.default_rng(seed), noise)
+        want = NumpyStatevector(circuit).run_value(bits, np.random.default_rng(seed), noise)
         assert got == want
 
     @settings(max_examples=60, deadline=None)
@@ -85,15 +88,16 @@ class TestAgainstNumpyReference:
         else:
             assert DenseRunner(circuit).run(bits) == want
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_lowered_comparator_histograms_equal(self, seed):
+    @pytest.mark.parametrize("seed, noise", [pytest.param(s, NOISY, id=str(s)) for s in range(5)]
+                             + [pytest.param(s, HEAVY, id=f"{s}-heavy") for s in range(5)])
+    def test_lowered_comparator_histograms_equal(self, seed, noise):
         n = 3
         variant = (BuilderVariant.FIGURE, BuilderVariant.ALGORITHMIC)[seed % 2]
         lowered = lower_circuit(build_gqbsc(encode_operands("0" * n, "0" * n), variant))
         a, b = (5, 5) if seed < 3 else (2, 3)  # equal and last-bit pairs fire every block
         bits = tuple(int(ch) for ch in f"{a:03b}{b:03b}") + (0, 0)
-        got = sample(lowered, bits, shots=48, noise=NOISY, seed=seed, backend="dense")
-        assert got == reference_sample(lowered, bits, 48, NOISY, seed)
+        got = sample(lowered, bits, shots=48, noise=noise, seed=seed, backend="dense")
+        assert got == reference_sample(lowered, bits, 48, noise, seed)
 
 
 class TestSparseState:
