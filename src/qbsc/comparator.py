@@ -117,13 +117,15 @@ def _check_width(n: int) -> None:
 
 def _check_operands(ops: Operands) -> None:
     """Refuse operands no comparator reads: no bits, unequal widths, or a bit
-    other than 0 and 1."""
+    other than the integers (``_is_int``) 0 and 1."""
     n = ops.n
     if n < 1:
         raise EmptyOperand("comparator needs at least one bit")
     if len(ops.b_bits) != n:
         raise InvalidBitstring(f"operand widths differ: {n} and {len(ops.b_bits)}")
-    other = sorted(map(repr, set(ops.a_bits).union(ops.b_bits) - {0, 1}))
+    a, b = ops.a_bits, ops.b_bits  # a set merges 1.0 and True into 1, so types go first
+    distinct = set(a).union(b) if {*map(type, a), *map(type, b)} == {int} else itertools.chain(a, b)
+    other = sorted({repr(x) for x in distinct if not _is_int(x) or x not in (0, 1)})
     if other:
         raise InvalidBitstring(f"operand bits must be 0 or 1, got {', '.join(other)}")
 
@@ -168,7 +170,9 @@ def _correction_sites(n: int, variant: BuilderVariant) -> set[int]:
     """Loop indices i (1..n-1) after whose block a flip-r0 site is placed."""
     if variant is BuilderVariant.FIGURE:
         return {i for i in range(1, n) if i % 2 == 1}
-    return set(range(1, n))
+    if variant is BuilderVariant.ALGORITHMIC:
+        return set(range(1, n))
+    raise OperandError(f"builder variant must be a BuilderVariant, got {variant!r}")
 
 
 def build_gqbsc(ops: Operands, variant: BuilderVariant = BuilderVariant.FIGURE) -> Circuit:

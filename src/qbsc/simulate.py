@@ -133,10 +133,11 @@ class NoiseModel:
 
     def __post_init__(self):
         p, q = self.depolarizing_per_gate, self.readout_flip
-        if not 0.0 <= p <= 1.0:
-            raise SimulationArgumentError(f"depolarizing probability out of range: {p}")
-        if not 0.0 <= q <= 1.0:
-            raise SimulationArgumentError(f"readout-flip probability out of range: {q}")
+        for name, x in (("depolarizing", p), ("readout-flip", q)):
+            if not (_is_int(x) or isinstance(x, (float, np.floating))):  # numpy's, not bools
+                raise SimulationArgumentError(f"{name} probability must be a number: {x!r}")
+            if not 0.0 <= x <= 1.0:
+                raise SimulationArgumentError(f"{name} probability out of range: {x}")
 
 
 @dataclass(frozen=True)
@@ -177,7 +178,10 @@ class Histogram:
         return min(v for v, c in self.counts.items() if c == best)
 
 
-def _coerce_bits(initial_bits, num_qubits: int) -> tuple[int, ...]:
+def _coerce_bits(initial_bits, num_qubits: int, noise=None) -> tuple[int, ...]:
+    """A run's basis input bits; refuses a ``noise`` neither None nor a NoiseModel."""
+    if noise is not None and not isinstance(noise, NoiseModel):
+        raise SimulationArgumentError(f"noise must be a NoiseModel or None, got {noise!r}")
     if initial_bits is None:
         return (0,) * num_qubits
     try:
@@ -354,7 +358,7 @@ def _quiet_run(runner: _Runner, bits: tuple[int, ...], noise: NoiseModel | None)
 
     drawing = noise is not None or runner._superposes  # as ``_Runner._draw`` with a generator
     draw = itertools.repeat(one).__next__ if drawing else None
-    quiet = tuple(runner._execute(bits, draw, noise, mark=mark))
+    quiet = tuple(runner._execute(bits, draw, noise, fired=mark))
     return quiet, np.array(bounds, dtype=float), marks
 
 
@@ -401,12 +405,11 @@ def _compile(circuit: Circuit):
 class _Runner:
     """One backend's executor of a compiled circuit (``_compiled``, if given).
     A backend supplies ``backend``, its name, and ``_execute(bits, draw,
-    noise, counters=None, trace=None, start=None, mark=None)``: the final
-    clbits of one run from basis input ``bits`` or from ``start``, a mark's
-    (op index, state, clbits), ``draw`` giving its uniforms, ``counters``
-    adding the gates fired, ``trace`` getting (clbit, value) per measurement
-    and ``mark(ops, state, cl)`` called after fired ops, ``ops`` iterating
-    the program."""
+    noise, start=None, fired=None)``: the final clbits of one run from basis
+    input ``bits`` or from ``start``, a mark's (op index, state, clbits),
+    ``draw`` giving its uniforms. Its one observer, ``fired(ops, state, cl)``,
+    runs after each fired op and that op's noise draws, ``ops`` iterating the
+    program past it: ``run`` counts and traces through it, the quiet run marks."""
 
     backend: str
 
@@ -430,17 +433,25 @@ class _Runner:
             noise: NoiseModel | None = None) -> RunResult:
         """One run with its measurement trace and executed census; a noisy
         run without a seed draws fresh entropy."""
-        bits = _coerce_bits(initial_bits, self.num_qubits)
+        bits = _coerce_bits(initial_bits, self.num_qubits, noise)
         rng = None if seed is None and noise is None else np.random.default_rng(seed)
         counters = dict.fromkeys(_COUNTER_KEYS + ("conditional_x_count",), 0)
-        trace: list[tuple[int, int]] = []
-        cl = self._execute(bits, self._draw(rng, noise), noise, counters, trace)
+        trace, prog = [], self._prog
+
+        def fired(ops, state, cl):
+            op, _, clbit, _, cond, _ = prog[len(prog) - operator.length_hint(ops) - 1]
+            counters[_COUNTER_KEYS[op]] += 1
+            if op == _OP_MEASURE:
+                trace.append((clbit, cl[clbit]))
+            elif op == _OP_X and cond is not None:
+                counters["conditional_x_count"] += 1
+        cl = self._execute(bits, self._draw(rng, noise), noise, fired=fired)
         return RunResult(tuple(cl), tuple(trace), dataclasses.replace(self._static, **counters))
 
     def run_value(self, initial_bits, rng: np.random.Generator | None,
                   noise: NoiseModel | None) -> int:
         """Register value of one (possibly noisy) trajectory."""
-        bits = _coerce_bits(initial_bits, self.num_qubits)
+        bits = _coerce_bits(initial_bits, self.num_qubits, noise)
         return _register(self._shot(bits, self._draw(rng, noise), noise))
 
     def _shot(self, bits: tuple[int, ...], draw, noise, start=None) -> tuple[int, ...]:
@@ -485,15 +496,13 @@ class ClassicalRunner(_Runner):
             raise SimulationError(f"qubit lane ints must lie in [0, 2^{lanes})")
         return self._run_lanes(q, lanes)
 
-    def _run_lanes(self, q: list[int], lanes: int, counters=None, trace=None,
-                   draw=None, noise: NoiseModel | None = None, start=None, mark=None):
+    def _run_lanes(self, q: list[int], lanes: int, draw=None,
+                   noise: NoiseModel | None = None, start=None, fired=None):
         """The interpreter. A condition becomes the mask of lanes where it
-        holds; ``counters`` adds the lanes each gate fired in, ``trace`` gets
-        (clbit, lane int) per measurement. With ``draw`` (one lane only) it
-        draws ``noise`` in the dense backend's order: per fired gate and
-        touched qubit one depolarizing draw, plus the Pauli draw when it hits;
-        per measurement one readout-flip draw. ``start`` and ``mark`` are as
-        in :class:`_Runner`, a mark's state being ``q``."""
+        holds. With ``draw`` (one lane only) it draws ``noise`` in the dense
+        backend's order: per fired gate and touched qubit one depolarizing
+        draw, plus the Pauli draw when it hits; per measurement one readout-flip
+        draw. ``start`` and ``fired`` (one lane) are as in :class:`_Runner`."""
         full = (1 << lanes) - 1
         if start is None:
             ops, cl = iter(self._prog), [0] * self.num_clbits
@@ -516,8 +525,6 @@ class ClassicalRunner(_Runner):
                 cl[a1] = q[a0]
                 if draw is not None and draw() < flip_p:
                     cl[a1] ^= 1
-                if trace is not None:
-                    trace.append((a1, cl[a1]))
             else:  # _OP_CX
                 q[a1] ^= act & q[a0]
             if draw is not None:
@@ -525,17 +532,12 @@ class ClassicalRunner(_Runner):
                     # X and Y flip a basis state; Z only phases it
                     if draw() < p and int(draw() * 3) != 2:
                         q[qb] ^= 1
-                if mark is not None:
-                    mark(ops, q, cl)
-            if counters is not None:
-                fired = act.bit_count()
-                counters[_COUNTER_KEYS[op]] += fired
-                if op == _OP_X and cond is not None:
-                    counters["conditional_x_count"] += fired
+            if fired is not None:
+                fired(ops, q, cl)
         return q, cl
 
-    def _execute(self, bits, draw, noise, counters=None, trace=None, start=None, mark=None):
-        return self._run_lanes(list(bits), 1, counters, trace, draw, noise, start, mark)[1]
+    def _execute(self, bits, draw, noise, start=None, fired=None):
+        return self._run_lanes(list(bits), 1, draw, noise, start, fired)[1]
 
     def _clbit_lanes(self, qubits: list[int], lanes: int) -> list[int]:
         """Bit-sliced: one :meth:`run_lanes` pass for every lane."""
@@ -629,9 +631,9 @@ class DenseRunner(_Runner):
         check_dense_width(circuit.num_qubits, qubit_cap)
         super().__init__(circuit, _compiled)
 
-    def _execute(self, bits, draw, noise, counters=None, trace=None, start=None, mark=None):
-        """The interpreter; ``draw`` None (no seed) fails a Born draw. A
-        mark's state, ``amps``, is shared: no helper changes a map in place."""
+    def _execute(self, bits, draw, noise, start=None, fired=None):
+        """The interpreter; ``draw`` None (no seed) fails a Born draw. The state
+        ``fired`` sees, ``amps``, is shared: no helper changes a map in place."""
         if start is None:
             ops, amps, cl = iter(self._prog), {_register(bits): 1 + 0j}, [0] * self.num_clbits
         else:
@@ -645,17 +647,11 @@ class DenseRunner(_Runner):
                     fire &= cl[mb] ^ flip
                 if not fire:
                     continue
-            if counters is not None:
-                counters[_COUNTER_KEYS[op]] += 1
-                if op == _OP_X and cond is not None:
-                    counters["conditional_x_count"] += 1
             if op == _OP_MEASURE:
                 outcome, amps = _measure(amps, a0, draw)
                 if noise is not None and draw() < q_flip:
                     outcome ^= 1
                 cl[a1] = outcome
-                if trace is not None:
-                    trace.append((a1, outcome))
             elif op == _OP_X:
                 amps = _flip(amps, 0, 1 << a0)
             elif op == _OP_CX:
@@ -672,8 +668,8 @@ class DenseRunner(_Runner):
                             amps = _mix(amps, 0, 1 << qb, _Y if pauli == 1 else _Z)
                         else:
                             amps = _flip(amps, 0, 1 << qb)
-            if mark is not None:
-                mark(ops, amps, cl)
+            if fired is not None:
+                fired(ops, amps, cl)
 
         norm = math.sqrt(_mass(amps))
         if abs(norm - 1.0) > _NORM_TOL:
@@ -729,7 +725,7 @@ def sample(circuit: Circuit, initial_bits=None, shots: int = 1,
         raise SimulationArgumentError("shots must be >= 1")
     seed_words = _seed_words(seed)  # checked even where no shot draws
     runner = _runner(circuit, backend, qubit_cap)
-    bits = _coerce_bits(initial_bits, circuit.num_qubits)
+    bits = _coerce_bits(initial_bits, circuit.num_qubits, noise)
     quiet, bounds, marks = _quiet_run(runner, bits, noise)
     d = len(bounds)
     if not d:  # no shot draws: one run

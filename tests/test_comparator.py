@@ -1,6 +1,7 @@
 """Comparator builder, operand encoding, output interpretation, and the
 classical flag oracle."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,6 +32,7 @@ from qbsc.comparator import (
 )
 from qbsc.errors import (DuplicateTarget, EmptyOperand, InvalidBitstring, OperandError,
                          SimulationArgumentError)
+from qbsc.resources import gate_growth
 from qbsc.simulate import ClassicalRunner, run_classical, run_dense
 
 from _oracles import int_compare_class
@@ -481,13 +483,41 @@ class TestOneOperandShapeRule:
         (Operands((2,), (0,)), InvalidBitstring, "operand bits must be 0 or 1, got 2"),
         (Operands((0, 1), (1, -1)), InvalidBitstring, "operand bits must be 0 or 1, got -1"),
         (Operands((0, "1"), (1, 0)), InvalidBitstring, "operand bits must be 0 or 1, got '1'"),
-    ], ids=["empty", "b-shorter", "b-longer", "bit-2", "bit-negative", "bit-str"])
+        (Operands((1.0,), (0,)), InvalidBitstring, "operand bits must be 0 or 1, got 1.0"),
+        (Operands((np.float64(0.0),), (0,)), InvalidBitstring,
+         f"operand bits must be 0 or 1, got {np.float64(0.0)!r}"),
+        (Operands((True,), (0,)), InvalidBitstring, "operand bits must be 0 or 1, got True"),
+        (Operands((np.True_,), (0,)), InvalidBitstring,
+         f"operand bits must be 0 or 1, got {np.True_!r}"),
+        (Operands((1, 1.0), (0, 1)), InvalidBitstring, "operand bits must be 0 or 1, got 1.0"),
+    ], ids=["empty", "b-shorter", "b-longer", "bit-2", "bit-negative", "bit-str", "bit-float",
+            "bit-numpy-float", "bit-bool", "bit-numpy-bool", "bit-float-after-equal-int"])
     @pytest.mark.parametrize("function", [build_gqbsc, reference_flags],
                              ids=["build_gqbsc", "reference_flags"])
     def test_same_error_from_both(self, function, ops, error, message):
         with pytest.raises(error) as err:
             function(ops)
         assert type(err.value) is error and str(err.value) == message
+
+
+class TestOneVariantRule:
+    """Every entry point that takes a builder variant refuses anything but a
+    ``BuilderVariant`` instead of building the algorithmic circuit."""
+
+    @pytest.mark.parametrize("variant", ["figure", "bogus", None], ids=repr)
+    @pytest.mark.parametrize("call", [
+        lambda v: compare(6, 7, variant=v),
+        lambda v: build_gqbsc(Operands((1, 1, 0), (1, 1, 1)), v),
+        lambda v: reference_flags(Operands((1, 1, 0), (1, 1, 1)), v),
+        lambda v: gate_growth([3], v),
+        lambda v: soundness_check_exhaustive(2, v),
+        lambda v: soundness_check_random(3, 10, 0, v),
+    ], ids=["compare", "build_gqbsc", "reference_flags", "gate_growth", "exhaustive", "random"])
+    def test_refused(self, call, variant):
+        with pytest.raises(OperandError) as err:
+            call(variant)
+        assert type(err.value) is OperandError
+        assert str(err.value) == f"builder variant must be a BuilderVariant, got {variant!r}"
 
 
 class TestOperandTypes:

@@ -175,6 +175,22 @@ class TestParseErrors:
         with pytest.raises(QasmSyntaxError):
             parse(self.HEADER + "}\n")
 
+    @pytest.mark.parametrize("text, error, message", [
+        ("OPENQASM 3.0;\nqubit[2] q;\nqubit[1] p;\n", QasmSyntaxError,
+         "line 3, column 12: second qubit register (expected a single qubit register)"),
+        ("OPENQASM 3.0;\nqubit[2] q;\nbit[1] c;\nbit[1] d;\n", QasmSyntaxError,
+         "line 4, column 10: second bit register (expected a single bit register)"),
+        (HEADER + "cr[0] = measure q[0]; x\n", QasmSyntaxError,
+         "line 4, column 23: trailing text 'x' (expected end of line)"),
+        (HEADER + "if (c == 1) {\nx q[0];\n}\n", UndeclaredRegister,
+         "line 4: unknown bit register 'c'"),
+    ], ids=["second-qubit-register", "second-bit-register", "text-after-measure",
+            "if-on-unknown-register"])
+    def test_scanner_only_error(self, text, error, message):
+        with pytest.raises(error) as err:
+            parse(text)
+        assert type(err.value) is error and str(err.value) == message
+
 
 class TestRoundtrip:
     def test_builder_outputs_small_widths(self):

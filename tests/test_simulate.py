@@ -367,6 +367,40 @@ class TestArgumentErrors:
         assert isinstance(err.value, QbscError) and isinstance(err.value, ValueError)
 
 
+class TestNoiseArguments:
+    """A noise probability is an int or a float (numpy's too, not a bool), and
+    a run's ``noise`` is None or a NoiseModel; anything else raises
+    SimulationArgumentError."""
+
+    NOT_A_MODEL = "noise must be a NoiseModel or None, got (0.1, 0.1)"
+    CALLS = {
+        "p str": (lambda c: NoiseModel("a", 0), "depolarizing probability must be a number: 'a'"),
+        "p None": (lambda c: NoiseModel(None, 0),
+                   "depolarizing probability must be a number: None"),
+        "p bool": (lambda c: NoiseModel(True, 0),
+                   "depolarizing probability must be a number: True"),
+        "q numpy bool": (lambda c: NoiseModel(0, np.True_),
+                         f"readout-flip probability must be a number: {np.True_!r}"),
+        "sample tuple": (lambda c: sample(c, noise=(0.1, 0.1), seed=1), NOT_A_MODEL),
+        "run tuple": (lambda c: ClassicalRunner(c).run(None, 1, (0.1, 0.1)), NOT_A_MODEL),
+        "dense run tuple": (lambda c: run_dense(c, seed=1, noise=(0.1, 0.1)), NOT_A_MODEL),
+        "run_value tuple": (lambda c: DenseRunner(c).run_value(None, np.random.default_rng(1),
+                                                               (0.1, 0.1)), NOT_A_MODEL),
+    }
+
+    @pytest.mark.parametrize("call, message", CALLS.values(), ids=CALLS.keys())
+    def test_refused(self, call, message):
+        with pytest.raises(SimulationArgumentError) as err:
+            call(build_gqbsc(encode_operands(1, 0)))
+        assert type(err.value) is SimulationArgumentError and str(err.value) == message
+
+    def test_numpy_numbers_accepted(self):
+        noise = NoiseModel(np.float64(0.25), np.int64(0))
+        circuit = build_gqbsc(encode_operands(1, 0))
+        assert sample(circuit, shots=8, noise=noise, seed=1) == sample(
+            circuit, shots=8, noise=NoiseModel(0.25, 0), seed=1)
+
+
 class TestSampling:
     def test_noiseless_deterministic_circuit_is_single_bin(self):
         histogram = sample(build_gqbsc(encode_operands(0, 1)), shots=1024, seed=3)
