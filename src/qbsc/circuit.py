@@ -231,6 +231,14 @@ def _check_int(value, what: str, size: int | None = None) -> None:
         raise IndexOutOfRange(f"{what} {value} outside [0, {size})")
 
 
+def _non_bits(bits: Sequence) -> set[str]:
+    """The reprs of the entries of ``bits`` other than the integers
+    (:func:`_is_int`) 0 and 1; empty when every entry is a bit."""
+    # a set merges 1.0 and True into 1, so types go first
+    distinct = set(bits) if set(map(type, bits)) == {int} else bits
+    return {repr(x) for x in distinct if not _is_int(x) or x not in (0, 1)}
+
+
 @dataclass(eq=True)
 class Circuit:
     """Ordered dynamic circuit over ``num_qubits`` qubits and ``num_clbits`` bits.
@@ -412,37 +420,28 @@ def structural_depth(circuit: Circuit,
     qubit_free = [0] * circuit.num_qubits
     clbit_written = [0] * circuit.num_clbits
     depth = 0
-    # id -> (qubits, condition clbits, delay, clbit written or None), made
-    # once per distinct object; () for a barrier
-    steps: dict = {}
     for instr in circuit.instructions:
-        step = steps.get(id(instr))
-        if step is None:
-            if isinstance(instr, BarrierOp):
-                step = ()
-            elif isinstance(instr, MeasureOp):
-                step = ((instr.qubit,), (), measure_delay, instr.clbit)
-            elif instr.gate not in delay_table:
+        if isinstance(instr, GateOp):
+            delay = delay_table.get(instr.gate)
+            if delay is None:
                 raise MissingDelayEntry(f"no delay entry for {instr.gate.value}")
-            else:
-                mask = () if instr.condition is None else instr.condition.mask
-                step = (instr.targets, mask, delay_table[instr.gate], None)
-            steps[id(instr)] = step
-        if not step:
+            qubits = instr.targets
+            start = qubit_free[qubits[0]]
+            for q in qubits:
+                if qubit_free[q] > start:
+                    start = qubit_free[q]
+            if instr.condition is not None:
+                for b in instr.condition.mask:
+                    if clbit_written[b] > start:
+                        start = clbit_written[b]
+            end = start + delay
+            for q in qubits:
+                qubit_free[q] = end
+        elif isinstance(instr, MeasureOp):
+            end = qubit_free[instr.qubit] + measure_delay
+            qubit_free[instr.qubit] = clbit_written[instr.clbit] = end
+        else:
             continue
-        qubits, mask, delay, clbit = step
-        start = qubit_free[qubits[0]]
-        for q in qubits:
-            if qubit_free[q] > start:
-                start = qubit_free[q]
-        for b in mask:
-            if clbit_written[b] > start:
-                start = clbit_written[b]
-        end = start + delay
-        for q in qubits:
-            qubit_free[q] = end
-        if clbit is not None:
-            clbit_written[clbit] = end
         if end > depth:
             depth = end
     return depth

@@ -42,6 +42,7 @@ from .circuit import (
     MeasureOp,
     _check_cap,
     _is_int,
+    _non_bits,
 )
 from .errors import (DuplicateTarget, EmptyOperand, InvalidBitstring, OperandError,
                      SimulationArgumentError)
@@ -123,9 +124,7 @@ def _check_operands(ops: Operands) -> None:
         raise EmptyOperand("comparator needs at least one bit")
     if len(ops.b_bits) != n:
         raise InvalidBitstring(f"operand widths differ: {n} and {len(ops.b_bits)}")
-    a, b = ops.a_bits, ops.b_bits  # a set merges 1.0 and True into 1, so types go first
-    distinct = set(a).union(b) if {*map(type, a), *map(type, b)} == {int} else itertools.chain(a, b)
-    other = sorted({repr(x) for x in distinct if not _is_int(x) or x not in (0, 1)})
+    other = sorted(_non_bits(ops.a_bits) | _non_bits(ops.b_bits))
     if other:
         raise InvalidBitstring(f"operand bits must be 0 or 1, got {', '.join(other)}")
 
@@ -230,7 +229,8 @@ def interpret(r0: int, r1: int) -> ComparisonClass:
 def reference_flags(ops: Operands, variant: BuilderVariant = BuilderVariant.FIGURE) -> tuple[int, int]:
     """Classical oracle for the final (r0, r1) flags: one lane of :func:`_reference_flag_lanes`."""
     _check_operands(ops)
-    return _reference_flag_lanes(ops.a_bits, ops.b_bits, 1, variant)
+    r0, r1 = _reference_flag_lanes(ops.a_bits, ops.b_bits, 1, variant)
+    return int(r0), int(r1)  # Python ints, also for numpy-int bits
 
 
 def compare(a, b, backend: str = "auto",

@@ -177,31 +177,26 @@ class _Parser:
         under that condition it is replayed instead of parsed again."""
         instructions = self.instructions
         # Open condition value (None outside a block) -> {raw line: (the
-        # instruction it appended or None, the condition it left open, that
-        # condition's table)}.
+        # instruction it appended or None, the condition it left open)}.
         tables: dict[int | None, dict] = {None: {}}
         table = tables[None]
-        try:
-            for line_no, raw in enumerate(self.lines, start=1):
-                seen = table.get(raw)
-                if seen is not None:
-                    instr, self.condition, table = seen
-                    if instr is not None:
-                        instructions.append(instr)
-                    continue
+        condition = None
+        for line_no, raw in enumerate(self.lines, start=1):
+            seen = table.get(raw)
+            if seen is not None:
+                instr, self.condition = seen
+                if instr is not None:
+                    instructions.append(instr)
+            else:
                 count = len(instructions)
                 self._line(raw, line_no)
-                if self.saw_statement:
-                    condition = self.condition
-                    after = tables.setdefault(None if condition is None else condition.value, {})
-                    table[raw] = (instructions[-1] if len(instructions) > count else None,
-                                  condition, after)
-                    table = after
-        finally:
-            # entries hold their next table, so the tables form a cycle that
-            # only the cyclic collector would free: empty them
-            for t in tables.values():
-                t.clear()
+                if not self.saw_statement:
+                    continue
+                table[raw] = (instructions[-1] if len(instructions) > count else None,
+                              self.condition)
+            if self.condition is not condition:  # a block opened or closed
+                condition = self.condition
+                table = tables.setdefault(None if condition is None else condition.value, {})
         if not self.saw_version:
             raise QasmSyntaxError("empty document", 1, 1, "'OPENQASM 3.0;'")
         if self.condition is not None:

@@ -78,6 +78,7 @@ from .circuit import (
     GateKind,
     MeasureOp,
     _is_int,
+    _non_bits,
     census_walk,
     static_census,
 )
@@ -184,18 +185,15 @@ def _coerce_bits(initial_bits, num_qubits: int, noise=None) -> tuple[int, ...]:
         raise SimulationArgumentError(f"noise must be a NoiseModel or None, got {noise!r}")
     if initial_bits is None:
         return (0,) * num_qubits
-    try:
-        if isinstance(initial_bits, str):
-            bits = tuple("01".index(ch) for ch in initial_bits)
-        else:
-            bits = tuple(operator.index(b) for b in initial_bits)
-    except (TypeError, ValueError):
-        raise SimulationError(f"initial bits must be 0/1: {initial_bits!r}") from None
+    try:  # a character other than 0 and 1 finds -1
+        bits = tuple(map("01".find, initial_bits) if isinstance(initial_bits, str) else initial_bits)
+    except TypeError:  # not iterable
+        bits = None
+    if bits is None or _non_bits(bits):
+        raise SimulationArgumentError(f"initial bits must be 0/1: {initial_bits!r}")
     if len(bits) != num_qubits:
-        raise SimulationError(f"initial bits length {len(bits)} != {num_qubits} qubits")
-    if any(b not in (0, 1) for b in bits):
-        raise SimulationError(f"initial bits must be 0/1: {initial_bits!r}")
-    return bits
+        raise SimulationArgumentError(f"initial bits length {len(bits)} != {num_qubits} qubits")
+    return tuple(map(int, bits))
 
 
 def _words(n: int) -> list[int]:
@@ -426,7 +424,7 @@ class _Runner:
         if noise is None and (rng is None or not self._superposes):
             return None
         if rng is None:
-            raise SimulationError("a noisy run needs a generator, got rng=None")
+            raise SimulationArgumentError("a noisy run needs a generator, got rng=None")
         return iter(rng.random(_draw_bound(self._static)).tolist()).__next__
 
     def run(self, initial_bits=None, seed: int | None = None,
@@ -487,13 +485,13 @@ class ClassicalRunner(_Runner):
         lane l. Returns the final qubit and clbit lane ints in the same form.
         At most ``MAX_LANES`` lanes per call.
         """
-        if not 1 <= lanes <= MAX_LANES:
-            raise SimulationError(f"lane count {lanes} outside [1, {MAX_LANES}]")
+        if not _is_int(lanes) or not 1 <= lanes <= MAX_LANES:
+            raise SimulationArgumentError(f"lane count {lanes} outside [1, {MAX_LANES}]")
         q = list(qubits)
         if len(q) != self.num_qubits:
-            raise SimulationError(f"{len(q)} qubit lane ints != {self.num_qubits} qubits")
-        if any(not isinstance(v, int) or v < 0 or v >> lanes for v in q):
-            raise SimulationError(f"qubit lane ints must lie in [0, 2^{lanes})")
+            raise SimulationArgumentError(f"{len(q)} qubit lane ints != {self.num_qubits} qubits")
+        if any(not isinstance(v, int) or isinstance(v, bool) or v < 0 or v >> lanes for v in q):
+            raise SimulationArgumentError(f"qubit lane ints must lie in [0, 2^{lanes})")
         return self._run_lanes(q, lanes)
 
     def _run_lanes(self, q: list[int], lanes: int, draw=None,

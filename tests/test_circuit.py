@@ -21,7 +21,7 @@ from qbsc.circuit import (
     static_census,
     structural_depth,
 )
-from qbsc.comparator import build_1bc
+from qbsc.comparator import BuilderVariant, _body, build_1bc
 from qbsc.errors import (
     ArityMismatch,
     CircuitError,
@@ -614,3 +614,14 @@ class TestDepthOnSharedObjects:
         circuit = Circuit(2, 0, [GateOp(GateKind.X, (0,)), gate, gate])
         with pytest.raises(MissingDelayEntry, match="no delay entry for cx"):
             structural_depth(circuit, {GateKind.X: 1})
+
+
+class TestComparatorDepthAtWidth:
+    """The comparator bodies' structural depth in closed form, at widths the
+    brute-force oracle cannot reach."""
+
+    @pytest.mark.parametrize("n", [*range(1, 65), 1000])
+    def test_closed_form(self, n):
+        assert structural_depth(_body(n, BuilderVariant.FIGURE)) == 12 * n + (n + 1) // 2
+        assert structural_depth(_body(n, BuilderVariant.ALGORITHMIC)) == (
+            13 if n == 1 else 13 * n - 1)

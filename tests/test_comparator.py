@@ -233,6 +233,13 @@ class TestReferenceFlags:
         assert reference_flags(ops, FIGURE) == (1, 1)
         assert reference_flags(ops, ALGORITHMIC) == (1, 1)
 
+    @pytest.mark.parametrize("a, b", [(1, 0), (0, 1), (1, 1)])
+    def test_python_ints_for_numpy_bits(self, a, b):
+        flags = reference_flags(Operands((np.int64(a),), (np.int64(b),)))
+        assert [type(f) for f in flags] == [int, int]
+        outcome = compare(a, b)
+        assert flags == (outcome.r0, outcome.r1)
+
     @pytest.mark.parametrize("ops", [Operands((1, 0), (1,)), Operands((1,), (1, 1))])
     def test_unequal_widths_refused(self, ops):
         with pytest.raises(ValueError):

@@ -160,7 +160,8 @@ class TestClassicalBackend:
             final = runner.final_qubits(bits)
             assert final[:2 * n] == bits[:2 * n]
 
-    @pytest.mark.parametrize("bits", [[0.5, 0], "0x", ["0", "1"], 5, [0, 2]])
+    @pytest.mark.parametrize("bits", [[0.5, 0], "0x", ["0", "1"], 5, [0, 2], (True, 0),
+                                      (np.True_, 0)])
     def test_malformed_initial_bits_rejected(self, bits):
         c = new_circuit(2, 0)
         with pytest.raises(SimulationError):
@@ -358,6 +359,19 @@ class TestArgumentErrors:
         "float shots": lambda c: sample(c, shots=2.0),
         "unknown backend": lambda c: select_backend(c, "qpu"),
         "unknown sample backend": lambda c: sample(c, backend="qpu"),
+        "bool bit": lambda c: run_classical(c, (True, 0, 0, 0)),
+        "numpy bool bit": lambda c: run_dense(c, (np.True_, 0, 0, 0)),
+        "bool bit in sample": lambda c: sample(c, (True, 0, 0, 0), shots=2),
+        "float bit": lambda c: run_classical(c, (0.5, 0, 0, 0)),
+        "bits too short": lambda c: run_classical(c, (1, 0)),
+        "lane count": lambda c: ClassicalRunner(c).run_lanes([0, 0, 0, 0], 0),
+        "float lane count": lambda c: ClassicalRunner(c).run_lanes([0, 0, 0, 0], 1.0),
+        "bool lane count": lambda c: ClassicalRunner(c).run_lanes([0, 0, 0, 0], True),
+        "lane int count": lambda c: ClassicalRunner(c).run_lanes([0, 0], 1),
+        "lane int range": lambda c: ClassicalRunner(c).run_lanes([2, 0, 0, 0], 1),
+        "bool lane int": lambda c: ClassicalRunner(c).run_lanes([True, 0, 0, 0], 1),
+        "noisy run without generator": lambda c: ClassicalRunner(c).run_value(
+            None, None, NoiseModel(0.1, 0.1)),
     }
 
     @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
