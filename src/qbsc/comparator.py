@@ -151,18 +151,16 @@ def build_1bc(qa: int, qb: int, qr0: int, qr1: int, c0: int, c1: int,
     """
     if len({qa, qb, qr0, qr1}) != 4:
         raise DuplicateTarget(f"block qubits must be distinct: {(qa, qb, qr0, qr1)}")
+    return _block_gates(qa, qb, qr0, qr1, condition) + [MeasureOp(qr0, c0), MeasureOp(qr1, c1)]
+
+
+def _block_gates(qa: int, qb: int, qr0: int, qr1: int,
+                 condition: ClassicalCondition | None) -> list[Instruction]:
+    """The six gates of :func:`build_1bc`, for four distinct qubits."""
     gate = GateOp._trusted  # the qubits are distinct, so each gate fits its kind
     xa, xb = gate(_X, (qa,), condition), gate(_X, (qb,), condition)
-    return [
-        xb,
-        gate(_CCX, (qa, qb, qr0), condition),
-        xa,
-        xb,
-        gate(_CCX, (qa, qb, qr1), condition),
-        xa,
-        MeasureOp(qr0, c0),
-        MeasureOp(qr1, c1),
-    ]
+    return [xb, gate(_CCX, (qa, qb, qr0), condition), xa,
+            xb, gate(_CCX, (qa, qb, qr1), condition), xa]
 
 
 def _correction_sites(n: int, variant: BuilderVariant) -> set[int]:
@@ -200,10 +198,9 @@ def build_gqbsc(ops: Operands, variant: BuilderVariant = BuilderVariant.FIGURE) 
     correction = [GateOp._trusted(_X, (qr0,), ClassicalCondition((0, 1), 2)), meters[0]]
     sites = _correction_sites(n, variant)
     for i in range(n):
-        block = build_1bc(i, n + i, qr0, qr1, 0, 1, None if i == 0 else skip_unless_open)
-        block[-2:] = meters  # every block ends with these two measurements
         instructions.append(begin)
-        instructions += block
+        instructions += _block_gates(i, n + i, qr0, qr1, None if i == 0 else skip_unless_open)
+        instructions += meters  # every block ends with these two measurements
         instructions.append(end)
         if i in sites:
             instructions += correction
@@ -275,31 +272,41 @@ def _reference_flag_lanes(a_lanes: list[int], b_lanes: list[int], full: int,
 
 
 def _transpose(values, n: int) -> list[int]:
-    """Lane ints of n-bit values, MSB first: bit l of entry i is bit n-1-i
-    of values[l]. ``values`` are Python ints or an unsigned numpy array;
-    either goes in as big-endian byte rows."""
+    """Lane ints of n-bit Python ints, MSB first: bit l of entry i is bit
+    n-1-i of values[l]. The values go in as big-endian byte rows."""
     width = (n + 7) // 8
-    if isinstance(values, np.ndarray):
-        big = values.astype(values.dtype.newbyteorder(">"))
-        rows = big.view(np.uint8).reshape(len(values), -1)[:, big.itemsize - width:]
-    else:
-        rows = np.frombuffer(b"".join(v.to_bytes(width, "big") for v in values),
-                             np.uint8).reshape(-1, width)
+    rows = np.frombuffer(b"".join(v.to_bytes(width, "big") for v in values),
+                         np.uint8).reshape(-1, width)
     bits = np.unpackbits(rows, axis=1)[:, 8 * width - n:]
     packed = np.packbits(bits, axis=0, bitorder="little")  # column i: entry i's lanes
     stride, flat = packed.shape[0], packed.T.tobytes()
     return [int.from_bytes(flat[i:i + stride], "little") for i in range(0, n * stride, stride)]
 
 
-def _chunk_mismatches(runner, n: int, a, b, less, greater, variant: BuilderVariant) -> int:
-    """Run one chunk of operand pairs (a[l], b[l]) in lane l and count the
-    lanes failing either oracle.
+def _index_bit_lanes(start: int, lanes: int, k: int) -> int:
+    """Lane int of bit k of the indices start .. start + lanes - 1 (lane l
+    holds index start + l): runs of 2^k zeros then 2^k ones, entered
+    ``start mod 2^(k+1)`` bits in. No int much wider than ``lanes`` bits."""
+    half, full = 1 << k, (1 << lanes) - 1
+    if half >= lanes:  # the bit flips at most once, after ``before`` lanes
+        before = (1 << min(half - start % half, lanes)) - 1
+        return before if start & half else full ^ before
+    pattern, width, offset = ((1 << half) - 1) << half, 2 * half, start % (2 * half)
+    while width < offset + lanes:
+        pattern |= pattern << width
+        width *= 2
+    return pattern >> offset & full
+
+
+def _chunk_mismatches(runner, a_lanes: list[int], b_lanes: list[int], less, greater,
+                      variant: BuilderVariant) -> int:
+    """Run one chunk of operand pairs, given as lane ints (MSB first), and
+    count the lanes failing either oracle.
 
     ``less`` and ``greater`` flag a < b and a > b per lane, from integer
     comparison of the operand values.
     """
     lanes = len(less)
-    a_lanes, b_lanes = _transpose(a, n), _transpose(b, n)
     r0, r1 = runner._clbit_lanes(a_lanes + b_lanes + [0, 0], lanes)
     ref0, ref1 = _reference_flag_lanes(a_lanes, b_lanes, (1 << lanes) - 1, variant)
     class_bad = (r1 ^ _lane_mask(less)) | ((r0 & ~r1) ^ _lane_mask(greater))  # interpret()
@@ -315,6 +322,9 @@ def soundness_check_exhaustive(n: int, variant: BuilderVariant = BuilderVariant.
     The pairs go in chunks of at most ``MAX_LANES`` lanes, lane a*2^n + b
     holding the pair (a, b); the classical backend runs a chunk bit-sliced,
     the dense one lane at a time. ``backend`` resolves as in :func:`compare`.
+    A chunk's operand lane ints are index-bit patterns (:func:`_index_bit_lanes`:
+    a's column i is index bit 2n-1-i, b's is bit n-1-i); its integer oracle
+    compares the halves of an index array.
     """
     runner = _runner(_body(n, variant), backend)
     total = 1 << 2 * n
@@ -322,9 +332,10 @@ def soundness_check_exhaustive(n: int, variant: BuilderVariant = BuilderVariant.
     dtype = np.min_scalar_type(total - 1)  # the narrowest array keeps the sweep's peak memory low
     mismatches = 0
     for start in range(0, total, lanes):
+        columns = [_index_bit_lanes(start, lanes, k) for k in range(2 * n - 1, -1, -1)]
         index = np.arange(start, start + lanes, dtype=dtype)
         a, b = index >> n, index & ((1 << n) - 1)
-        mismatches += _chunk_mismatches(runner, n, a, b, a < b, a > b, variant)
+        mismatches += _chunk_mismatches(runner, columns[:n], columns[n:], a < b, a > b, variant)
     return total, mismatches
 
 
@@ -369,6 +380,7 @@ def soundness_check_random(n: int, samples: int, seed: int = 0,
     for _ in range(0, samples, MAX_LANES):
         pairs = list(itertools.islice(drawn, MAX_LANES))
         a, b = zip(*pairs)
-        mismatches += _chunk_mismatches(runner, n, a, b, [x < y for x, y in pairs],
-                                        [x > y for x, y in pairs], variant)
+        mismatches += _chunk_mismatches(runner, _transpose(a, n), _transpose(b, n),
+                                        [x < y for x, y in pairs], [x > y for x, y in pairs],
+                                        variant)
     return samples, mismatches

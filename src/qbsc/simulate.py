@@ -82,8 +82,7 @@ from .circuit import (
     census_walk,
     static_census,
 )
-from .errors import (NonClassicalGate, NormDrift, SimulationArgumentError, SimulationError,
-                     TooManyQubits)
+from .errors import NonClassicalGate, NormDrift, SimulationArgumentError, TooManyQubits
 from .gates import V, VDG
 
 DEFAULT_DENSE_CAP = 24
@@ -595,7 +594,7 @@ def _measure(amps: dict, q: int, draw) -> tuple[int, dict]:
     probabilistic = _BASIS_EPS < p1 < 1.0 - _BASIS_EPS
     if probabilistic:
         if draw is None:
-            raise SimulationError("measurement of a superposed qubit needs a seed")
+            raise SimulationArgumentError("measurement of a superposed qubit needs a seed")
         outcome = 1 if draw() < p1 else 0
     else:
         outcome = 1 if p1 >= 0.5 else 0

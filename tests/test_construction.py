@@ -4,7 +4,8 @@ to the unchecked ``Circuit._trusted``, so these tests re-check their output
 through the validating path, and check the runners' compile walk against the
 public census and permutation checks. Also the register width cap at every
 front end, the one integer rule at every integer argument, the soundness
-sweeps' backend names, and the lane transpose."""
+sweeps' backend names, the lane transpose and the exhaustive sweep's
+closed-form lane ints, and what the builder and the sweep allocate."""
 
 import random
 import tracemalloc
@@ -22,8 +23,10 @@ from qbsc.circuit import (
     MAX_WIDTH,
     BarrierOp,
     Circuit,
+    ClassicalCondition,
     GateKind,
     GateOp,
+    MeasureOp,
     circuit_from_json,
     circuit_to_json,
     new_circuit,
@@ -326,18 +329,73 @@ class TestTranspose:
         assert comparator._transpose(values, n) == transpose_reference(values, n)
 
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 16])
-    @pytest.mark.parametrize("dtype", [np.uint64, None])
-    def test_index_arrays_match_string_transpose(self, n, dtype):
-        """The exhaustive sweep's operands: halves of a run of pair indices
-        (uint64, or the narrowest type the sweep uses), at the first, a
-        middle and the last chunk."""
+    def test_index_arrays_match_string_transpose(self, n):
+        """The exhaustive sweep's closed-form operand lane ints (a's column i
+        is index bit 2n-1-i, b's is bit n-1-i) against the halves of a run of
+        pair indices, at the first, a middle and the last chunk."""
         lanes = min(1 << 2 * n, 256)
-        dtype = dtype or np.min_scalar_type((1 << 2 * n) - 1)
         for start in (0, (1 << 2 * n) // 3 // lanes * lanes, (1 << 2 * n) - lanes):
-            index = np.arange(start, start + lanes, dtype=dtype)
-            for values in (index >> n, index & ((1 << n) - 1)):
-                assert (comparator._transpose(values, n)
-                        == transpose_reference(values.tolist(), n))
+            index = range(start, start + lanes)
+            columns = [comparator._index_bit_lanes(start, lanes, k)
+                       for k in range(2 * n - 1, -1, -1)]
+            assert columns[:n] == transpose_reference([i >> n for i in index], n)
+            assert columns[n:] == transpose_reference([i & ((1 << n) - 1) for i in index], n)
+
+    def test_index_bit_lanes_match_brute_force(self):
+        """Any start (aligned or not) and any lane count, 2^k below, at and
+        above it: lane l holds bit k of start + l."""
+        rng = random.Random(21)
+        cases = [(rng.randrange(1 << 20), rng.randint(1, 300), rng.randrange(22))
+                 for _ in range(2000)]
+        cases += [(start, lanes, k) for start in (0, 256, 255, 1000) for lanes in (1, 64, 255, 256)
+                  for k in range(11)]
+        for start, lanes, k in cases:
+            want = sum(((start + lane) >> k & 1) << lane for lane in range(lanes))
+            assert comparator._index_bit_lanes(start, lanes, k) == want, (start, lanes, k)
+
+
+class TestNoThrowawayWork:
+    def test_exhaustive_sweep_peak_memory(self):
+        """No lanes x bits matrix per chunk: 2^20 pairs at n=10 in 16 chunks
+        peak under 2 MB."""
+        tracemalloc.start()
+        try:
+            assert comparator.soundness_check_exhaustive(10) == (1 << 20, 0)
+            assert tracemalloc.get_traced_memory()[1] < 2 << 20
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("n", [1, 2, 64])
+    @pytest.mark.parametrize("variant", list(BuilderVariant))
+    def test_builder_makes_two_measurements(self, monkeypatch, n, variant):
+        made = []
+        measure_op = comparator.MeasureOp
+
+        def counting(*args):
+            made.append(args)
+            return measure_op(*args)
+
+        monkeypatch.setattr(comparator, "MeasureOp", counting)
+        body = build_gqbsc(Operands((0,) * n, (0,) * n), variant)
+        assert sorted(made) == [(2 * n, 0), (2 * n + 1, 1)]
+        assert sum(isinstance(i, MeasureOp) for i in body.instructions) == 2 * n + len(
+            comparator._correction_sites(n, variant))
+
+    @pytest.mark.parametrize("qa, qb, qr0, qr1, c0, c1, condition", [
+        (0, 1, 2, 3, 0, 1, None),
+        (5, 2, 0, 7, 1, 0, None),
+        (3, 9, 20, 21, 0, 1, ClassicalCondition((0, 1), 0)),
+        (1, 0, 3, 2, 1, 1, ClassicalCondition((1,), 1)),
+    ])
+    def test_one_bit_block_is_unchanged(self, qa, qb, qr0, qr1, c0, c1, condition):
+        xa, xb = GateOp(GateKind.X, (qa,), condition), GateOp(GateKind.X, (qb,), condition)
+        assert comparator.build_1bc(qa, qb, qr0, qr1, c0, c1, condition) == [
+            xb, GateOp(GateKind.CCX, (qa, qb, qr0), condition), xa,
+            xb, GateOp(GateKind.CCX, (qa, qb, qr1), condition), xa,
+            MeasureOp(qr0, c0), MeasureOp(qr1, c1),
+        ]
+        with pytest.raises(DuplicateTarget):
+            comparator.build_1bc(qa, qb, qr0, qa, c0, c1, condition)
 
 
 class TestExhaustiveLaneOrder:

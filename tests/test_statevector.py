@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbsc.circuit import ClassicalCondition, GateKind, GateOp, new_circuit
-from qbsc.comparator import BuilderVariant, build_gqbsc, encode_operands, reference_flags
-from qbsc.errors import SimulationError
+from qbsc.comparator import BuilderVariant, _body, build_gqbsc, encode_operands, reference_flags
+from qbsc.errors import SimulationArgumentError, SimulationError
 from qbsc.gates import lower_circuit
 from qbsc.simulate import DenseRunner, NoiseModel, sample
 
@@ -109,4 +109,19 @@ class TestSparseState:
         runner = DenseRunner(lowered)
         for a, b in ((1137, 1137), (1137, 1136), (560, 1137)):
             ops = encode_operands(f"{a:011b}", f"{b:011b}")
+            assert runner.run(ops.initial_qubit_bits()).classical_bits == reference_flags(ops)
+
+
+class TestSeedlessRun:
+    def test_superposed_measurement_is_an_argument_error(self):
+        circuit = new_circuit(2, 1).x(0).cv(0, 1).measure(1, 0)
+        with pytest.raises(SimulationArgumentError, match="needs a seed"):
+            DenseRunner(circuit).run()
+
+    def test_certain_measurements_need_no_seed(self):
+        """A lowered comparator has CV gates but, on basis inputs, measures
+        only certain outcomes, so it runs without a seed."""
+        runner = DenseRunner(lower_circuit(_body(3, BuilderVariant.FIGURE)))
+        for a, b in ((5, 6), (6, 5), (3, 3)):
+            ops = encode_operands(f"{a:03b}", f"{b:03b}")
             assert runner.run(ops.initial_qubit_bits()).classical_bits == reference_flags(ops)
