@@ -96,7 +96,7 @@ class ClassicalCondition:
     value: int
 
     def __post_init__(self):
-        object.__setattr__(self, "mask", tuple(self.mask))
+        object.__setattr__(self, "mask", _index_tuple(self.mask, "condition mask"))
         for b in self.mask + (self.value,):  # typed here; append only range-checks
             if type(b) is not int:
                 _check_int(b, "condition clbit or value")
@@ -122,13 +122,7 @@ class ClassicalCondition:
         return value == self.value
 
 
-# Sets a field of a frozen instance for GateOp._trusted. Writing through the
-# instance's ``__dict__`` instead would give each gate a dict of its own (65
-# bytes more per gate on CPython 3.11).
-_setattr = object.__setattr__
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GateOp:
     gate: GateKind
     targets: tuple[int, ...]
@@ -137,9 +131,10 @@ class GateOp:
     def __post_init__(self):
         targets = self.targets
         if type(targets) is not tuple:
-            targets = tuple(targets)
+            targets = _index_tuple(targets, "gate targets")
             object.__setattr__(self, "targets", targets)
-        arity = _ARITY.get(self.gate)
+        _check_condition(self.condition)
+        arity = _ARITY.get(self.gate) if isinstance(self.gate, GateKind) else None
         if arity != len(targets):
             if arity is None:
                 raise CircuitError(f"not a gate kind: {self.gate!r}")
@@ -155,10 +150,16 @@ class GateOp:
         """A gate whose ``targets`` tuple fits ``gate`` by construction (the
         builders' and the lowering's), skipping :meth:`__post_init__`."""
         op = object.__new__(cls)
-        _setattr(op, "gate", gate)
-        _setattr(op, "targets", targets)
-        _setattr(op, "condition", condition)
+        _set_gate(op, gate)
+        _set_targets(op, targets)
+        _set_condition(op, condition)
         return op
+
+
+# GateOp._trusted's writers: the slots' own descriptors, which a frozen
+# instance's ``__setattr__`` does not guard.
+_set_gate, _set_targets, _set_condition = (
+    GateOp.gate.__set__, GateOp.targets.__set__, GateOp.condition.__set__)
 
 
 @dataclass(frozen=True)
@@ -215,6 +216,20 @@ def _check_cap(num_qubits: int, num_clbits: int) -> None:
     if num_qubits > MAX_WIDTH or num_clbits > MAX_WIDTH:
         raise CircuitError(f"register widths {num_qubits}, {num_clbits}"
                            f" exceed the cap of {MAX_WIDTH}")
+
+
+def _check_condition(condition) -> None:
+    """Refuse a gate condition that is neither None nor a ClassicalCondition."""
+    if condition is not None and not isinstance(condition, ClassicalCondition):
+        raise CircuitError(f"condition must be a ClassicalCondition or None, got {condition!r}")
+
+
+def _index_tuple(indices, what: str) -> tuple:
+    """``indices`` as a tuple; a non-iterable raises :class:`CircuitError`."""
+    try:
+        return tuple(indices)
+    except TypeError:
+        raise CircuitError(f"{what} must be a sequence of integers, got {indices!r}") from None
 
 
 def _is_int(x) -> bool:

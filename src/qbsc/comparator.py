@@ -41,10 +41,11 @@ from .circuit import (
     Instruction,
     MeasureOp,
     _check_cap,
+    _check_condition,
     _is_int,
     _non_bits,
 )
-from .errors import (DuplicateTarget, EmptyOperand, InvalidBitstring, OperandError,
+from .errors import (CircuitError, DuplicateTarget, EmptyOperand, InvalidBitstring, OperandError,
                      SimulationArgumentError)
 from .simulate import MAX_LANES, RunResult, _runner
 
@@ -148,7 +149,12 @@ def build_1bc(qa: int, qb: int, qr0: int, qr1: int, c0: int, c1: int,
     With b inverted, CCX(a, b -> r0) computes a AND NOT b; restoring b and
     inverting a gives NOT a AND b into r1; the trailing X restores a. The
     optional condition lands on the gates only (measurements never carry one).
+    Every index is an integer >= 0 (see ``_is_int``).
     """
+    indices = (qa, qb, qr0, qr1, c0, c1)
+    if not all(_is_int(i) and i >= 0 for i in indices):
+        raise CircuitError(f"block indices must be integers >= 0, got {indices}")
+    _check_condition(condition)
     if len({qa, qb, qr0, qr1}) != 4:
         raise DuplicateTarget(f"block qubits must be distinct: {(qa, qb, qr0, qr1)}")
     return _block_gates(qa, qb, qr0, qr1, condition) + [MeasureOp(qr0, c0), MeasureOp(qr1, c1)]

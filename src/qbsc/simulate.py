@@ -24,6 +24,13 @@ comparator, lowered or noisy, keeps only a few. X/CX/CCX re-key the map
 (``_flip``) and every other gate, CV/CV-dagger and noise Y/Z alike, applies
 its 2x2 through ``_mix``. The qubit cap defaults to 24.
 
+Each interpreter tests a condition once per run of ops between measurements.
+It holds the compiled condition it last tested (one object per distinct
+condition, since compiling shares them as the front ends do) with its lane
+mask or result; an op guarded by the same object reuses it, and a
+measurement, the only op that writes a clbit (a readout flip included),
+drops it. A comparator block's six gates share one condition.
+
 A backend is a ``_Runner`` subclass and supplies two things: its name,
 ``backend``, and ``_execute``, the interpreter that runs one basis input to
 its final clbits. The base compiles the circuit and owns everything else, so
@@ -507,13 +514,18 @@ class ClassicalRunner(_Runner):
             ops, q, cl = iter(self._prog[start[0]:]), list(start[1]), list(start[2])
         if draw is not None:
             p, flip_p = noise.depolarizing_per_gate, noise.readout_flip
+        held = None  # the condition last tested, ``live`` its lanes, until a measurement
         for op, a0, a1, a2, cond, touched in ops:
-            act = full
-            if cond is not None:
-                for mb, flip in cond:
-                    act &= cl[mb] ^ flip
-                if not act:
+            if cond is None:
+                act = full
+            else:
+                if cond is not held:
+                    held, live = cond, full
+                    for mb, flip in cond:
+                        live &= cl[mb] ^ flip
+                if not live:
                     continue
+                act = live
             if op == _OP_X:
                 q[a0] ^= act
             elif op == _OP_CCX:
@@ -522,6 +534,7 @@ class ClassicalRunner(_Runner):
                 cl[a1] = q[a0]
                 if draw is not None and draw() < flip_p:
                     cl[a1] ^= 1
+                held = None
             else:  # _OP_CX
                 q[a1] ^= act & q[a0]
             if draw is not None:
@@ -637,11 +650,13 @@ class DenseRunner(_Runner):
             ops, amps, cl = iter(self._prog[start[0]:]), start[1], list(start[2])
         p, q_flip = (noise.depolarizing_per_gate, noise.readout_flip) if noise else (0, 0)
 
+        held = None  # the condition last tested, ``fire`` its result, until a measurement
         for op, a0, a1, a2, cond, touched in ops:
             if cond is not None:
-                fire = 1
-                for mb, flip in cond:
-                    fire &= cl[mb] ^ flip
+                if cond is not held:
+                    held, fire = cond, 1
+                    for mb, flip in cond:
+                        fire &= cl[mb] ^ flip
                 if not fire:
                     continue
             if op == _OP_MEASURE:
@@ -649,6 +664,7 @@ class DenseRunner(_Runner):
                 if noise is not None and draw() < q_flip:
                     outcome ^= 1
                 cl[a1] = outcome
+                held = None
             elif op == _OP_X:
                 amps = _flip(amps, 0, 1 << a0)
             elif op == _OP_CX:

@@ -1,5 +1,10 @@
 """Circuit IR: construction rules, census, structural depth, JSON form."""
 
+import copy
+import dataclasses
+import pickle
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -392,7 +397,7 @@ class TestTableDrivenChecks:
         assert {k.value: k.arity for k in GateKind} == {
             "x": 1, "cx": 2, "ccx": 3, "cv": 2, "cvdg": 2}
 
-    @pytest.mark.parametrize("gate", ["x", None])
+    @pytest.mark.parametrize("gate", ["x", None, []])
     def test_gate_that_is_not_a_kind_rejected(self, gate):
         with pytest.raises(CircuitError):
             GateOp(gate, (0,))
@@ -408,6 +413,71 @@ class TestTableDrivenChecks:
     def test_condition_clbit_out_of_range_names_the_first(self):
         with pytest.raises(IndexOutOfRange, match="clbit 2 outside"):
             Circuit(1, 2).append(GateOp(GateKind.X, (0,), ClassicalCondition((0, 2, 3), 0)))
+
+    @pytest.mark.parametrize("condition", [5, (0,), {"mask": (0,), "value": 1}])
+    def test_condition_that_is_not_a_classical_condition_rejected(self, condition):
+        with pytest.raises(CircuitError, match="ClassicalCondition"):
+            GateOp(GateKind.X, (0,), condition)
+
+    @pytest.mark.parametrize("make", [
+        lambda: GateOp(GateKind.X, None),
+        lambda: GateOp(GateKind.X, 0),
+        lambda: ClassicalCondition(None, 0),
+        lambda: ClassicalCondition(1, 0),
+    ], ids=["gate-None", "gate-int", "condition-None", "condition-int"])
+    def test_indices_that_are_not_a_sequence_rejected(self, make):
+        with pytest.raises(CircuitError, match="sequence of integers"):
+            make()
+
+
+class TestSlottedGateOp:
+    """``GateOp``, the instruction made in thousands, is a slotted frozen
+    value; ``MeasureOp`` and ``BarrierOp`` keep their instance dicts."""
+
+    def test_no_instance_dict(self):
+        assert not hasattr(GateOp(GateKind.CX, (0, 1)), "__dict__")
+        assert not hasattr(GateOp._trusted(GateKind.CX, (0, 1)), "__dict__")
+
+    @pytest.mark.parametrize("name", ["gate", "targets", "condition"])
+    def test_fields_are_frozen(self, name):
+        op = GateOp(GateKind.X, (0,), ClassicalCondition((0,), 1))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(op, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(op, name)
+        assert op == GateOp(GateKind.X, (0,), ClassicalCondition((0,), 1))
+
+    @pytest.mark.parametrize("kind, targets, condition", [
+        (GateKind.X, (0,), None),
+        (GateKind.CX, (2, 0), ClassicalCondition((0, 1), 2)),
+        (GateKind.CCX, (0, 1, 2), ClassicalCondition((1,), 0)),
+        (GateKind.CVDG, (1, 0), None),
+    ])
+    def test_trusted_equals_checked(self, kind, targets, condition):
+        trusted, checked = GateOp._trusted(kind, targets, condition), GateOp(kind, targets, condition)
+        assert type(trusted) is GateOp
+        assert trusted == checked and hash(trusted) == hash(checked)
+        assert (trusted.gate, trusted.targets, trusted.condition) == (kind, targets, condition)
+
+    @pytest.mark.parametrize("variant", list(BuilderVariant))
+    def test_copies_round_trip_every_gate(self, variant):
+        body = _body(64, variant)
+        gates = [op for op in body.instructions if isinstance(op, GateOp)]
+        assert any(op.condition is not None for op in gates)
+        copies = {"pickle": lambda op: pickle.loads(pickle.dumps(op)), "copy": copy.copy,
+                  "deepcopy": copy.deepcopy, "replace": dataclasses.replace}
+        for name, copy_of in copies.items():
+            for op in gates:
+                got = copy_of(op)
+                assert type(got) is GateOp and got == op and hash(got) == hash(op), (name, op)
+        assert pickle.loads(pickle.dumps(body)) == body
+        assert copy.deepcopy(body) == body
+
+    def test_measure_and_barrier_stay_weak_referenceable(self):
+        for instr in (MeasureOp(0, 1), BarrierOp(BLOCK_BEGIN), BarrierOp()):
+            assert weakref.ref(instr)() is instr
+        with pytest.raises(TypeError):
+            weakref.ref(GateOp(GateKind.X, (0,)))
 
 
 class TestJsonLoading:

@@ -397,6 +397,22 @@ class TestNoThrowawayWork:
         with pytest.raises(DuplicateTarget):
             comparator.build_1bc(qa, qb, qr0, qa, c0, c1, condition)
 
+    @pytest.mark.parametrize("indices", [
+        (0.5, 1, 2, 3, 0, 1),
+        (-1, 1, 2, 3, 0, 1),
+        ("a", 1, 2, 3, 0, 1),
+        (0, 1, 2, True, 0, 1),
+        (0, 1, 2, 3, 0.5, 1),
+        (0, 1, 2, 3, 0, -1),
+    ])
+    def test_one_bit_block_refuses_bad_indices(self, indices):
+        with pytest.raises(CircuitError, match="integers >= 0"):
+            comparator.build_1bc(*indices)
+
+    def test_one_bit_block_refuses_a_condition_of_another_type(self):
+        with pytest.raises(CircuitError, match="ClassicalCondition"):
+            comparator.build_1bc(0, 1, 2, 3, 0, 1, 5)
+
 
 class TestExhaustiveLaneOrder:
     @pytest.mark.parametrize("n, max_lanes", [(1, 1 << 16), (2, 1 << 16), (3, 16), (4, 64)])

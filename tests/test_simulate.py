@@ -26,6 +26,8 @@ from qbsc.simulate import (
     select_backend,
 )
 
+from _oracles import reference_sample
+
 
 def bits_for(a: int, b: int, n: int) -> tuple[int, ...]:
     a_bits = tuple((a >> (n - 1 - k)) & 1 for k in range(n))
@@ -170,10 +172,12 @@ class TestClassicalBackend:
 
 @st.composite
 def permutation_circuits(draw, max_qubits=6, max_clbits=3, max_len=24):
-    """Random X/CX/CCX circuits with conditions and mid-circuit measurements."""
+    """Random X/CX/CCX circuits with conditions, some one object shared by
+    several gates, and mid-circuit measurements."""
     nq = draw(st.integers(1, max_qubits))
     nc = draw(st.integers(0, max_clbits))
     circuit = new_circuit(nq, nc)
+    conditions = []  # drawn for this circuit; a later gate may reuse one object
     kinds = [k for k in (GateKind.X, GateKind.CX, GateKind.CCX) if k.arity <= nq]
     for _ in range(draw(st.integers(0, max_len))):
         if nc and draw(st.integers(0, 3)) == 0:
@@ -183,8 +187,13 @@ def permutation_circuits(draw, max_qubits=6, max_clbits=3, max_len=24):
         targets = draw(st.permutations(range(nq)))[:kind.arity]
         condition = None
         if nc and draw(st.booleans()):
-            mask = sorted(draw(st.sets(st.integers(0, nc - 1), min_size=1)))
-            condition = ClassicalCondition(tuple(mask), draw(st.integers(0, (1 << len(mask)) - 1)))
+            if conditions and draw(st.booleans()):
+                condition = draw(st.sampled_from(conditions))
+            else:
+                mask = sorted(draw(st.sets(st.integers(0, nc - 1), min_size=1)))
+                condition = ClassicalCondition(tuple(mask),
+                                               draw(st.integers(0, (1 << len(mask)) - 1)))
+                conditions.append(condition)
         circuit.append(GateOp(kind, tuple(targets), condition))
     return circuit
 
@@ -274,6 +283,57 @@ class TestLaneInterpreter:
     def test_lane_ints_validated(self, qubits):
         with pytest.raises(SimulationError):
             ClassicalRunner(new_circuit(2, 0)).run_lanes(qubits, 2)
+
+
+def held_condition_circuit():
+    """One condition object, c0 == 1, guards the X on qubit 1 and later the X
+    on qubit 2; between them a measurement turns c0 from qubit 0's input b
+    into its complement. Noiseless, the final clbits read (b, not b)."""
+    cond = ClassicalCondition((0,), 1)
+    return (new_circuit(3, 2).measure(0, 0).x(1, cond).x(0).measure(0, 0).x(2, cond)
+            .measure(1, 0).measure(2, 1))
+
+
+class TestHeldCondition:
+    """An interpreter tests a condition once per run of ops between
+    measurements; a measurement must make it test the condition again."""
+
+    def test_lanes_that_disagree(self):
+        # lane 0 reads b = 1, lane 1 b = 0
+        final_q, cl = ClassicalRunner(held_condition_circuit()).run_lanes([0b01, 0, 0], 2)
+        assert cl == [0b01, 0b10]
+        assert final_q == [0b10, 0b01, 0b10]
+
+    @pytest.mark.parametrize("b", [0, 1])
+    def test_noisy_one_lane_run_with_certain_readout_flips(self, b):
+        # every measurement records the complement: c0 reads not b at the
+        # first gate and b at the second, and the last two read not q1, not q2
+        circuit, noise = held_condition_circuit(), NoiseModel(0.0, 1.0)
+        for runner in (ClassicalRunner(circuit), DenseRunner(circuit)):
+            value = runner.run_value((b, 0, 0), np.random.default_rng(5), noise)
+            assert value == b + 2 * (1 - b), runner.backend
+
+    @pytest.mark.parametrize("b", [0, 1])
+    def test_dense_backend(self, b):
+        run = DenseRunner(held_condition_circuit()).run((b, 0, 0))
+        assert run.classical_bits == (b, 1 - b)
+        assert run.executed_census.x == 2
+
+    @pytest.mark.parametrize("backend", ["classical", "dense"])
+    def test_sample_resumes_between_the_gates(self, monkeypatch, backend):
+        circuit, bits, noise = held_condition_circuit(), (1, 0, 0), NoiseModel(0.1, 0.1)
+        resumed = []
+        shot = simulate._Runner._shot
+
+        def recording(self, bits, draw, noise, start=None):
+            resumed.append(None if start is None else start[0])
+            return shot(self, bits, draw, noise, start)
+
+        monkeypatch.setattr(simulate._Runner, "_shot", recording)
+        got = sample(circuit, bits, shots=400, noise=noise, seed=3, backend=backend)
+        assert got == reference_sample(circuit, bits, 400, noise, 3)
+        # program indices: the guarded gates are ops 1 and 4, the measurement op 3
+        assert {2, 3, 4} & set(resumed), resumed
 
 
 class TestBackendAgreement:

@@ -29,11 +29,12 @@ GATES = (GateKind.X, GateKind.CX, GateKind.CCX, GateKind.CV, GateKind.CVDG)
 
 @st.composite
 def statevector_circuits(draw, max_qubits=6, max_clbits=3, max_len=24):
-    """Random X/CX/CCX/CV/CV-dagger circuits with conditions and
-    mid-circuit measurements."""
+    """Random X/CX/CCX/CV/CV-dagger circuits with conditions, some one object
+    shared by several gates, and mid-circuit measurements."""
     nq = draw(st.integers(1, max_qubits))
     nc = draw(st.integers(0, max_clbits))
     circuit = new_circuit(nq, nc)
+    conditions = []  # drawn for this circuit; a later gate may reuse one object
     kinds = [k for k in GATES if k.arity <= nq]
     for _ in range(draw(st.integers(0, max_len))):
         if nc and draw(st.integers(0, 3)) == 0:
@@ -43,8 +44,13 @@ def statevector_circuits(draw, max_qubits=6, max_clbits=3, max_len=24):
         targets = draw(st.permutations(range(nq)))[:kind.arity]
         condition = None
         if nc and draw(st.booleans()):
-            mask = sorted(draw(st.sets(st.integers(0, nc - 1), min_size=1)))
-            condition = ClassicalCondition(tuple(mask), draw(st.integers(0, (1 << len(mask)) - 1)))
+            if conditions and draw(st.booleans()):
+                condition = draw(st.sampled_from(conditions))
+            else:
+                mask = sorted(draw(st.sets(st.integers(0, nc - 1), min_size=1)))
+                condition = ClassicalCondition(tuple(mask),
+                                               draw(st.integers(0, (1 << len(mask)) - 1)))
+                conditions.append(condition)
         circuit.append(GateOp(kind, tuple(targets), condition))
     return circuit
 
