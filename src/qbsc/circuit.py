@@ -18,9 +18,9 @@ Conventions fixed here and asserted by the test suite:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .errors import (
     CircuitError,
     DuplicateTarget,
     IndexOutOfRange,
-    MissingDelayEntry,
     QbscError,
 )
 
@@ -46,9 +45,10 @@ MAX_WIDTH = 1 << 20
 class GateKind(Enum):
     """The five gate identities the toolkit knows about.
 
-    Unit cost and unit delay follow the usual reversible-logic accounting:
-    every one- and two-qubit primitive counts 1, a Toffoli counts 5 (its
-    standard expansion into two CX, two controlled-V and one controlled-V†).
+    Unit cost follows the usual reversible-logic accounting, and is also each
+    gate's delay in :func:`structural_depth`: every one- and two-qubit
+    primitive counts 1, a Toffoli counts 5 (its standard expansion into two
+    CX, two controlled-V and one controlled-V†).
     """
 
     X = "x"
@@ -69,19 +69,14 @@ class GateKind(Enum):
     def unit_cost(self) -> int:
         return 5 if self is GateKind.CCX else 1
 
-    @property
-    def unit_delay(self) -> int:
-        return self.unit_cost
-
 
 _ARITY = {GateKind.X: 1, GateKind.CX: 2, GateKind.CCX: 3, GateKind.CV: 2, GateKind.CVDG: 2}
+# structural_depth reads a gate's delay per instruction; a dict read beats the property.
+_DELAY = {kind: kind.unit_cost for kind in GateKind}
 #: Gate kinds by their serialized names (JSON "g", QASM statement head), and
 #: the names by kind (a dict read; the Enum's ``.value`` is a Python call).
 GATE_NAMES: dict[str, GateKind] = {kind.value: kind for kind in GateKind}
 KIND_NAMES: dict[GateKind, str] = {kind: name for name, kind in GATE_NAMES.items()}
-
-#: Default per-kind delay table for structural_depth.
-DEFAULT_DELAYS: dict[GateKind, int] = {kind: kind.unit_delay for kind in GateKind}
 
 
 @dataclass(frozen=True)
@@ -321,10 +316,6 @@ class Circuit:
     def width_total(self) -> int:
         return self.num_qubits + self.num_clbits
 
-    def is_permutation_only(self) -> bool:
-        """True when every gate is classical (X/CX/CCX), i.e. basis-preserving."""
-        return static_census(self).permutation_only
-
 
 def new_circuit(num_qubits: int, num_clbits: int) -> Circuit:
     """Empty circuit with fixed register widths."""
@@ -363,12 +354,6 @@ class GateCensus:
     def total_unit_cost(self) -> int:
         """Sum of unit costs over all gates (measures/barriers cost nothing)."""
         return sum(getattr(self, kind.value) * kind.unit_cost for kind in GateKind)
-
-    def __add__(self, other: "GateCensus") -> "GateCensus":
-        if (self.width_qubits, self.width_total) != (other.width_qubits, other.width_total):
-            raise CircuitError("cannot add censuses of different widths")
-        return replace(self, **{f.name: getattr(self, f.name) + getattr(other, f.name)
-                                for f in fields(self) if not f.name.startswith("width")})
 
 
 def static_census(circuit: Circuit) -> GateCensus:
@@ -421,25 +406,20 @@ def census_walk(circuit: Circuit, compile_instr=None) -> tuple[GateCensus, list]
     return census, prog
 
 
-def structural_depth(circuit: Circuit,
-                     delay_table: Mapping[GateKind, int] | None = None,
-                     *, measure_delay: int = 0) -> int:
+def structural_depth(circuit: Circuit) -> int:
     """Critical-path length under as-soon-as-possible layering.
 
-    An instruction starts once every qubit it touches is free; a conditioned
-    instruction additionally waits for the measurements that last wrote its
-    condition bits. Barriers are census markers only and do not schedule.
+    A gate takes its unit cost (a Toffoli 5, every other gate 1) and a
+    measurement takes 0. An instruction starts once every qubit it touches is
+    free; a conditioned instruction additionally waits for the measurements
+    that last wrote its condition bits. Barriers are census markers only and
+    do not schedule.
     """
-    if delay_table is None:
-        delay_table = DEFAULT_DELAYS
     qubit_free = [0] * circuit.num_qubits
     clbit_written = [0] * circuit.num_clbits
     depth = 0
     for instr in circuit.instructions:
         if isinstance(instr, GateOp):
-            delay = delay_table.get(instr.gate)
-            if delay is None:
-                raise MissingDelayEntry(f"no delay entry for {instr.gate.value}")
             qubits = instr.targets
             start = qubit_free[qubits[0]]
             for q in qubits:
@@ -449,16 +429,13 @@ def structural_depth(circuit: Circuit,
                 for b in instr.condition.mask:
                     if clbit_written[b] > start:
                         start = clbit_written[b]
-            end = start + delay
+            end = start + _DELAY[instr.gate]
             for q in qubits:
                 qubit_free[q] = end
-        elif isinstance(instr, MeasureOp):
-            end = qubit_free[instr.qubit] + measure_delay
-            qubit_free[instr.qubit] = clbit_written[instr.clbit] = end
-        else:
-            continue
-        if end > depth:
-            depth = end
+            if end > depth:
+                depth = end
+        elif isinstance(instr, MeasureOp):  # it takes 0, so it ends once its qubit is free
+            clbit_written[instr.clbit] = qubit_free[instr.qubit]
     return depth
 
 

@@ -24,9 +24,10 @@ import time
 import click
 
 from . import qasm
-from .circuit import MAX_WIDTH, circuit_to_json
+from .circuit import circuit_to_json
 from .comparator import (
     BuilderVariant,
+    _check_width,
     build_gqbsc,
     compare,
     encode_operands,
@@ -230,9 +231,7 @@ def cmd_verify(max_bits, samples, exhaustive_limit, variant, backend, seed, fmt,
     beyond that, seeded random pairs are drawn at a doubling ladder of widths
     ending at --max-bits.
     """
-    if 2 * max_bits + 2 > MAX_WIDTH:
-        raise CircuitError(f"--max-bits {max_bits} needs {2 * max_bits + 2} qubits,"
-                           f" over the cap of {MAX_WIDTH}")
+    _check_width(max_bits)
     variants = ([BuilderVariant.FIGURE, BuilderVariant.ALGORITHMIC]
                 if variant == "both" else [BuilderVariant(variant)])
     widths = [(n, True) for n in range(1, min(max_bits, exhaustive_limit) + 1)]

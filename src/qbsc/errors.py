@@ -26,10 +26,6 @@ class DuplicateTarget(CircuitError):
     """The same qubit appears twice in one instruction."""
 
 
-class MissingDelayEntry(CircuitError):
-    """structural_depth was given a delay table missing a present gate kind."""
-
-
 class NotACCX(CircuitError):
     """decompose_ccx was given something other than an unconditioned CCX."""
 

@@ -33,8 +33,8 @@ drops it. A comparator block's six gates share one condition.
 
 A backend is a ``_Runner`` subclass and supplies two things: its name,
 ``backend``, and ``_execute``, the interpreter that runs one basis input to
-its final clbits. The base compiles the circuit and owns everything else, so
-``run(initial_bits, seed, noise)``, ``run_value`` and the per-shot entry
+its final clbit tuple. The base compiles the circuit and owns everything else,
+so ``run(initial_bits, seed, noise)``, ``run_value`` and ``sample``'s shots
 behave the same on both backends. ``_runner`` resolves a backend name through
 ``select_backend`` and builds its runner.
 
@@ -154,11 +154,6 @@ class RunResult:
     classical_bits: tuple[int, ...]
     measurement_trace: tuple[tuple[int, int], ...]
     executed_census: GateCensus
-
-    @property
-    def register_value(self) -> int:
-        """Classical register as an integer, clbit 0 least significant."""
-        return _register(self.classical_bits)
 
 
 @dataclass(frozen=True)
@@ -362,7 +357,7 @@ def _quiet_run(runner: _Runner, bits: tuple[int, ...], noise: NoiseModel | None)
 
     drawing = noise is not None or runner._superposes  # as ``_Runner._draw`` with a generator
     draw = itertools.repeat(one).__next__ if drawing else None
-    quiet = tuple(runner._execute(bits, draw, noise, fired=mark))
+    quiet = runner._execute(bits, draw, noise, fired=mark)
     return quiet, np.array(bounds, dtype=float), marks
 
 
@@ -409,7 +404,7 @@ def _compile(circuit: Circuit):
 class _Runner:
     """One backend's executor of a compiled circuit (``_compiled``, if given).
     A backend supplies ``backend``, its name, and ``_execute(bits, draw,
-    noise, start=None, fired=None)``: the final clbits of one run from basis
+    noise, start=None, fired=None)``: the final clbit tuple of one run from basis
     input ``bits`` or from ``start``, a mark's (op index, state, clbits),
     ``draw`` giving its uniforms. Its one observer, ``fired(ops, state, cl)``,
     runs after each fired op and that op's noise draws, ``ops`` iterating the
@@ -450,24 +445,21 @@ class _Runner:
             elif op == _OP_X and cond is not None:
                 counters["conditional_x_count"] += 1
         cl = self._execute(bits, self._draw(rng, noise), noise, fired=fired)
-        return RunResult(tuple(cl), tuple(trace), dataclasses.replace(self._static, **counters))
+        return RunResult(cl, tuple(trace), dataclasses.replace(self._static, **counters))
 
     def run_value(self, initial_bits, rng: np.random.Generator | None,
                   noise: NoiseModel | None) -> int:
         """Register value of one (possibly noisy) trajectory."""
         bits = _coerce_bits(initial_bits, self.num_qubits, noise)
-        return _register(self._shot(bits, self._draw(rng, noise), noise))
-
-    def _shot(self, bits: tuple[int, ...], draw, noise, start=None) -> tuple[int, ...]:
-        """Final clbits of one trajectory, from ``start`` if given."""
-        return tuple(self._execute(bits, draw, noise, start=start))
+        return _register(self._execute(bits, self._draw(rng, noise), noise))
 
     def _clbit_lanes(self, qubits: list[int], lanes: int) -> list[int]:
         """Final clbit lane ints of ``lanes`` noiseless runs, ``qubits`` as in
         :meth:`ClassicalRunner.run_lanes`; one run per lane."""
         cl = [0] * self.num_clbits
         for lane in range(lanes):
-            for c, bit in enumerate(self._shot(tuple(v >> lane & 1 for v in qubits), None, None)):
+            bits = tuple(v >> lane & 1 for v in qubits)
+            for c, bit in enumerate(self._execute(bits, None, None)):
                 cl[c] |= bit << lane
         return cl
 
@@ -547,19 +539,16 @@ class ClassicalRunner(_Runner):
         return q, cl
 
     def _execute(self, bits, draw, noise, start=None, fired=None):
-        return self._run_lanes(list(bits), 1, draw, noise, start, fired)[1]
+        return tuple(self._run_lanes(list(bits), 1, draw, noise, start, fired)[1])
 
     def _clbit_lanes(self, qubits: list[int], lanes: int) -> list[int]:
-        """Bit-sliced: one :meth:`run_lanes` pass for every lane."""
-        return self.run_lanes(qubits, lanes)[1]
+        """Bit-sliced: one :meth:`_run_lanes` pass for every lane, without
+        :meth:`run_lanes`' checks (the sweeps build their own lane ints)."""
+        return self._run_lanes(list(qubits), lanes)[1]
 
     def run_bits(self, initial_bits=None) -> tuple[int, ...]:
         """Fast path: final classical bits only."""
-        return tuple(self._run_lanes(list(_coerce_bits(initial_bits, self.num_qubits)), 1)[1])
-
-    def final_qubits(self, initial_bits=None) -> tuple[int, ...]:
-        """Qubit values after the run (used to check operand preservation)."""
-        return tuple(self._run_lanes(list(_coerce_bits(initial_bits, self.num_qubits)), 1)[0])
+        return self._execute(_coerce_bits(initial_bits, self.num_qubits), None, None)
 
 
 # V, V-dagger and the Paulis Y and Z as row-major Python complex tuples
@@ -687,7 +676,7 @@ class DenseRunner(_Runner):
         norm = math.sqrt(_mass(amps))
         if abs(norm - 1.0) > _NORM_TOL:
             raise NormDrift(f"final norm {norm}")
-        return cl
+        return tuple(cl)
 
 
 def run_dense(circuit: Circuit, initial_bits=None, seed: int | None = None,
@@ -745,7 +734,7 @@ def sample(circuit: Circuit, initial_bits=None, shots: int = 1,
         return Histogram(shots, {_register(quiet): shots})
     taken = np.array([offset for offset, _ in marks])
     counts: dict[tuple[int, ...], int] = {}  # by final clbits
-    shot = runner._shot
+    shot = runner._execute
     for rows in _shot_rows(seed_words, 0, shots, _draw_bound(runner._static), bounds):
         below = rows[:, :d] < bounds
         hit = below.any(axis=1)

@@ -64,8 +64,9 @@ def compose_circuit_unitary(gates, n: int, unitary_of) -> np.ndarray:
     return total
 
 
-def brute_force_depth(circuit: Circuit, delay_table, measure_delay: int = 0) -> int:
-    """Longest weighted path over the explicit dependency DAG, by enumeration.
+def brute_force_depth(circuit: Circuit, delay_table) -> int:
+    """Longest weighted path over the explicit dependency DAG, by enumeration;
+    a gate weighs its kind's ``delay_table`` entry and a measurement 0.
 
     Edges: an instruction depends on the last prior instruction touching each
     of its qubits, and a conditioned gate also depends on the last prior
@@ -80,7 +81,7 @@ def brute_force_depth(circuit: Circuit, delay_table, measure_delay: int = 0) -> 
         idx = len(nodes)
         if isinstance(instr, MeasureOp):
             deps = {last_on_qubit[instr.qubit]} if instr.qubit in last_on_qubit else set()
-            nodes.append((measure_delay, deps))
+            nodes.append((0, deps))
             last_on_qubit[instr.qubit] = idx
             last_write_clbit[instr.clbit] = idx
         else:

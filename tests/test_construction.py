@@ -152,7 +152,7 @@ class TestCompileWalk:
         prog, census = _compile(c)
         assert census == static_census(c) == reference_census(c)
         permutation_only = not (census.cv or census.cvdg)
-        assert permutation_only == c.is_permutation_only()
+        assert permutation_only == census.permutation_only
         ops = [i for i in c.instructions if not isinstance(i, BarrierOp)]
         assert len(prog) == len(ops)
         for instr, op in zip(ops, prog):
@@ -244,7 +244,10 @@ class TestWidthCap:
         monkeypatch.setattr("qbsc.cli.soundness_check_random", refuse)
         result = CliRunner().invoke(main, ["verify", "--max-bits", str(max_bits)])
         assert result.exit_code == EXIT_BAD_INPUT
-        assert "cap" in result.output
+        assert result.stdout == ""
+        # the one width rule, worded as census and the comparator entries word it
+        assert result.stderr.splitlines() == [f"error: register widths {2 * max_bits + 2}, 2"
+                                              f" exceed the cap of {MAX_WIDTH}"]
 
 
 class TestOneIntegerRule:

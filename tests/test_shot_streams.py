@@ -127,7 +127,8 @@ class TestNoiselessClassicalSample:
         circuit = build_gqbsc(encode_operands(5, 6))
         histogram = sample(circuit, shots=1024, seed=3)
         assert len(entered) == 1
-        assert histogram == Histogram(1024, {run_classical(circuit).register_value: 1024})
+        value = sum(b << k for k, b in enumerate(run_classical(circuit).classical_bits))
+        assert histogram == Histogram(1024, {value: 1024})
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_equals_per_shot_runs(self, variant):
@@ -218,7 +219,8 @@ class TestCalmShots:
     @pytest.mark.parametrize("shots", [1, 1024, 3000])
     def test_silent_noise_runs_once(self, shots, monkeypatch):
         circuit = build_gqbsc(encode_operands(5, 6))
-        want = Histogram(shots, {run_classical(circuit).register_value: shots})
+        value = sum(b << k for k, b in enumerate(run_classical(circuit).classical_bits))
+        want = Histogram(shots, {value: shots})
         entered = count_lanes(monkeypatch)
         assert sample(circuit, shots=shots, noise=NoiseModel(0, 0), seed=3) == want
         assert len(entered) == 1
@@ -242,7 +244,7 @@ class TestCalmShots:
                 at_bar[:-1] + [0.0]]  # below the bar only past the quiet run's draws
         counts: dict[int, int] = {}
         for row in rows:
-            value = simulate._register(runner._shot(bits, iter(row).__next__, noise))
+            value = simulate._register(runner._execute(bits, iter(row).__next__, noise))
             counts[value] = counts.get(value, 0) + 1
         monkeypatch.setattr(simulate, "_shot_rows", lambda *args: iter([np.array(rows)]))
         entered = count_lanes(monkeypatch)
@@ -339,7 +341,7 @@ class TestPerDrawBounds:
             bits = bits_for(a, b, 1)
             quiet, bounds, _ = simulate._quiet_run(runner, bits, NoiseModel(p, q))
             assert bounds.tolist() == want
-            assert quiet == runner._shot(bits, None, None)
+            assert quiet == runner._execute(bits, None, None)
 
     @pytest.mark.parametrize("noise, draw", [(NoiseModel(0.01, 0.02), 0),   # a gate draw
                                              (NoiseModel(0.02, 0.01), 10)])  # a readout draw
@@ -349,8 +351,8 @@ class TestPerDrawBounds:
         bits = (0,) * circuit.num_qubits
         row = [0.5] * simulate._draw_bound(runner._static)
         row[draw] = 0.015  # below max(p, q), not below the draw's own bound
-        quiet = runner._shot(bits, None, None)
-        assert runner._shot(bits, iter(row).__next__, noise) == quiet
+        quiet = runner._execute(bits, None, None)
+        assert runner._execute(bits, iter(row).__next__, noise) == quiet
         monkeypatch.setattr(simulate, "_shot_rows", lambda *args: iter([np.array([row] * 16)]))
         entered = count_lanes(monkeypatch)
         want = Histogram(16, {simulate._register(quiet): 16})
@@ -442,8 +444,8 @@ class TestResumedShots:
         assert offsets == sorted(set(offsets)) and offsets[-1] <= len(bounds)
         assert len(marks) > len(bounds) // 4  # one after each op that drew
         for offset, start in marks:
-            assert runner._shot(bits, iter([1.0] * (k - offset)).__next__, BENCH_NOISE,
-                                start) == quiet
+            assert runner._execute(bits, iter([1.0] * (k - offset)).__next__, BENCH_NOISE,
+                                   start) == quiet
 
     def test_dropped_marks_leave_histograms_unchanged(self, monkeypatch):
         body = build_gqbsc(Operands((0,) * 3, (0,) * 3))
@@ -506,8 +508,8 @@ class TestResumedShots:
         assert held - bounds.nbytes <= simulate._ROW_BYTES  # the charge is not below the cost
         assert marks[-1][0] < len(bounds) // 2  # the budget runs out early in the run
         for offset, start in marks:
-            assert runner._shot((0,) * 14, iter([1.0] * len(bounds)).__next__, BENCH_NOISE,
-                                start) == quiet
+            assert runner._execute((0,) * 14, iter([1.0] * len(bounds)).__next__, BENCH_NOISE,
+                                   start) == quiet
         assert (sample(circuit, shots=64, noise=BENCH_NOISE, seed=3)
                 == per_shot(runner, None, 64, BENCH_NOISE, 3))
 

@@ -159,8 +159,8 @@ class TestClassicalBackend:
         for _ in range(50):
             a, b = int(rng.integers(0, 1 << n)), int(rng.integers(0, 1 << n))
             bits = bits_for(a, b, n)
-            final = runner.final_qubits(bits)
-            assert final[:2 * n] == bits[:2 * n]
+            final = runner.run_lanes(bits, 1)[0]
+            assert tuple(final[:2 * n]) == bits[:2 * n]
 
     @pytest.mark.parametrize("bits", [[0.5, 0], "0x", ["0", "1"], 5, [0, 2], (True, 0),
                                       (np.True_, 0)])
@@ -212,7 +212,7 @@ class TestLaneInterpreter:
         for lane, bits in enumerate(batch):
             expected = dense.run(bits)
             assert tuple((c >> lane) & 1 for c in cl) == expected.classical_bits
-            assert tuple((q >> lane) & 1 for q in final_q) == classical.final_qubits(bits)
+            assert [(q >> lane) & 1 for q in final_q] == classical.run_lanes(bits, 1)[0]
         one, reference = classical.run(batch[0]), dense.run(batch[0])
         assert one.executed_census == reference.executed_census
         assert one.measurement_trace == reference.measurement_trace
@@ -269,7 +269,8 @@ class TestLaneInterpreter:
         monkeypatch.setattr(DenseRunner, "_execute", counted)
         circuit = build_gqbsc(encode_operands(5, 6))
         got = sample(circuit, shots=64, seed=3, backend="dense")
-        assert got == Histogram(64, {run_classical(circuit).register_value: 64})
+        value = sum(b << k for k, b in enumerate(run_classical(circuit).classical_bits))
+        assert got == Histogram(64, {value: 64})
         assert len(calls) == 1
 
     def test_lane_count_capped(self):
@@ -323,13 +324,14 @@ class TestHeldCondition:
     def test_sample_resumes_between_the_gates(self, monkeypatch, backend):
         circuit, bits, noise = held_condition_circuit(), (1, 0, 0), NoiseModel(0.1, 0.1)
         resumed = []
-        shot = simulate._Runner._shot
+        cls = {"classical": ClassicalRunner, "dense": DenseRunner}[backend]
+        execute = cls._execute
 
-        def recording(self, bits, draw, noise, start=None):
+        def recording(self, bits, draw, noise, start=None, fired=None):
             resumed.append(None if start is None else start[0])
-            return shot(self, bits, draw, noise, start)
+            return execute(self, bits, draw, noise, start, fired)
 
-        monkeypatch.setattr(simulate._Runner, "_shot", recording)
+        monkeypatch.setattr(cls, "_execute", recording)
         got = sample(circuit, bits, shots=400, noise=noise, seed=3, backend=backend)
         assert got == reference_sample(circuit, bits, 400, noise, 3)
         # program indices: the guarded gates are ops 1 and 4, the measurement op 3
@@ -553,7 +555,7 @@ class TestSampling:
     def test_noiseless_sampling_matches_single_run(self, a, b, seed):
         circuit = build_gqbsc(encode_operands(a, b))
         histogram = sample(circuit, shots=16, seed=seed)
-        value = run_classical(circuit).register_value
+        value = sum(b << k for k, b in enumerate(run_classical(circuit).classical_bits))
         assert histogram.counts == {value: 16}
 
 
