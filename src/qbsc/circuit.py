@@ -136,7 +136,11 @@ class GateOp:
             raise ArityMismatch(
                 f"{self.gate.value} takes {arity} qubits, got {len(targets)}"
             )
-        if arity > 1 and len(set(targets)) != arity:
+        try:
+            repeated = arity > 1 and len(set(targets)) != arity
+        except TypeError:  # an unhashable target
+            raise CircuitError(f"gate targets must be integers, got {targets!r}") from None
+        if repeated:
             raise DuplicateTarget(f"repeated qubit in {self.gate.value}{targets}")
 
     @classmethod

@@ -36,7 +36,6 @@ from .comparator import (
 )
 from .errors import CircuitError, OperandError, QbscError, UnknownMethod
 from .resources import Case, Method, SweepRow, gate_growth, measured_report, sweep, sweep_notes
-from .simulate import check_dense_width
 
 DEFAULT_SEED = 1234
 _SWEEP_GRID = (1, 80, 160, 240, 320, 400, 480, 560, 640, 720, 800, 880, 960, 1000)
@@ -93,12 +92,8 @@ def _rows_payload(rows: list[SweepRow], fmt: str) -> str:
 variant_option = click.option(
     "--variant", type=click.Choice([v.value for v in BuilderVariant]),
     default=BuilderVariant.FIGURE.value, show_default=True)
-backend_option = click.option(
-    "--backend", type=click.Choice(["auto", "dense", "classical"]),
-    default="auto", show_default=True)
 out_option = click.option("--out", type=click.Path(dir_okay=False), default=None,
                           help="Write output to this file (atomic).")
-seed_option = click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True)
 
 
 class _ExitCodeGroup(click.Group):
@@ -124,14 +119,14 @@ def main():
 @click.option("--a", type=_Operand(), required=True, help="Decimal or bin:<bits>.")
 @click.option("--b", type=_Operand(), required=True, help="Decimal or bin:<bits>.")
 @variant_option
-@backend_option
-@click.option("--seed", type=click.IntRange(min=0), default=DEFAULT_SEED, show_default=True)
+@click.option("--backend", type=click.Choice(["auto", "dense", "classical"]), default="auto",
+              show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text",
               show_default=True)
 @out_option
-def cmd_compare(a, b, variant, backend, seed, fmt, out):
+def cmd_compare(a, b, variant, backend, fmt, out):
     """Compare two operands and report the class, flags, and resources."""
-    outcome = compare(a, b, backend=backend, variant=BuilderVariant(variant), seed=seed)
+    outcome = compare(a, b, backend=backend, variant=BuilderVariant(variant))
     # resource numbers refer to the value-independent body compare() ran
     # once, with the operands as the initial state (no prep gates)
     measured = measured_report(outcome.body, run=outcome.run)
@@ -219,12 +214,11 @@ def _random_widths(exhaustive_limit: int, max_bits: int) -> list[int]:
               show_default=True, help="Widths up to this are checked over all 4^n pairs.")
 @click.option("--variant", type=click.Choice(["figure", "algorithmic", "both"]),
               default="figure", show_default=True)
-@backend_option
-@seed_option
+@click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text",
               show_default=True)
 @out_option
-def cmd_verify(max_bits, samples, exhaustive_limit, variant, backend, seed, fmt, out):
+def cmd_verify(max_bits, samples, exhaustive_limit, variant, seed, fmt, out):
     """Check circuit outcomes against integer comparison over many pairs.
 
     Every width up to --exhaustive-limit is swept over all 4^n operand pairs;
@@ -240,14 +234,12 @@ def cmd_verify(max_bits, samples, exhaustive_limit, variant, backend, seed, fmt,
     started = time.monotonic()
     per_n = []
     total_pairs = total_mismatches = 0
-    if backend == "dense":  # refuse before the first run, not at the widest width
-        check_dense_width(2 * max((n for n, _ in widths), default=0) + 2)
     for v in variants:
         for n, exhaustive in widths:
             if exhaustive:
-                pairs, bad = soundness_check_exhaustive(n, v, backend)
+                pairs, bad = soundness_check_exhaustive(n, v)
             else:
-                pairs, bad = soundness_check_random(n, samples, seed, v, backend)
+                pairs, bad = soundness_check_random(n, samples, seed, v)
             per_n.append({"variant": v.value, "n": n, "pairs": pairs, "mismatches": bad})
             total_pairs += pairs
             total_mismatches += bad

@@ -47,7 +47,7 @@ from .circuit import (
 )
 from .errors import (CircuitError, DuplicateTarget, EmptyOperand, InvalidBitstring, OperandError,
                      SimulationArgumentError)
-from .simulate import MAX_LANES, RunResult, _runner
+from .simulate import MAX_LANES, ClassicalRunner, RunResult, _runner
 
 # GateKind members read per block, bound once: a member read is a call.
 _X, _CCX = GateKind.X, GateKind.CCX
@@ -237,8 +237,7 @@ def reference_flags(ops: Operands, variant: BuilderVariant = BuilderVariant.FIGU
 
 
 def compare(a, b, backend: str = "auto",
-            variant: BuilderVariant = BuilderVariant.FIGURE,
-            seed: int | None = None) -> ComparisonOutcome:
+            variant: BuilderVariant = BuilderVariant.FIGURE) -> ComparisonOutcome:
     """Encode, build, run, and interpret in one call.
 
     Builds the value-independent body once and runs it once with the operand
@@ -247,7 +246,7 @@ def compare(a, b, backend: str = "auto",
     ops = encode_operands(a, b)
     body = _body(ops.n, variant)
     runner = _runner(body, backend)
-    run = runner.run(ops.initial_qubit_bits(), seed=seed)
+    run = runner.run(ops.initial_qubit_bits())
     r0, r1 = run.classical_bits[:2]
     return ComparisonOutcome(r0, r1, interpret(r0, r1), runner.backend, variant, ops.n, body, run)
 
@@ -304,8 +303,8 @@ def _index_bit_lanes(start: int, lanes: int, k: int) -> int:
     return pattern >> offset & full
 
 
-def _chunk_mismatches(runner, a_lanes: list[int], b_lanes: list[int], less, greater,
-                      variant: BuilderVariant) -> int:
+def _chunk_mismatches(runner: ClassicalRunner, a_lanes: list[int], b_lanes: list[int],
+                      less, greater, variant: BuilderVariant) -> int:
     """Run one chunk of operand pairs, given as lane ints (MSB first), and
     count the lanes failing either oracle.
 
@@ -313,26 +312,25 @@ def _chunk_mismatches(runner, a_lanes: list[int], b_lanes: list[int], less, grea
     comparison of the operand values.
     """
     lanes = len(less)
-    r0, r1 = runner._clbit_lanes(a_lanes + b_lanes + [0, 0], lanes)
+    r0, r1 = runner._run_lanes(a_lanes + b_lanes + [0, 0], lanes)[1]  # a fresh list
     ref0, ref1 = _reference_flag_lanes(a_lanes, b_lanes, (1 << lanes) - 1, variant)
     class_bad = (r1 ^ _lane_mask(less)) | ((r0 & ~r1) ^ _lane_mask(greater))  # interpret()
     flags_bad = (r0 ^ ref0) | (r1 ^ ref1)
     return (class_bad | flags_bad).bit_count()
 
 
-def soundness_check_exhaustive(n: int, variant: BuilderVariant = BuilderVariant.FIGURE,
-                               backend: str = "classical") -> tuple[int, int]:
+def soundness_check_exhaustive(n: int,
+                               variant: BuilderVariant = BuilderVariant.FIGURE) -> tuple[int, int]:
     """All 4^n operand pairs at width n against the integer-comparison and
     flag oracles; returns (pairs checked, mismatches).
 
     The pairs go in chunks of at most ``MAX_LANES`` lanes, lane a*2^n + b
-    holding the pair (a, b); the classical backend runs a chunk bit-sliced,
-    the dense one lane at a time. ``backend`` resolves as in :func:`compare`.
+    holding the pair (a, b), and each chunk is one bit-sliced classical pass.
     A chunk's operand lane ints are index-bit patterns (:func:`_index_bit_lanes`:
     a's column i is index bit 2n-1-i, b's is bit n-1-i); its integer oracle
     compares the halves of an index array.
     """
-    runner = _runner(_body(n, variant), backend)
+    runner = ClassicalRunner(_body(n, variant))
     total = 1 << 2 * n
     lanes = min(total, MAX_LANES)
     dtype = np.min_scalar_type(total - 1)  # the narrowest array keeps the sweep's peak memory low
@@ -346,7 +344,7 @@ def soundness_check_exhaustive(n: int, variant: BuilderVariant = BuilderVariant.
 
 
 def _random_pairs(n: int, samples: int, seed: int):
-    """Seeded operand pairs at width n, the same draws for every backend.
+    """Seeded operand pairs at width n: the same draws on every call.
 
     Even draws are uniform pairs. Uniform pairs tie on their first k bits
     with probability 2^-k, so at wide widths a late block never decides
@@ -370,17 +368,16 @@ def _random_pairs(n: int, samples: int, seed: int):
 
 
 def soundness_check_random(n: int, samples: int, seed: int = 0,
-                           variant: BuilderVariant = BuilderVariant.FIGURE,
-                           backend: str = "classical") -> tuple[int, int]:
+                           variant: BuilderVariant = BuilderVariant.FIGURE) -> tuple[int, int]:
     """Seeded operand pairs at width n (see :func:`_random_pairs`); returns
     (pairs, mismatches).
 
-    They go in chunks of at most ``MAX_LANES`` lanes, as in
+    They go in bit-sliced chunks of at most ``MAX_LANES`` lanes, as in
     :func:`soundness_check_exhaustive`. ``samples`` is an integer >= 0.
     """
     if not _is_int(samples) or samples < 0:
         raise SimulationArgumentError(f"samples must be an integer >= 0, got {samples!r}")
-    runner = _runner(_body(n, variant), backend)
+    runner = ClassicalRunner(_body(n, variant))
     drawn = _random_pairs(n, samples, seed)
     mismatches = 0
     for _ in range(0, samples, MAX_LANES):

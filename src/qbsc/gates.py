@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .circuit import Circuit, GateKind, GateOp, Instruction
-from .errors import NotACCX
+from .errors import CircuitError, NotACCX
 
 # GateKind members read per instruction, bound once: a member read is a call.
 _CX, _CCX, _CV, _CVDG = GateKind.CX, GateKind.CCX, GateKind.CV, GateKind.CVDG
@@ -43,6 +43,8 @@ _UNITARIES = {
 
 def unitary_of(kind: GateKind) -> np.ndarray:
     """Full 2^arity × 2^arity matrix in the computational basis (copy)."""
+    if not isinstance(kind, GateKind):
+        raise CircuitError(f"not a gate kind: {kind!r}")
     return _UNITARIES[kind].copy()
 
 

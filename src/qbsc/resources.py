@@ -99,20 +99,23 @@ def _correction_term(n: int) -> int:
     return math.ceil((n - 1) / 2)
 
 
-def _check_integer_widths(n_values) -> None:
+def _check_arguments(n_values, case=None) -> None:
+    """Refuse a width that is not an integer and a ``case`` neither None nor a Case."""
     for n in n_values:
         if not _is_int(n):
             raise ResourceArgumentError(f"width must be an integer, got {n!r}")
+    if case is not None and not isinstance(case, Case):
+        raise ResourceArgumentError(f"case must be a Case or None, got {case!r}")
 
 
 def formula_report(method, n: int, case: Case | None = None) -> ResourceEstimate:
     """Evaluate one method's closed forms at width n.
 
-    ``case`` only matters for the Proposed method (None defaults to the
-    unequal, worst-case path); the other methods ignore it.
+    ``case`` (a :class:`Case` or None) only matters for the Proposed method:
+    None defaults to the unequal, worst-case path; the other methods ignore it.
     """
     method = Method.from_name(method)
-    _check_integer_widths([n])
+    _check_arguments([n], case)
     if n < 1:
         raise ResourceArgumentError(f"width must be >= 1, got {n}")
     if method is Method.WANG:
@@ -181,7 +184,7 @@ def sweep(methods: Iterable | None, n_values: Sequence[int], metric: str,
         raise ResourceArgumentError(f"unknown metric {metric!r}")
     if not n_values:
         raise ResourceArgumentError("no widths given")
-    _check_integer_widths(n_values)
+    _check_arguments(n_values, case)
     chosen = [Method.from_name(m) for m in methods] if methods else list(METHOD_ORDER)
     chosen.sort(key=METHOD_ORDER.index)
     rows: list[SweepRow] = []
@@ -235,7 +238,7 @@ def gate_growth(n_values: Sequence[int],
     Zero operands carry no input-prep X gates, so the census reflects the
     body only; an over-cap width raises before its body is allocated.
     """
-    _check_integer_widths(n_values)
+    _check_arguments(n_values)
     rows = []
     for n in sorted(set(n_values)):
         census = static_census(_body(n, variant))

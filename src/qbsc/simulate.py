@@ -22,7 +22,7 @@ The dense backend runs any gate set. It stores only the nonzero amplitudes,
 as a map from basis index to amplitude, and from a basis input the
 comparator, lowered or noisy, keeps only a few. X/CX/CCX re-key the map
 (``_flip``) and every other gate, CV/CV-dagger and noise Y/Z alike, applies
-its 2x2 through ``_mix``. The qubit cap defaults to 24.
+its 2x2 through ``_mix``. The qubit cap is 24.
 
 Each interpreter tests a condition once per run of ops between measurements.
 It holds the compiled condition it last tested (one object per distinct
@@ -92,7 +92,7 @@ from .circuit import (
 from .errors import NonClassicalGate, NormDrift, SimulationArgumentError, TooManyQubits
 from .gates import V, VDG
 
-DEFAULT_DENSE_CAP = 24
+DENSE_CAP = 24
 
 # Measurement is treated as deterministic when one outcome carries at least
 # this much probability mass; below it the Born rule draws from the RNG.
@@ -453,16 +453,6 @@ class _Runner:
         bits = _coerce_bits(initial_bits, self.num_qubits, noise)
         return _register(self._execute(bits, self._draw(rng, noise), noise))
 
-    def _clbit_lanes(self, qubits: list[int], lanes: int) -> list[int]:
-        """Final clbit lane ints of ``lanes`` noiseless runs, ``qubits`` as in
-        :meth:`ClassicalRunner.run_lanes`; one run per lane."""
-        cl = [0] * self.num_clbits
-        for lane in range(lanes):
-            bits = tuple(v >> lane & 1 for v in qubits)
-            for c, bit in enumerate(self._execute(bits, None, None)):
-                cl[c] |= bit << lane
-        return cl
-
 
 class ClassicalRunner(_Runner):
     """Precompiled bit-level executor for permutation-only circuits."""
@@ -541,11 +531,6 @@ class ClassicalRunner(_Runner):
     def _execute(self, bits, draw, noise, start=None, fired=None):
         return tuple(self._run_lanes(list(bits), 1, draw, noise, start, fired)[1])
 
-    def _clbit_lanes(self, qubits: list[int], lanes: int) -> list[int]:
-        """Bit-sliced: one :meth:`_run_lanes` pass for every lane, without
-        :meth:`run_lanes`' checks (the sweeps build their own lane ints)."""
-        return self._run_lanes(list(qubits), lanes)[1]
-
     def run_bits(self, initial_bits=None) -> tuple[int, ...]:
         """Fast path: final classical bits only."""
         return self._execute(_coerce_bits(initial_bits, self.num_qubits), None, None)
@@ -614,20 +599,15 @@ def _measure(amps: dict, q: int, draw) -> tuple[int, dict]:
     return outcome, amps
 
 
-def check_dense_width(num_qubits: int, qubit_cap: int = DEFAULT_DENSE_CAP) -> None:
-    """Raise :class:`TooManyQubits` when ``num_qubits`` exceeds the dense cap."""
-    if num_qubits > qubit_cap:
-        raise TooManyQubits(f"{num_qubits} qubits exceeds dense cap {qubit_cap}")
-
-
 class DenseRunner(_Runner):
     """Precompiled statevector executor with mid-circuit measurement; the
     state maps basis index (bit q is qubit q) to nonzero amplitude."""
 
     backend = "dense"
 
-    def __init__(self, circuit: Circuit, qubit_cap: int = DEFAULT_DENSE_CAP, _compiled=None):
-        check_dense_width(circuit.num_qubits, qubit_cap)
+    def __init__(self, circuit: Circuit, _compiled=None):
+        if circuit.num_qubits > DENSE_CAP:
+            raise TooManyQubits(f"{circuit.num_qubits} qubits exceeds dense cap {DENSE_CAP}")
         super().__init__(circuit, _compiled)
 
     def _execute(self, bits, draw, noise, start=None, fired=None):
@@ -680,10 +660,9 @@ class DenseRunner(_Runner):
 
 
 def run_dense(circuit: Circuit, initial_bits=None, seed: int | None = None,
-              *, noise: NoiseModel | None = None,
-              qubit_cap: int = DEFAULT_DENSE_CAP) -> RunResult:
+              *, noise: NoiseModel | None = None) -> RunResult:
     """One dense-statevector run from a basis input."""
-    return DenseRunner(circuit, qubit_cap).run(initial_bits, seed, noise)
+    return DenseRunner(circuit).run(initial_bits, seed, noise)
 
 
 def run_classical(circuit: Circuit, initial_bits=None) -> RunResult:
@@ -700,18 +679,17 @@ def select_backend(circuit: Circuit, requested: str = "auto", census=None) -> st
     return requested
 
 
-def _runner(circuit: Circuit, backend: str = "auto",
-            qubit_cap: int = DEFAULT_DENSE_CAP) -> _Runner:
+def _runner(circuit: Circuit, backend: str = "auto") -> _Runner:
     """The runner of ``backend`` as :func:`select_backend` resolves it."""
     compiled = _compile(circuit)
     if select_backend(circuit, backend, compiled[1]) == "classical":
         return ClassicalRunner(circuit, compiled)
-    return DenseRunner(circuit, qubit_cap, compiled)
+    return DenseRunner(circuit, compiled)
 
 
 def sample(circuit: Circuit, initial_bits=None, shots: int = 1,
            noise: NoiseModel | None = None, seed: int = 0,
-           backend: str = "auto", qubit_cap: int = DEFAULT_DENSE_CAP) -> Histogram:
+           backend: str = "auto") -> Histogram:
     """Repeat execution ``shots`` times with per-shot derived seeds.
 
     Shot s draws from ``np.random.default_rng([seed, s])``, so histograms are
@@ -726,7 +704,7 @@ def sample(circuit: Circuit, initial_bits=None, shots: int = 1,
     if shots < 1:
         raise SimulationArgumentError("shots must be >= 1")
     seed_words = _seed_words(seed)  # checked even where no shot draws
-    runner = _runner(circuit, backend, qubit_cap)
+    runner = _runner(circuit, backend)
     bits = _coerce_bits(initial_bits, circuit.num_qubits, noise)
     quiet, bounds, marks = _quiet_run(runner, bits, noise)
     d = len(bounds)

@@ -54,7 +54,7 @@ def test_criterion_01_exhaustive_soundness():
     for variant in (FIGURE, ALGORITHMIC):
         total = 0
         for n in range(1, 9):
-            pairs, bad = soundness_check_exhaustive(n, variant, "classical")
+            pairs, bad = soundness_check_exhaustive(n, variant)
             total += pairs
             mismatches += bad
         pairs_per_variant[variant] = total

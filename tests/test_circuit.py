@@ -406,6 +406,10 @@ class TestTableDrivenChecks:
         with pytest.raises(CircuitError):
             GateOp(gate, (0,))
 
+    def test_unhashable_target_rejected(self):
+        with pytest.raises(CircuitError, match="gate targets must be integers"):
+            GateOp(GateKind.CX, (0, []))
+
     def test_targets_become_a_tuple(self):
         assert GateOp(GateKind.CCX, [0, 1, 2]).targets == (0, 1, 2)
 

@@ -67,14 +67,15 @@ class TestCompare:
         assert f"Invalid value for '{flag}'" in result.stderr
         assert "operand must be decimal or bin:<bits>, got '0b1'" in result.stderr
 
-    def test_negative_seed_exits_2(self, runner):
-        # numpy's generators reject it; verify's random.Random does not
-        proc = subprocess.run(
-            [sys.executable, "-m", "qbsc", "compare", "--a", "3", "--b", "5", "--seed", "-1"],
-            capture_output=True, text=True)
-        assert proc.returncode == 2
-        assert "Traceback" not in proc.stderr and proc.stdout == ""
-        assert "Error: Invalid value for '--seed'" in proc.stderr
+    def test_retired_flags_exit_2(self, runner):
+        for args in (["compare", "--a", "3", "--b", "5", "--seed", "5"],
+                     ["verify", "--backend", "dense"]):
+            proc = subprocess.run([sys.executable, "-m", "qbsc", *args],
+                                  capture_output=True, text=True)
+            assert proc.returncode == 2, args
+            assert "Traceback" not in proc.stderr and proc.stdout == ""
+            assert f"Error: No such option '{args[-2]}'" in proc.stderr
+        # verify's seed picks its random pairs through random.Random, which takes any int
         assert invoke(runner, "verify", "--max-bits", "2", "--seed", "-1").exit_code == 0
 
     def test_dense_backend_flag(self, runner):
@@ -84,7 +85,8 @@ class TestCompare:
     def test_dense_backend_cap_exits_3(self, runner):
         result = runner.invoke(main, ["compare", "--a", str(2**99), "--b", "1",
                                       "--backend", "dense"])
-        assert result.exit_code == 3
+        assert result.exit_code == 3 and result.stdout == ""
+        assert result.stderr == "error: 202 qubits exceeds dense cap 24\n"
 
 
 class TestVerify:
@@ -243,21 +245,6 @@ class TestDeterminism:
         assert "class: Greater" in proc.stdout
 
 
-class TestDenseVerify:
-    def test_refuses_widths_beyond_cap_before_running(self, runner):
-        result = runner.invoke(main, ["verify", "--backend", "dense"])
-        assert result.exit_code == 3
-        assert result.stdout == ""
-        assert "2002 qubits exceeds dense cap 24" in result.stderr
-
-    def test_runs_up_to_the_cap(self, runner):
-        result = invoke(runner, "verify", "--backend", "dense", "--max-bits", "11",
-                        "--exhaustive-limit", "2", "--samples", "3", "--format", "json")
-        payload = json.loads(result.output)
-        assert [row["n"] for row in payload["per_n"]] == [1, 2, 3, 6, 11]
-        assert payload["mismatches"] == 0
-
-
 def _reference_compare_payload(a: str, b: str, variant: str, backend: str) -> str:
     """``compare --format json`` stdout composed the two-build way: compare()
     for the verdict, measured_report of a separately built body for the
@@ -265,7 +252,7 @@ def _reference_compare_payload(a: str, b: str, variant: str, backend: str) -> st
     from qbsc.comparator import BuilderVariant, Operands, build_gqbsc, compare, encode_operands
     from qbsc.resources import measured_report
 
-    outcome = compare(a, b, backend=backend, variant=BuilderVariant(variant), seed=1234)
+    outcome = compare(a, b, backend=backend, variant=BuilderVariant(variant))
     ops = encode_operands(a, b)
     body = build_gqbsc(Operands((0,) * ops.n, (0,) * ops.n), BuilderVariant(variant))
     measured = measured_report(body, ops)

@@ -269,6 +269,10 @@ class TestOneIntegerRule:
                      ResourceArgumentError, id="sweep-str-before-sorting"),
         pytest.param(lambda: resources.sweep(None, [False], "cost"),
                      ResourceArgumentError, id="sweep-bool"),
+        pytest.param(lambda: resources.formula_report("Proposed", 1, case="x"),
+                     ResourceArgumentError, id="formula_report-case-str"),
+        pytest.param(lambda: resources.sweep(None, [1], "cost", "x"),
+                     ResourceArgumentError, id="sweep-case-str"),
         pytest.param(lambda: resources.gate_growth(["3"]),
                      ResourceArgumentError, id="gate_growth-str"),
         pytest.param(lambda: resources.gate_growth([2, 2.0]),
@@ -299,26 +303,6 @@ class TestOneIntegerRule:
         assert resources.formula_report("Wang", integer(3)) == resources.formula_report("Wang", 3)
         assert resources.sweep(None, [integer(2)], "cost") == resources.sweep(None, [2], "cost")
         assert resources.gate_growth([integer(2)]) == resources.gate_growth([2])
-
-
-class TestSweepBackends:
-    SWEEPS = [
-        lambda backend: comparator.soundness_check_exhaustive(3, backend=backend),
-        lambda backend: comparator.soundness_check_random(20, 30, 5, backend=backend),
-    ]
-
-    @pytest.mark.parametrize("sweep", SWEEPS)
-    def test_unknown_backend_raises(self, sweep, monkeypatch):
-        monkeypatch.setattr("qbsc.simulate.DenseRunner", None)  # nothing may run
-        with pytest.raises(ValueError, match="unknown backend 'bogus'"):
-            sweep("bogus")
-
-    @pytest.mark.parametrize("sweep", SWEEPS)
-    def test_auto_resolves_to_classical(self, sweep, monkeypatch):
-        expected = sweep("classical")
-        monkeypatch.setattr("qbsc.simulate.DenseRunner", None)
-        assert sweep("auto") == expected
-        assert expected[1] == 0
 
 
 class TestTranspose:
@@ -422,13 +406,13 @@ class TestExhaustiveLaneOrder:
     def test_lane_l_of_chunk_c_holds_pair_c_lanes_plus_l(self, monkeypatch, n, max_lanes):
         """Lane a*2^n + b holds the pair (a, b), chunk after chunk."""
         chunks = []
-        clbit_lanes = ClassicalRunner._clbit_lanes
+        run_lanes = ClassicalRunner._run_lanes
 
-        def recording(runner, qubits, lanes):
-            chunks.append((qubits, lanes))
-            return clbit_lanes(runner, qubits, lanes)
+        def recording(runner, qubits, lanes, *args):
+            chunks.append((list(qubits), lanes))  # _run_lanes XORs into the list it is given
+            return run_lanes(runner, qubits, lanes, *args)
 
-        monkeypatch.setattr(ClassicalRunner, "_clbit_lanes", recording)
+        monkeypatch.setattr(ClassicalRunner, "_run_lanes", recording)
         monkeypatch.setattr(comparator, "MAX_LANES", max_lanes)
         assert comparator.soundness_check_exhaustive(n) == (1 << 2 * n, 0)
         pairs = []

@@ -14,7 +14,7 @@ from qbsc.circuit import (
     structural_depth,
 )
 from qbsc.comparator import BuilderVariant, Operands, build_gqbsc
-from qbsc.errors import NotACCX
+from qbsc.errors import CircuitError, NotACCX
 from qbsc.gates import V, VDG, decompose_ccx, lower_circuit, unitary_of
 from qbsc.simulate import DenseRunner
 
@@ -73,6 +73,11 @@ class TestUnitaries:
     def test_unitary_of_returns_a_copy(self):
         unitary_of(GateKind.X)[0, 0] = 9
         assert unitary_of(GateKind.X)[0, 0] == 0
+
+    @pytest.mark.parametrize("kind", ["x", None, []])
+    def test_unitary_of_refuses_what_is_not_a_gate_kind(self, kind):
+        with pytest.raises(CircuitError, match="not a gate kind"):
+            unitary_of(kind)
 
 
 class TestDecomposeCCX:
