@@ -54,7 +54,6 @@ from .simulate import (
     run_classical,
     run_dense,
     sample,
-    select_backend,
 )
 
 __version__ = "0.1.0"
@@ -98,7 +97,6 @@ __all__ = [
     "run_classical",
     "run_dense",
     "sample",
-    "select_backend",
     "static_census",
     "structural_depth",
     "sweep",

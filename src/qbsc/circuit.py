@@ -106,16 +106,6 @@ class ClassicalCondition:
                 f"condition value {self.value} needs more than {len(self.mask)} masked bits"
             )
 
-    def holds(self, clbits: Sequence[int]) -> bool:
-        if self.mask and self.mask[-1] >= len(clbits):
-            raise IndexOutOfRange(
-                f"condition reads clbit {self.mask[-1]} of a {len(clbits)}-bit register"
-            )
-        value = 0
-        for j, b in enumerate(self.mask):
-            value |= clbits[b] << j
-        return value == self.value
-
 
 @dataclass(frozen=True, slots=True)
 class GateOp:

@@ -7,8 +7,8 @@ temporary sibling and renamed into place so an error never leaves a partial
 file behind.
 
 Exit codes: 0 success, 1 verification mismatch, 2 invalid input (operands,
-widths over the register cap, method names, flag ranges), 3 backend or
-resource errors. The command group maps every toolkit error to its code in
+widths over the register cap, method names, flag ranges), 3 any other
+toolkit error. The command group maps every toolkit error to its code in
 one place and prints it as one ``error:`` line; click checks flag ranges and
 reports them in its ``Invalid value for '--flag'`` form.
 """
@@ -119,14 +119,12 @@ def main():
 @click.option("--a", type=_Operand(), required=True, help="Decimal or bin:<bits>.")
 @click.option("--b", type=_Operand(), required=True, help="Decimal or bin:<bits>.")
 @variant_option
-@click.option("--backend", type=click.Choice(["auto", "dense", "classical"]), default="auto",
-              show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text",
               show_default=True)
 @out_option
-def cmd_compare(a, b, variant, backend, fmt, out):
+def cmd_compare(a, b, variant, fmt, out):
     """Compare two operands and report the class, flags, and resources."""
-    outcome = compare(a, b, backend=backend, variant=BuilderVariant(variant))
+    outcome = compare(a, b, variant=BuilderVariant(variant))
     # resource numbers refer to the value-independent body compare() ran
     # once, with the operands as the initial state (no prep gates)
     measured = measured_report(outcome.body, run=outcome.run)

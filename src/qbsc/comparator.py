@@ -24,6 +24,7 @@ the answer is "less", which is why only the class and r1 are contractual.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -47,7 +48,7 @@ from .circuit import (
 )
 from .errors import (CircuitError, DuplicateTarget, EmptyOperand, InvalidBitstring, OperandError,
                      SimulationArgumentError)
-from .simulate import MAX_LANES, ClassicalRunner, RunResult, _runner
+from .simulate import MAX_LANES, ClassicalRunner, RunResult
 
 # GateKind members read per block, bound once: a member read is a call.
 _X, _CCX = GateKind.X, GateKind.CCX
@@ -109,12 +110,15 @@ def _digits_of(value) -> str:
     raise InvalidBitstring(f"operand must be an int or a bitstring: {value!r}")
 
 
-def _check_width(n: int) -> None:
+def _check_width(n: int) -> int:
     """Refuse a non-integer width, and one whose comparator (2n + 2 qubits)
-    exceeds the register cap with the error ``Circuit`` raises, before anything is built."""
+    exceeds the register cap with the error ``Circuit`` raises, before anything
+    is built; returns the width as a Python int (numpy's would wrap)."""
     if not _is_int(n):
         raise OperandError(f"width must be an integer, got {n!r}")
+    n = operator.index(n)
     _check_cap(2 * n + 2, 2)
+    return n
 
 
 def _check_operands(ops: Operands) -> None:
@@ -216,7 +220,7 @@ def build_gqbsc(ops: Operands, variant: BuilderVariant = BuilderVariant.FIGURE) 
 def _body(n: int, variant: BuilderVariant) -> Circuit:
     """The value-independent body at width n; an over-cap width raises before
     the zero operands are made."""
-    _check_width(n)
+    n = _check_width(n)
     return build_gqbsc(Operands((0,) * n, (0,) * n), variant)
 
 
@@ -236,16 +240,15 @@ def reference_flags(ops: Operands, variant: BuilderVariant = BuilderVariant.FIGU
     return int(r0), int(r1)  # Python ints, also for numpy-int bits
 
 
-def compare(a, b, backend: str = "auto",
-            variant: BuilderVariant = BuilderVariant.FIGURE) -> ComparisonOutcome:
+def compare(a, b, variant: BuilderVariant = BuilderVariant.FIGURE) -> ComparisonOutcome:
     """Encode, build, run, and interpret in one call.
 
-    Builds the value-independent body once and runs it once with the operand
-    bits as the initial qubits; the outcome carries both.
+    Builds the value-independent body once and runs it once, classically,
+    with the operand bits as the initial qubits; the outcome carries both.
     """
     ops = encode_operands(a, b)
     body = _body(ops.n, variant)
-    runner = _runner(body, backend)
+    runner = ClassicalRunner(body)
     run = runner.run(ops.initial_qubit_bits())
     r0, r1 = run.classical_bits[:2]
     return ComparisonOutcome(r0, r1, interpret(r0, r1), runner.backend, variant, ops.n, body, run)
@@ -330,6 +333,7 @@ def soundness_check_exhaustive(n: int,
     a's column i is index bit 2n-1-i, b's is bit n-1-i); its integer oracle
     compares the halves of an index array.
     """
+    n = _check_width(n)
     runner = ClassicalRunner(_body(n, variant))
     total = 1 << 2 * n
     lanes = min(total, MAX_LANES)
@@ -377,6 +381,7 @@ def soundness_check_random(n: int, samples: int, seed: int = 0,
     """
     if not _is_int(samples) or samples < 0:
         raise SimulationArgumentError(f"samples must be an integer >= 0, got {samples!r}")
+    samples, n = operator.index(samples), _check_width(n)
     runner = ClassicalRunner(_body(n, variant))
     drawn = _random_pairs(n, samples, seed)
     mismatches = 0

@@ -35,7 +35,7 @@ class SimulationError(QbscError):
 
 
 class SimulationArgumentError(SimulationError, ValueError):
-    """A noise probability, shot count or backend name out of range."""
+    """A noise probability, shot count or other run argument out of range."""
 
 
 class TooManyQubits(SimulationError):

@@ -25,6 +25,7 @@ at n=2 plots 29 where the formula gives 39. ``sweep_notes`` surfaces both.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -99,13 +100,15 @@ def _correction_term(n: int) -> int:
     return math.ceil((n - 1) / 2)
 
 
-def _check_arguments(n_values, case=None) -> None:
-    """Refuse a width that is not an integer and a ``case`` neither None nor a Case."""
+def _check_arguments(n_values, case=None) -> list[int]:
+    """Refuse a width that is not an integer and a ``case`` neither None nor a
+    Case; returns the widths as Python ints (numpy's would wrap)."""
     for n in n_values:
         if not _is_int(n):
             raise ResourceArgumentError(f"width must be an integer, got {n!r}")
     if case is not None and not isinstance(case, Case):
         raise ResourceArgumentError(f"case must be a Case or None, got {case!r}")
+    return [operator.index(n) for n in n_values]
 
 
 def formula_report(method, n: int, case: Case | None = None) -> ResourceEstimate:
@@ -115,7 +118,7 @@ def formula_report(method, n: int, case: Case | None = None) -> ResourceEstimate
     None defaults to the unequal, worst-case path; the other methods ignore it.
     """
     method = Method.from_name(method)
-    _check_arguments([n], case)
+    (n,) = _check_arguments([n], case)
     if n < 1:
         raise ResourceArgumentError(f"width must be >= 1, got {n}")
     if method is Method.WANG:
@@ -184,7 +187,7 @@ def sweep(methods: Iterable | None, n_values: Sequence[int], metric: str,
         raise ResourceArgumentError(f"unknown metric {metric!r}")
     if not n_values:
         raise ResourceArgumentError("no widths given")
-    _check_arguments(n_values, case)
+    n_values = _check_arguments(n_values, case)
     chosen = [Method.from_name(m) for m in methods] if methods else list(METHOD_ORDER)
     chosen.sort(key=METHOD_ORDER.index)
     rows: list[SweepRow] = []
@@ -238,9 +241,8 @@ def gate_growth(n_values: Sequence[int],
     Zero operands carry no input-prep X gates, so the census reflects the
     body only; an over-cap width raises before its body is allocated.
     """
-    _check_arguments(n_values)
     rows = []
-    for n in sorted(set(n_values)):
+    for n in sorted(set(_check_arguments(n_values))):
         census = static_census(_body(n, variant))
         rows.append(GrowthRow(
             n=n,

@@ -35,8 +35,8 @@ A backend is a ``_Runner`` subclass and supplies two things: its name,
 ``backend``, and ``_execute``, the interpreter that runs one basis input to
 its final clbit tuple. The base compiles the circuit and owns everything else,
 so ``run(initial_bits, seed, noise)``, ``run_value`` and ``sample``'s shots
-behave the same on both backends. ``_runner`` resolves a backend name through
-``select_backend`` and builds its runner.
+behave the same on both backends. The circuit picks its runner (``_runner``):
+classical iff it is permutation-only, else dense.
 
 Noise is a stochastic trajectory model: after each fired gate every touched
 qubit is depolarized with probability p (a uniformly random Pauli X/Y/Z is
@@ -87,7 +87,6 @@ from .circuit import (
     _is_int,
     _non_bits,
     census_walk,
-    static_census,
 )
 from .errors import NonClassicalGate, NormDrift, SimulationArgumentError, TooManyQubits
 from .gates import V, VDG
@@ -475,6 +474,7 @@ class ClassicalRunner(_Runner):
         """
         if not _is_int(lanes) or not 1 <= lanes <= MAX_LANES:
             raise SimulationArgumentError(f"lane count {lanes} outside [1, {MAX_LANES}]")
+        lanes = operator.index(lanes)  # numpy's would wrap the lane masks
         q = list(qubits)
         if len(q) != self.num_qubits:
             raise SimulationArgumentError(f"{len(q)} qubit lane ints != {self.num_qubits} qubits")
@@ -670,26 +670,16 @@ def run_classical(circuit: Circuit, initial_bits=None) -> RunResult:
     return ClassicalRunner(circuit).run(initial_bits)
 
 
-def select_backend(circuit: Circuit, requested: str = "auto", census=None) -> str:
-    """Resolve 'auto' to the cheapest valid backend, from ``census`` if given."""
-    if requested == "auto":
-        return "classical" if (census or static_census(circuit)).permutation_only else "dense"
-    if requested not in ("classical", "dense"):
-        raise SimulationArgumentError(f"unknown backend {requested!r}")
-    return requested
-
-
-def _runner(circuit: Circuit, backend: str = "auto") -> _Runner:
-    """The runner of ``backend`` as :func:`select_backend` resolves it."""
+def _runner(circuit: Circuit) -> _Runner:
+    """Classical runner iff the circuit is permutation-only, else dense."""
     compiled = _compile(circuit)
-    if select_backend(circuit, backend, compiled[1]) == "classical":
+    if compiled[1].permutation_only:
         return ClassicalRunner(circuit, compiled)
     return DenseRunner(circuit, compiled)
 
 
 def sample(circuit: Circuit, initial_bits=None, shots: int = 1,
-           noise: NoiseModel | None = None, seed: int = 0,
-           backend: str = "auto") -> Histogram:
+           noise: NoiseModel | None = None, seed: int = 0) -> Histogram:
     """Repeat execution ``shots`` times with per-shot derived seeds.
 
     Shot s draws from ``np.random.default_rng([seed, s])``, so histograms are
@@ -698,14 +688,18 @@ def sample(circuit: Circuit, initial_bits=None, shots: int = 1,
     the quiet run ends as that run, any other resumes from a mark of it
     (module docstring).
     """
+    return _sample(_runner(circuit), initial_bits, shots, noise, seed)
+
+
+def _sample(runner: _Runner, initial_bits, shots, noise, seed) -> Histogram:
+    """:func:`sample` on a given runner."""
     if not _is_int(shots):
         raise SimulationArgumentError(f"shots must be an integer: {shots!r}")
     shots = operator.index(shots)
     if shots < 1:
         raise SimulationArgumentError("shots must be >= 1")
     seed_words = _seed_words(seed)  # checked even where no shot draws
-    runner = _runner(circuit, backend)
-    bits = _coerce_bits(initial_bits, circuit.num_qubits, noise)
+    bits = _coerce_bits(initial_bits, runner.num_qubits, noise)
     quiet, bounds, marks = _quiet_run(runner, bits, noise)
     d = len(bounds)
     if not d:  # no shot draws: one run

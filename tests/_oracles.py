@@ -212,6 +212,13 @@ def _measure(state, q, n, stream: _UniformStream | None):
     return outcome
 
 
+def condition_holds(cond: ClassicalCondition, clbits) -> bool:
+    """A condition read off its definition: bit j of the masked register is
+    clbit ``mask[j]``, and the condition holds where that register equals
+    ``value``."""
+    return sum(clbits[b] << j for j, b in enumerate(cond.mask)) == cond.value
+
+
 class NumpyStatevector:
     """Reference runner with DenseRunner's ``run``/``run_value`` contract.
 
@@ -245,7 +252,7 @@ class NumpyStatevector:
                     trace.append((instr.clbit, outcome))
                 counts["measure_count"] = counts.get("measure_count", 0) + 1
                 continue
-            if instr.condition is not None and not instr.condition.holds(cl):
+            if instr.condition is not None and not condition_holds(instr.condition, cl):
                 continue
             t = instr.targets
             if instr.gate is GateKind.X:

@@ -9,7 +9,7 @@ from click.testing import CliRunner
 
 from qbsc.circuit import MAX_WIDTH
 from qbsc.cli import main
-from qbsc.errors import OperandError, SimulationError
+from qbsc.errors import OperandError, SimulationError, TooManyQubits
 from qbsc.qasm import parse
 
 
@@ -69,6 +69,7 @@ class TestCompare:
 
     def test_retired_flags_exit_2(self, runner):
         for args in (["compare", "--a", "3", "--b", "5", "--seed", "5"],
+                     ["compare", "--a", "3", "--b", "5", "--backend", "dense"],
                      ["verify", "--backend", "dense"]):
             proc = subprocess.run([sys.executable, "-m", "qbsc", *args],
                                   capture_output=True, text=True)
@@ -78,13 +79,13 @@ class TestCompare:
         # verify's seed picks its random pairs through random.Random, which takes any int
         assert invoke(runner, "verify", "--max-bits", "2", "--seed", "-1").exit_code == 0
 
-    def test_dense_backend_flag(self, runner):
-        result = invoke(runner, "compare", "--a", "3", "--b", "1", "--backend", "dense")
-        assert "backend: dense" in result.output
+    def test_dense_backend_cap_exits_3(self, runner, monkeypatch):
+        # no flag reaches the dense engine, so its cap error is injected
+        def too_wide(*args, **kwargs):
+            raise TooManyQubits("202 qubits exceeds dense cap 24")
 
-    def test_dense_backend_cap_exits_3(self, runner):
-        result = runner.invoke(main, ["compare", "--a", str(2**99), "--b", "1",
-                                      "--backend", "dense"])
+        monkeypatch.setattr("qbsc.cli.compare", too_wide)
+        result = runner.invoke(main, ["compare", "--a", str(2**99), "--b", "1"])
         assert result.exit_code == 3 and result.stdout == ""
         assert result.stderr == "error: 202 qubits exceeds dense cap 24\n"
 
@@ -245,24 +246,32 @@ class TestDeterminism:
         assert "class: Greater" in proc.stdout
 
 
-def _reference_compare_payload(a: str, b: str, variant: str, backend: str) -> str:
+def _reference_compare_payload(a: str, b: str, variant: str, engine: str) -> str:
     """``compare --format json`` stdout composed the two-build way: compare()
     for the verdict, measured_report of a separately built body for the
-    resources."""
-    from qbsc.comparator import BuilderVariant, Operands, build_gqbsc, compare, encode_operands
+    resources. With ``engine`` "dense", that body's dense run gives both."""
+    from qbsc.comparator import (BuilderVariant, Operands, build_gqbsc, compare,
+                                 encode_operands, interpret)
     from qbsc.resources import measured_report
+    from qbsc.simulate import DenseRunner
 
-    outcome = compare(a, b, backend=backend, variant=BuilderVariant(variant))
     ops = encode_operands(a, b)
     body = build_gqbsc(Operands((0,) * ops.n, (0,) * ops.n), BuilderVariant(variant))
-    measured = measured_report(body, ops)
+    if engine == "dense":
+        run = DenseRunner(body).run(ops.initial_qubit_bits())
+        r0, r1 = run.classical_bits
+        measured = measured_report(body, run=run)
+    else:
+        outcome = compare(a, b, variant=BuilderVariant(variant))
+        r0, r1 = outcome.r0, outcome.r1
+        measured = measured_report(body, ops)
     return json.dumps({
-        "class": outcome.comparison.value,
-        "r0": outcome.r0,
-        "r1": outcome.r1,
-        "n": outcome.n,
-        "backend": outcome.backend,
-        "variant": outcome.variant.value,
+        "class": interpret(r0, r1).value,
+        "r0": r0,
+        "r1": r1,
+        "n": ops.n,
+        "backend": "classical",  # what compare reports: it runs its body classically
+        "variant": variant,
         "resources": {
             "qubits": measured.qubits,
             "width": measured.width_total,
@@ -281,20 +290,20 @@ def _compare_cases():
     for n in (1, 2, 3, 17, 1000):
         pairs = [(format(rng.getrandbits(n), f"0{n}b"), format(rng.getrandbits(n), f"0{n}b")),
                  ("1" * n, "1" * (n - 1) + "0"), ("0" * (n - 1) + "1", "1" * n)]
-        backends = ("auto", "classical", "dense") if n <= 3 else ("auto", "classical")
+        engines = ("classical", "dense") if n <= 3 else ("classical",)
         for variant in ("figure", "algorithmic"):
-            for backend in backends:
+            for engine in engines:
                 for a, b in pairs:
-                    yield pytest.param(a, b, variant, backend, id=f"{n}-{variant}-{backend}")
+                    yield pytest.param(a, b, variant, engine, id=f"{n}-{variant}-{engine}")
 
 
 class TestCompareRunsOnce:
-    @pytest.mark.parametrize("a, b, variant, backend", _compare_cases())
-    def test_json_equals_two_build_reference(self, runner, a, b, variant, backend):
+    @pytest.mark.parametrize("a, b, variant, engine", _compare_cases())
+    def test_json_equals_two_build_reference(self, runner, a, b, variant, engine):
         result = invoke(runner, "compare", "--a", "bin:" + a, "--b", "bin:" + b,
-                        "--variant", variant, "--backend", backend, "--format", "json")
+                        "--variant", variant, "--format", "json")
         assert result.exit_code == 0
-        assert result.stdout == _reference_compare_payload(a, b, variant, backend)
+        assert result.stdout == _reference_compare_payload(a, b, variant, engine)
 
     def test_one_build_per_compare(self, runner, monkeypatch):
         import qbsc.cli as cli
@@ -320,7 +329,7 @@ def assert_one_error_line(result, code):
 
 class TestErrorBoundary:
     """The command group maps every toolkit error to one exit code: 2 for bad
-    input, the register width cap included, 3 for a backend error."""
+    input, the register width cap included, 3 for any other."""
 
     OVER_CAP = (MAX_WIDTH - 2) // 2 + 1  # 524,288 bits: two qubits over the cap
 

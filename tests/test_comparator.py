@@ -279,12 +279,9 @@ class TestCompare:
         assert compare(a, b).comparison is expected
 
     def test_outcome_carries_run_metadata(self):
-        outcome = compare(6, 5, backend="dense")
-        assert (outcome.backend, outcome.n) == ("dense", 3)
+        outcome = compare(6, 5)
+        assert (outcome.backend, outcome.n) == ("classical", 3)
         assert outcome.variant is FIGURE
-
-    def test_auto_backend_is_classical(self):
-        assert compare(6, 5).backend == "classical"
 
     def test_flags_equal_oracle_for_both_variants(self):
         for variant in (FIGURE, ALGORITHMIC):
@@ -305,9 +302,12 @@ class TestCompare:
     @given(st.integers(0, 2**4 - 1), st.integers(0, 2**4 - 1),
            st.sampled_from([FIGURE, ALGORITHMIC]))
     def test_backends_agree(self, a, b, variant):
-        classical = compare(a, b, backend="classical", variant=variant)
-        dense = compare(a, b, backend="dense", variant=variant)
-        assert (classical.r0, classical.r1) == (dense.r0, dense.r1)
+        # compare runs its body classically; dense runs it to the same bits,
+        # trace and executed census
+        outcome = compare(a, b, variant=variant)
+        dense = DenseRunner(outcome.body).run(encode_operands(a, b).initial_qubit_bits())
+        assert dense == outcome.run
+        assert (outcome.r0, outcome.r1) == dense.classical_bits
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 2**14), st.sampled_from([FIGURE, ALGORITHMIC]))

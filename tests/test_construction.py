@@ -3,10 +3,11 @@ gates with the unchecked ``GateOp._trusted`` and hand whole instruction lists
 to the unchecked ``Circuit._trusted``, so these tests re-check their output
 through the validating path, and check the runners' compile walk against the
 public census and permutation checks. Also the register width cap at every
-front end, the one integer rule at every integer argument, the soundness
-sweeps' backend names, the lane transpose and the exhaustive sweep's
+front end, the one integer rule at every integer argument (numpy's integers
+give what Python's give), the lane transpose and the exhaustive sweep's
 closed-form lane ints, and what the builder and the sweep allocate."""
 
+import dataclasses
 import random
 import tracemalloc
 
@@ -303,6 +304,55 @@ class TestOneIntegerRule:
         assert resources.formula_report("Wang", integer(3)) == resources.formula_report("Wang", 3)
         assert resources.sweep(None, [integer(2)], "cost") == resources.sweep(None, [2], "cost")
         assert resources.gate_growth([integer(2)]) == resources.gate_growth([2])
+
+
+def _ints(result) -> list:
+    """Every integer in a result, through tuples, lists and dataclass fields."""
+    if dataclasses.is_dataclass(result):
+        result = [getattr(result, f.name) for f in dataclasses.fields(result)]
+    if isinstance(result, (tuple, list)):
+        return [i for item in result for i in _ints(item)]
+    return [result] if isinstance(result, (int, np.integer)) else []
+
+
+# Each call takes a width or count from ``to_int``; numpy's must not wrap
+# (the formulas at the dtype's largest value overflow it) or leak into results.
+_WIDE = 2**64 - 1  # a lane int over all 64 lanes
+NUMPY_INT_CALLS = {
+    "formula_report": lambda to_int, top: resources.formula_report("Wang", to_int(top)),
+    "formula_report-Thapliyal": lambda to_int, top: resources.formula_report(
+        "Thapliyal", to_int(top)),
+    "sweep": lambda to_int, top: resources.sweep(["Wang", "Proposed"], [to_int(top)], "cost"),
+    "gate_growth": lambda to_int, top: resources.gate_growth([to_int(3)]),
+    "run_lanes": lambda to_int, top: ClassicalRunner(comparator._body(2, BuilderVariant.FIGURE))
+    .run_lanes([_WIDE, 0, 0, _WIDE >> 1, 0, 0], to_int(64)),
+    "soundness_check_exhaustive": lambda to_int, top: comparator.soundness_check_exhaustive(
+        to_int(3)),
+    "soundness_check_random-samples": lambda to_int, top: comparator.soundness_check_random(
+        40, to_int(100)),
+    "soundness_check_random-width": lambda to_int, top: comparator.soundness_check_random(
+        to_int(40), 100),
+}
+
+
+class TestNumpyWidthsAndCounts:
+    """A numpy width or count is read as the Python int it holds: results are
+    Python ints equal to the Python-int call's, and the cap sees the true width."""
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64, np.uint8],
+                             ids=lambda t: t.__name__)
+    @pytest.mark.parametrize("call", NUMPY_INT_CALLS.values(), ids=NUMPY_INT_CALLS.keys())
+    def test_equals_the_python_int_call(self, call, dtype):
+        top = int(np.iinfo(dtype).max)
+        got = call(dtype, top)
+        assert got == call(int, top)
+        assert all(type(i) is int for i in _ints(got)), got
+
+    @pytest.mark.parametrize("width", [np.int32(2**30), np.int64(2**62)], ids=repr)
+    def test_over_cap_width_refused(self, width):
+        # 2n + 2 wraps in the dtype; the cap must see the true qubit count
+        with pytest.raises(CircuitError, match=f"^register widths {2 * int(width) + 2}, 2 "):
+            comparator._check_width(width)
 
 
 class TestTranspose:

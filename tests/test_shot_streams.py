@@ -35,6 +35,14 @@ CALM_NOISES = NOISES + [NoiseModel(0, 0), NoiseModel(1.0, 1.0)]
 VARIANTS = (BuilderVariant.FIGURE, BuilderVariant.ALGORITHMIC)
 
 
+RUNNERS = {"classical": ClassicalRunner, "dense": DenseRunner}
+
+
+def sample_on(backend: str, circuit, bits, shots: int, noise, seed) -> Histogram:
+    """``sample`` on the named runner, whichever the circuit would pick."""
+    return simulate._sample(RUNNERS[backend](circuit), bits, shots, noise, seed)
+
+
 def rows(seed, start: int, stop: int, k: int = K) -> list[list[float]]:
     return [row.tolist() for block in simulate._shot_rows(simulate._seed_words(seed), start, stop, k)
             for row in block]
@@ -98,7 +106,7 @@ class TestSeedingPinnedToNumpy:
         assert numpy_error.type in (ValueError, TypeError)
         circuit = build_gqbsc(encode_operands(1, 0))
         with pytest.raises(numpy_error.type):
-            sample(circuit, shots=4, noise=noise, seed=seed, backend=backend)
+            sample_on(backend, circuit, None, 4, noise, seed)
 
 
 class TestShotsValidated:
@@ -151,8 +159,8 @@ class TestDifferentialHistograms:
         noise = data.draw(st.sampled_from(NOISES))
         want = reference_sample(circuit, bits, 12, noise, seed)
         assert per_shot(ClassicalRunner(circuit), bits, 12, noise, seed) == want
-        for backend in ("classical", "dense"):
-            assert sample(circuit, bits, shots=12, noise=noise, seed=seed, backend=backend) == want
+        for backend in RUNNERS:
+            assert sample_on(backend, circuit, bits, 12, noise, seed) == want
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -161,7 +169,7 @@ class TestDifferentialHistograms:
         bits = _basis_input(data, circuit.num_qubits)
         seed = data.draw(st.integers(0, 2**32 - 1))
         noise = data.draw(st.sampled_from(NOISES + [None]))
-        got = sample(circuit, bits, shots=8, noise=noise, seed=seed, backend="dense")
+        got = sample_on("dense", circuit, bits, 8, noise, seed)
         assert got == reference_sample(circuit, bits, 8, noise, seed)
 
     @settings(max_examples=40, deadline=None)
@@ -171,7 +179,7 @@ class TestDifferentialHistograms:
         bits = _basis_input(data, circuit.num_qubits)
         seed = data.draw(st.integers(0, 2**32 - 1))
         noise = data.draw(st.sampled_from(NOISES))
-        got = sample(circuit, bits, shots=8, noise=noise, seed=seed, backend="dense")
+        got = sample_on("dense", circuit, bits, 8, noise, seed)
         assert got == reference_sample(circuit, bits, 8, noise, seed)
         assert got == per_shot(DenseRunner(circuit), bits, 8, noise, seed)
 
@@ -196,8 +204,8 @@ class TestDifferentialHistograms:
                 for seed in range(3):
                     got = sample(body, bits, shots=24, noise=BENCH_NOISE, seed=seed)
                     assert got == per_shot(classical, bits, 24, BENCH_NOISE, seed), (a, b, seed)
-                    assert got == sample(body, bits, shots=24, noise=BENCH_NOISE, seed=seed,
-                                         backend="dense"), (a, b, seed)
+                    assert got == sample_on("dense", body, bits, 24, BENCH_NOISE, seed), (
+                        a, b, seed)
 
     def test_memory_does_not_grow_with_shots(self):
         circuit = build_gqbsc(encode_operands(0, 0))
@@ -258,10 +266,10 @@ class TestCalmShots:
         bits = _basis_input(data, circuit.num_qubits)
         seed = data.draw(st.integers(0, 2**64))
         noise = data.draw(st.sampled_from(CALM_NOISES))
-        got = sample(circuit, bits, shots=12, noise=noise, seed=seed, backend="classical")
+        got = sample(circuit, bits, shots=12, noise=noise, seed=seed)
         assert got == per_shot(ClassicalRunner(circuit), bits, 12, noise, seed)
         assert got == reference_sample(circuit, bits, 12, noise, seed)
-        assert got == sample(circuit, bits, shots=12, noise=noise, seed=seed, backend="dense")
+        assert got == sample_on("dense", circuit, bits, 12, noise, seed)
 
     @pytest.mark.parametrize("row_bytes", [1, 8 * 76 * 3, 1 << 16])
     def test_row_blocks_leave_histograms_unchanged(self, row_bytes, monkeypatch):
@@ -365,14 +373,14 @@ class TestPerDrawBounds:
     def test_both_sides_of_the_pay_rule(self, step_shots, noise, backend, monkeypatch):
         body = build_gqbsc(Operands((0,) * 3, (0,) * 3))
         bits = bits_for(5, 6, 3)
-        want = per_shot(simulate._runner(body, backend), bits, 200, noise, 4)
+        want = per_shot(RUNNERS[backend](body), bits, 200, noise, 4)
         stepped = []
         uniforms = simulate._uniforms
         monkeypatch.setattr(simulate, "_uniforms",
                             lambda *args: stepped.append(1) or uniforms(*args))
         monkeypatch.setattr(simulate, "_SEED_BLOCK", 64)
         monkeypatch.setattr(simulate, "_STEP_SHOTS", step_shots)
-        assert sample(body, bits, shots=200, noise=noise, seed=4, backend=backend) == want
+        assert sample_on(backend, body, bits, 200, noise, 4) == want
         # a bound of 1.0 leaves no shot calm, so no block steps
         assert bool(stepped) == (step_shots == 0 and noise.depolarizing_per_gate < 1)
 
@@ -401,8 +409,7 @@ class TestResumedShots:
         # seeding blocks of 8 shots; some samples step every block
         with mock.patch.object(simulate, "_SEED_BLOCK", 8), \
                 mock.patch.object(simulate, "_STEP_SHOTS", data.draw(st.sampled_from([0, 8]))):
-            got = sample(circuit, bits, shots=shots, noise=noise, seed=seed,
-                         backend=runner.backend)
+            got = simulate._sample(runner, bits, shots, noise, seed)
         assert got == per_shot(runner, bits, shots, noise, seed)
 
     @pytest.mark.parametrize("noise", [None, BENCH_NOISE, NoiseModel(0.3, 0.2)], ids=repr)
@@ -435,7 +442,8 @@ class TestResumedShots:
         body = build_gqbsc(Operands((0,) * 3, (0,) * 3))
         if backend == "dense":
             body = lower_circuit(body)
-        runner = simulate._runner(body, backend)
+        runner = simulate._runner(body)
+        assert runner.backend == backend
         bits = bits_for(5, 6, 3)
         quiet, bounds, marks = simulate._quiet_run(runner, bits, BENCH_NOISE)
         k = simulate._draw_bound(runner._static)
@@ -467,12 +475,12 @@ class TestResumedShots:
             body = lower_circuit(body)
         bits = bits_for(5, 6, 3)
         shots = 512 if backend == "classical" else 64
-        want = per_shot(simulate._runner(body, backend), bits, shots, BENCH_NOISE, 4)
-        assert sample(body, bits, shots=shots, noise=BENCH_NOISE, seed=4, backend=backend) == want
+        want = per_shot(RUNNERS[backend](body), bits, shots, BENCH_NOISE, 4)
+        assert sample(body, bits, shots=shots, noise=BENCH_NOISE, seed=4) == want
         searchsorted = np.searchsorted
         monkeypatch.setattr(np, "searchsorted",
                             lambda a, v, side: np.minimum(searchsorted(a, v, side) + 1, len(a)))
-        late = sample(body, bits, shots=shots, noise=BENCH_NOISE, seed=4, backend=backend)
+        late = sample(body, bits, shots=shots, noise=BENCH_NOISE, seed=4)
         assert late != want
 
     def test_marks_bounded_at_n1000(self):

@@ -23,7 +23,6 @@ from qbsc.simulate import (
     run_classical,
     run_dense,
     sample,
-    select_backend,
 )
 
 from _oracles import reference_sample
@@ -265,7 +264,7 @@ class TestLaneInterpreter:
 
         monkeypatch.setattr(DenseRunner, "_execute", counted)
         circuit = build_gqbsc(encode_operands(5, 6))
-        got = sample(circuit, shots=64, seed=3, backend="dense")
+        got = simulate._sample(DenseRunner(circuit), None, 64, None, 3)
         value = sum(b << k for k, b in enumerate(run_classical(circuit).classical_bits))
         assert got == Histogram(64, {value: 64})
         assert len(calls) == 1
@@ -329,7 +328,7 @@ class TestHeldCondition:
             return execute(self, bits, draw, noise, start, fired)
 
         monkeypatch.setattr(cls, "_execute", recording)
-        got = sample(circuit, bits, shots=400, noise=noise, seed=3, backend=backend)
+        got = simulate._sample(cls(circuit), bits, 400, noise, 3)
         assert got == reference_sample(circuit, bits, 400, noise, 3)
         # program indices: the guarded gates are ops 1 and 4, the measurement op 3
         assert {2, 3, 4} & set(resumed), resumed
@@ -368,17 +367,11 @@ class TestBackendAgreement:
 
 class TestBackendSelection:
     def test_auto_prefers_classical_for_permutation_circuits(self):
-        assert select_backend(build_gqbsc(encode_operands(3, 1))) == "classical"
+        assert type(simulate._runner(build_gqbsc(encode_operands(3, 1)))) is ClassicalRunner
 
     def test_auto_uses_dense_when_v_gates_present(self):
         lowered = lower_circuit(build_gqbsc(encode_operands(3, 1)))
-        assert select_backend(lowered) == "dense"
-
-    def test_explicit_choice_respected(self):
-        circuit = build_gqbsc(encode_operands(3, 1))
-        assert select_backend(circuit, "dense") == "dense"
-        with pytest.raises(ValueError):
-            select_backend(circuit, "qpu")
+        assert type(simulate._runner(lowered)) is DenseRunner
 
     def test_runner_walks_the_census_once(self, monkeypatch):
         walks = []
@@ -388,20 +381,16 @@ class TestBackendSelection:
                                 lambda *args, walk=walk: walks.append(1) or walk(*args))
         body = build_gqbsc(encode_operands(3, 1))
         lowered = lower_circuit(body)
-        for circuit, backend in [(body, "classical"), (lowered, "dense")]:
-            for name in ("auto", backend):
-                walks.clear()
-                assert simulate._runner(circuit, name).backend == backend
-                assert len(walks) == 1, name
+        for circuit, cls in [(body, ClassicalRunner), (lowered, DenseRunner)]:
+            walks.clear()
+            assert type(simulate._runner(circuit)) is cls
+            assert len(walks) == 1, cls
             walks.clear()
             sample(circuit, shots=8, noise=NoiseModel(0.01, 0.02), seed=1)
             assert len(walks) == 1
-            assert select_backend(circuit) == backend
-        # 'auto' reads the census it is given, as _runner gives its compile's
-        assert select_backend(body, "auto", simulate._compile(lowered)[1]) == "dense"
-        # the explicit names keep their refusals, classes and messages
+        # the runners keep their refusals, classes and messages
         with pytest.raises(NonClassicalGate, match="^cv is not a classical permutation gate$"):
-            simulate._runner(lowered, "classical")
+            ClassicalRunner(lowered)
         wide = lower_circuit(build_gqbsc(encode_operands(2**11, 1)))
         with pytest.raises(TooManyQubits, match=f"^{wide.num_qubits} qubits exceeds dense cap 24$"):
             simulate._runner(wide)
@@ -416,8 +405,6 @@ class TestArgumentErrors:
         "zero shots": lambda c: sample(c, shots=0),
         "bool shots": lambda c: sample(c, shots=True),
         "float shots": lambda c: sample(c, shots=2.0),
-        "unknown backend": lambda c: select_backend(c, "qpu"),
-        "unknown sample backend": lambda c: sample(c, backend="qpu"),
         "bool bit": lambda c: run_classical(c, (True, 0, 0, 0)),
         "numpy bool bit": lambda c: run_dense(c, (np.True_, 0, 0, 0)),
         "bool bit in sample": lambda c: sample(c, (True, 0, 0, 0), shots=2),
@@ -534,8 +521,8 @@ class TestSampling:
         circuit = build_gqbsc(encode_operands("010", "011"))
         noise = NoiseModel(0.05, 0.05)
         for seed in range(5):
-            assert (sample(circuit, shots=64, noise=noise, seed=seed, backend="classical")
-                    == sample(circuit, shots=64, noise=noise, seed=seed, backend="dense"))
+            assert (sample(circuit, shots=64, noise=noise, seed=seed)
+                    == simulate._sample(DenseRunner(circuit), None, 64, noise, seed))
 
     def test_noise_probabilities_validated(self):
         with pytest.raises(ValueError):

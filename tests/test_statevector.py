@@ -102,7 +102,7 @@ class TestAgainstNumpyReference:
         lowered = lower_circuit(build_gqbsc(encode_operands("0" * n, "0" * n), variant))
         a, b = (5, 5) if seed < 3 else (2, 3)  # equal and last-bit pairs fire every block
         bits = tuple(int(ch) for ch in f"{a:03b}{b:03b}") + (0, 0)
-        got = sample(lowered, bits, shots=48, noise=noise, seed=seed, backend="dense")
+        got = sample(lowered, bits, shots=48, noise=noise, seed=seed)
         assert got == reference_sample(lowered, bits, 48, noise, seed)
 
 
