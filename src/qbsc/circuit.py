@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
@@ -106,6 +107,14 @@ class ClassicalCondition:
                 f"condition value {self.value} needs more than {len(self.mask)} masked bits"
             )
 
+    @cached_property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """The test as (clbit, flip) pairs, flip 0 where the bit must read 1
+        and -1 where it must read 0: it holds iff every ``cl[clbit] ^ flip``
+        is nonzero. Made on the first read, so a condition never run holds none."""
+        value = int(self.value)  # numpy's clbits and value would wrap lane masks
+        return tuple((int(b), (value >> j & 1) - 1) for j, b in enumerate(self.mask))
+
 
 @dataclass(frozen=True, slots=True)
 class GateOp:
@@ -153,10 +162,13 @@ _set_gate, _set_targets, _set_condition = (
 
 @dataclass(frozen=True)
 class MeasureOp:
-    """Z-measurement of ``qubit`` recorded into ``clbit``. Never conditioned."""
+    """Z-measurement of ``qubit`` recorded into ``clbit``. Never conditioned.
+    Its ``gate``, not a field, is None: an interpreter reads every op's
+    ``gate``, and that tells a measurement from a gate."""
 
     qubit: int
     clbit: int
+    gate = None
 
 
 @dataclass(frozen=True)
@@ -355,16 +367,14 @@ def static_census(circuit: Circuit) -> GateCensus:
     return census_walk(circuit)[0]
 
 
-def census_walk(circuit: Circuit, compile_instr=None) -> tuple[GateCensus, list]:
-    """The one walk over the instructions: the static census and, given
-    ``compile_instr``, its results for the gates and measurements in order.
-    It runs once per distinct object (builders share equal frozen ones),
-    looked up by ``id`` within this call."""
+def census_walk(circuit: Circuit) -> tuple[GateCensus, list]:
+    """The one walk over the instructions: the static census and a new list
+    of the gates and measurements in order, the circuit's own objects."""
     counts = {kind: 0 for kind in GateKind}
     measures = block_measures = cond_x = blocks = 0
     in_block = False
-    prog: list = []
-    compiled: dict = {}
+    ops: list = []
+    append = ops.append
     x = GateKind.X  # an Enum member lookup costs a call; hoisted out of the loop
     for instr in circuit.instructions:
         if isinstance(instr, GateOp):
@@ -383,11 +393,7 @@ def census_walk(circuit: Circuit, compile_instr=None) -> tuple[GateCensus, list]
             elif instr.label == BLOCK_END:
                 in_block = False
             continue
-        if compile_instr is not None:
-            op = compiled.get(id(instr))
-            if op is None:
-                op = compiled[id(instr)] = compile_instr(instr)
-            prog.append(op)
+        append(instr)
     census = GateCensus(
         **{kind.value: count for kind, count in counts.items()},
         measure_count=measures,
@@ -397,7 +403,7 @@ def census_walk(circuit: Circuit, compile_instr=None) -> tuple[GateCensus, list]
         width_qubits=circuit.num_qubits,
         width_total=circuit.width_total,
     )
-    return census, prog
+    return census, ops
 
 
 def structural_depth(circuit: Circuit) -> int:

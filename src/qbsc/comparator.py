@@ -377,11 +377,14 @@ def soundness_check_random(n: int, samples: int, seed: int = 0,
     (pairs, mismatches).
 
     They go in bit-sliced chunks of at most ``MAX_LANES`` lanes, as in
-    :func:`soundness_check_exhaustive`. ``samples`` is an integer >= 0.
+    :func:`soundness_check_exhaustive`. ``samples`` is an integer >= 0 and
+    ``seed`` an integer, numpy's too (as :func:`_is_int`).
     """
     if not _is_int(samples) or samples < 0:
         raise SimulationArgumentError(f"samples must be an integer >= 0, got {samples!r}")
-    samples, n = operator.index(samples), _check_width(n)
+    if not _is_int(seed):
+        raise SimulationArgumentError(f"seed must be an integer, got {seed!r}")
+    samples, seed, n = operator.index(samples), operator.index(seed), _check_width(n)
     runner = ClassicalRunner(_body(n, variant))
     drawn = _random_pairs(n, samples, seed)
     mismatches = 0

@@ -97,7 +97,7 @@ def _round_half_up(x: float) -> int:
 
 
 def _correction_term(n: int) -> int:
-    return math.ceil((n - 1) / 2)
+    return n // 2  # ceil((n - 1) / 2), exact at every width
 
 
 def _check_arguments(n_values, case=None) -> list[int]:

@@ -24,19 +24,22 @@ comparator, lowered or noisy, keeps only a few. X/CX/CCX re-key the map
 (``_flip``) and every other gate, CV/CV-dagger and noise Y/Z alike, applies
 its 2x2 through ``_mix``. The qubit cap is 24.
 
-Each interpreter tests a condition once per run of ops between measurements.
-It holds the compiled condition it last tested (one object per distinct
-condition, since compiling shares them as the front ends do) with its lane
-mask or result; an op guarded by the same object reuses it, and a
+Both interpreters run the circuit's own gate and measurement objects, the
+list ``census_walk`` returns with the static census; nothing is compiled. An
+op's ``gate`` is None for a measurement. Each interpreter tests a condition
+once per run of ops between measurements: it holds the condition object it
+last tested with its lane mask or result, made from the condition's (clbit,
+flip) ``pairs``; an op guarded by the same object reuses it, and a
 measurement, the only op that writes a clbit (a readout flip included),
-drops it. A comparator block's six gates share one condition.
+drops it. The front ends share one condition object among the gates it
+guards, so a comparator block's six gates cost one test.
 
 A backend is a ``_Runner`` subclass and supplies two things: its name,
 ``backend``, and ``_execute``, the interpreter that runs one basis input to
-its final clbit tuple. The base compiles the circuit and owns everything else,
-so ``run(initial_bits, seed, noise)``, ``run_value`` and ``sample``'s shots
-behave the same on both backends. The circuit picks its runner (``_runner``):
-classical iff it is permutation-only, else dense.
+its final clbit tuple. The base walks the circuit once and owns everything
+else, so ``run(initial_bits, seed, noise)``, ``run_value`` and ``sample``'s
+shots behave the same on both backends. The circuit picks its runner
+(``_runner``): classical iff it is permutation-only, else dense.
 
 Noise is a stochastic trajectory model: after each fired gate every touched
 qubit is depolarized with probability p (a uniformly random Pauli X/Y/Z is
@@ -83,7 +86,7 @@ from .circuit import (
     Circuit,
     GateCensus,
     GateKind,
-    MeasureOp,
+    KIND_NAMES,
     _is_int,
     _non_bits,
     census_walk,
@@ -98,11 +101,7 @@ DENSE_CAP = 24
 _BASIS_EPS = 1e-12
 _NORM_TOL = 1e-6
 
-_OP_X, _OP_CX, _OP_CCX, _OP_MEASURE, _OP_CV, _OP_CVDG = range(6)
-# Executed-count keys by opcode, named after the GateCensus fields they fill.
-_COUNTER_KEYS = ("x", "cx", "ccx", "measure_count", "cv", "cvdg")
-_GATE_OPCODES = {GateKind.X: _OP_X, GateKind.CX: _OP_CX, GateKind.CCX: _OP_CCX,
-                 GateKind.CV: _OP_CV, GateKind.CVDG: _OP_CVDG}
+_X, _CX, _CCX, _CV = GateKind.X, GateKind.CX, GateKind.CCX, GateKind.CV
 
 #: Most lanes (inputs) one bit-sliced ``ClassicalRunner.run_lanes`` call takes.
 MAX_LANES = 1 << 16
@@ -371,51 +370,23 @@ def _register(cl) -> int:
     return sum(b << k for k, b in enumerate(cl))
 
 
-def _compile(circuit: Circuit):
-    """Flatten instructions to opcode tuples in the census walk; returns the
-    program and the static census.
-
-    A condition compiles to (clbit, flip) pairs, flip 0 where the bit must
-    read 1 and -1 where it must read 0, so the gate fires in the lanes of the
-    AND over pairs of ``cl[clbit] ^ flip``; an unconditioned op gets None.
-    Each op ends with the qubits it touches for noise (``()`` for a
-    measurement). A shared instruction or condition object compiles once.
-    """
-    conditions: dict = {}  # by id: conditions are never hashed
-
-    def compile_instr(instr):
-        if isinstance(instr, MeasureOp):
-            return (_OP_MEASURE, instr.qubit, instr.clbit, -1, None, ())
-        cond = instr.condition
-        if cond is not None:
-            compiled = conditions.get(id(cond))
-            if compiled is None:
-                compiled = conditions[id(cond)] = tuple(
-                    (mb, (cond.value >> j & 1) - 1) for j, mb in enumerate(cond.mask))
-            cond = compiled
-        t = instr.targets + (-1, -1)
-        return (_GATE_OPCODES[instr.gate], t[0], t[1], t[2], cond, instr.targets)
-
-    census, prog = census_walk(circuit, compile_instr)
-    return prog, census
-
-
 class _Runner:
-    """One backend's executor of a compiled circuit (``_compiled``, if given).
+    """One backend's executor of a circuit's gates and measurements, ``_prog``,
+    as listed by ``census_walk`` (``_walked``, if given) when it was built.
     A backend supplies ``backend``, its name, and ``_execute(bits, draw,
     noise, start=None, fired=None)``: the final clbit tuple of one run from basis
     input ``bits`` or from ``start``, a mark's (op index, state, clbits),
     ``draw`` giving its uniforms. Its one observer, ``fired(ops, state, cl)``,
-    runs after each fired op and that op's noise draws, ``ops`` iterating the
-    program past it: ``run`` counts and traces through it, the quiet run marks."""
+    runs after each fired op and that op's noise draws, ``ops`` iterating
+    ``_prog`` past it: ``run`` counts and traces through it, the quiet run marks."""
 
     backend: str
 
-    def __init__(self, circuit: Circuit, _compiled=None):
+    def __init__(self, circuit: Circuit, _walked=None):
         self.circuit = circuit
         self.num_qubits = circuit.num_qubits
         self.num_clbits = circuit.num_clbits
-        self._prog, self._static = _compiled or _compile(circuit)
+        self._static, self._prog = _walked or census_walk(circuit)
         self._superposes = not self._static.permutation_only
 
     def _draw(self, rng: np.random.Generator | None, noise: NoiseModel | None):
@@ -433,16 +404,20 @@ class _Runner:
         run without a seed draws fresh entropy."""
         bits = _coerce_bits(initial_bits, self.num_qubits, noise)
         rng = None if seed is None and noise is None else np.random.default_rng(seed)
-        counters = dict.fromkeys(_COUNTER_KEYS + ("conditional_x_count",), 0)
+        # GateCensus field names; a gate kind's field is its name
+        counters = dict.fromkeys([*KIND_NAMES.values(), "measure_count", "conditional_x_count"], 0)
         trace, prog = [], self._prog
 
         def fired(ops, state, cl):
-            op, _, clbit, _, cond, _ = prog[len(prog) - operator.length_hint(ops) - 1]
-            counters[_COUNTER_KEYS[op]] += 1
-            if op == _OP_MEASURE:
-                trace.append((clbit, cl[clbit]))
-            elif op == _OP_X and cond is not None:
-                counters["conditional_x_count"] += 1
+            op = prog[len(prog) - operator.length_hint(ops) - 1]
+            gate = op.gate
+            if gate is None:  # a measurement
+                counters["measure_count"] += 1
+                trace.append((op.clbit, cl[op.clbit]))
+            else:
+                counters[KIND_NAMES[gate]] += 1
+                if gate is _X and op.condition is not None:
+                    counters["conditional_x_count"] += 1
         cl = self._execute(bits, self._draw(rng, noise), noise, fired=fired)
         return RunResult(cl, tuple(trace), dataclasses.replace(self._static, **counters))
 
@@ -454,16 +429,15 @@ class _Runner:
 
 
 class ClassicalRunner(_Runner):
-    """Precompiled bit-level executor for permutation-only circuits."""
+    """Bit-level executor for permutation-only circuits."""
 
     backend = "classical"
 
-    def __init__(self, circuit: Circuit, _compiled=None):
-        super().__init__(circuit, _compiled)
+    def __init__(self, circuit: Circuit, _walked=None):
+        super().__init__(circuit, _walked)
         if self._superposes:
-            first = next(op[0] for op in self._prog if op[0] >= _OP_CV)
-            # a counter key is its gate's name
-            raise NonClassicalGate(f"{_COUNTER_KEYS[first]} is not a classical permutation gate")
+            first = next(op.gate for op in self._prog if op.gate not in (None, _X, _CX, _CCX))
+            raise NonClassicalGate(f"{first.value} is not a classical permutation gate")
 
     def run_lanes(self, qubits, lanes: int) -> tuple[list[int], list[int]]:
         """Run ``lanes`` basis inputs at once, bit-sliced.
@@ -497,33 +471,41 @@ class ClassicalRunner(_Runner):
         if draw is not None:
             p, flip_p = noise.depolarizing_per_gate, noise.readout_flip
         held = None  # the condition last tested, ``live`` its lanes, until a measurement
-        for op, a0, a1, a2, cond, touched in ops:
-            if cond is None:
-                act = full
-            else:
-                if cond is not held:
-                    held, live = cond, full
-                    for mb, flip in cond:
-                        live &= cl[mb] ^ flip
-                if not live:
-                    continue
-                act = live
-            if op == _OP_X:
-                q[a0] ^= act
-            elif op == _OP_CCX:
-                q[a2] ^= act & q[a0] & q[a1]
-            elif op == _OP_MEASURE:
-                cl[a1] = q[a0]
+        x, ccx = _X, _CCX  # locals read faster than globals
+        for op in ops:
+            gate = op.gate
+            if gate is None:  # a measurement
+                c = op.clbit
+                cl[c] = q[op.qubit]
                 if draw is not None and draw() < flip_p:
-                    cl[a1] ^= 1
+                    cl[c] ^= 1
                 held = None
-            else:  # _OP_CX
-                q[a1] ^= act & q[a0]
-            if draw is not None:
-                for qb in touched:
-                    # X and Y flip a basis state; Z only phases it
-                    if draw() < p and int(draw() * 3) != 2:
-                        q[qb] ^= 1
+            else:
+                cond = op.condition
+                if cond is None:
+                    act = full
+                else:
+                    if cond is not held:
+                        held, live = cond, full
+                        for mb, flip in cond.pairs:
+                            live &= cl[mb] ^ flip
+                    if not live:
+                        continue
+                    act = live
+                t = op.targets
+                if gate is x:
+                    q[t[0]] ^= act
+                elif gate is ccx:
+                    a, b, c = t
+                    q[c] ^= act & q[a] & q[b]
+                else:  # CX
+                    a, b = t
+                    q[b] ^= act & q[a]
+                if draw is not None:
+                    for qb in t:
+                        # X and Y flip a basis state; Z only phases it
+                        if draw() < p and int(draw() * 3) != 2:
+                            q[qb] ^= 1
             if fired is not None:
                 fired(ops, q, cl)
         return q, cl
@@ -600,15 +582,15 @@ def _measure(amps: dict, q: int, draw) -> tuple[int, dict]:
 
 
 class DenseRunner(_Runner):
-    """Precompiled statevector executor with mid-circuit measurement; the
-    state maps basis index (bit q is qubit q) to nonzero amplitude."""
+    """Statevector executor with mid-circuit measurement; the state maps basis
+    index (bit q is qubit q) to nonzero amplitude."""
 
     backend = "dense"
 
-    def __init__(self, circuit: Circuit, _compiled=None):
+    def __init__(self, circuit: Circuit, _walked=None):
         if circuit.num_qubits > DENSE_CAP:
             raise TooManyQubits(f"{circuit.num_qubits} qubits exceeds dense cap {DENSE_CAP}")
-        super().__init__(circuit, _compiled)
+        super().__init__(circuit, _walked)
 
     def _execute(self, bits, draw, noise, start=None, fired=None):
         """The interpreter; ``draw`` None (no seed) fails a Born draw. The state
@@ -620,36 +602,40 @@ class DenseRunner(_Runner):
         p, q_flip = (noise.depolarizing_per_gate, noise.readout_flip) if noise else (0, 0)
 
         held = None  # the condition last tested, ``fire`` its result, until a measurement
-        for op, a0, a1, a2, cond, touched in ops:
-            if cond is not None:
-                if cond is not held:
-                    held, fire = cond, 1
-                    for mb, flip in cond:
-                        fire &= cl[mb] ^ flip
-                if not fire:
-                    continue
-            if op == _OP_MEASURE:
-                outcome, amps = _measure(amps, a0, draw)
+        for op in ops:
+            gate = op.gate
+            if gate is None:  # a measurement
+                outcome, amps = _measure(amps, op.qubit, draw)
                 if noise is not None and draw() < q_flip:
                     outcome ^= 1
-                cl[a1] = outcome
+                cl[op.clbit] = outcome
                 held = None
-            elif op == _OP_X:
-                amps = _flip(amps, 0, 1 << a0)
-            elif op == _OP_CX:
-                amps = _flip(amps, 1 << a0, 1 << a1)
-            elif op == _OP_CCX:
-                amps = _flip(amps, 1 << a0 | 1 << a1, 1 << a2)
             else:
-                amps = _mix(amps, 1 << a0, 1 << a1, _V if op == _OP_CV else _VDG)
-            if noise is not None:
-                for qb in touched:
-                    if draw() < p:
-                        pauli = int(draw() * 3)  # X, Y, Z
-                        if pauli:
-                            amps = _mix(amps, 0, 1 << qb, _Y if pauli == 1 else _Z)
-                        else:
-                            amps = _flip(amps, 0, 1 << qb)
+                cond = op.condition
+                if cond is not None:
+                    if cond is not held:
+                        held, fire = cond, 1
+                        for mb, flip in cond.pairs:
+                            fire &= cl[mb] ^ flip
+                    if not fire:
+                        continue
+                t = op.targets
+                if gate is _X:
+                    amps = _flip(amps, 0, 1 << t[0])
+                elif gate is _CX:
+                    amps = _flip(amps, 1 << t[0], 1 << t[1])
+                elif gate is _CCX:
+                    amps = _flip(amps, 1 << t[0] | 1 << t[1], 1 << t[2])
+                else:
+                    amps = _mix(amps, 1 << t[0], 1 << t[1], _V if gate is _CV else _VDG)
+                if noise is not None:
+                    for qb in t:
+                        if draw() < p:
+                            pauli = int(draw() * 3)  # X, Y, Z
+                            if pauli:
+                                amps = _mix(amps, 0, 1 << qb, _Y if pauli == 1 else _Z)
+                            else:
+                                amps = _flip(amps, 0, 1 << qb)
             if fired is not None:
                 fired(ops, amps, cl)
 
@@ -672,10 +658,10 @@ def run_classical(circuit: Circuit, initial_bits=None) -> RunResult:
 
 def _runner(circuit: Circuit) -> _Runner:
     """Classical runner iff the circuit is permutation-only, else dense."""
-    compiled = _compile(circuit)
-    if compiled[1].permutation_only:
-        return ClassicalRunner(circuit, compiled)
-    return DenseRunner(circuit, compiled)
+    walked = census_walk(circuit)
+    if walked[0].permutation_only:
+        return ClassicalRunner(circuit, walked)
+    return DenseRunner(circuit, walked)
 
 
 def sample(circuit: Circuit, initial_bits=None, shots: int = 1,

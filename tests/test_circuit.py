@@ -659,15 +659,19 @@ class TestSharedEntries:
     def test_loaded_body_has_the_builders_objects(self, variant):
         import json
 
-        from qbsc import simulate
-        from qbsc.comparator import BuilderVariant, Operands, build_gqbsc
+        from qbsc.comparator import BuilderVariant, Operands, build_gqbsc, encode_operands
+        from qbsc.simulate import ClassicalRunner
 
         body = build_gqbsc(Operands((0,) * 8, (0,) * 8), BuilderVariant(variant))
         loaded = circuit_from_json(json.loads(json.dumps(circuit_to_json(body))))
         assert loaded == body
         assert len({id(op) for op in loaded.instructions}) == len(
             {id(op) for op in body.instructions})
-        assert simulate._compile(loaded) == simulate._compile(body)
+        # the interpreters run the loaded objects as they run the built ones
+        built_runner, loaded_runner = ClassicalRunner(body), ClassicalRunner(loaded)
+        for a, b in [(0, 0), (5, 200), (200, 5), (255, 254), (77, 77)]:
+            bits = encode_operands(format(a, "08b"), format(b, "08b")).initial_qubit_bits()
+            assert loaded_runner.run(bits) == built_runner.run(bits), (a, b)
 
 
 def _shared(circuit: Circuit) -> Circuit:

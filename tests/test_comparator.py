@@ -497,9 +497,17 @@ class TestMalformedSweepArguments:
          "samples must be an integer >= 0, got True"),
         (lambda: soundness_check_random(4, "3"), SimulationArgumentError,
          "samples must be an integer >= 0, got '3'"),
+        (lambda: soundness_check_random(4, 3, 2.5), SimulationArgumentError,
+         "seed must be an integer, got 2.5"),
+        (lambda: soundness_check_random(4, 3, "3"), SimulationArgumentError,
+         "seed must be an integer, got '3'"),
+        (lambda: soundness_check_random(4, 3, None), SimulationArgumentError,
+         "seed must be an integer, got None"),
+        (lambda: soundness_check_random(4, 3, True), SimulationArgumentError,
+         "seed must be an integer, got True"),
     ], ids=["exhaustive-float", "random-float", "exhaustive-bool", "random-bool", "exhaustive-0",
             "random-negative-width", "samples-negative", "samples-float", "samples-bool",
-            "samples-str"])
+            "samples-str", "seed-float", "seed-str", "seed-none", "seed-bool"])
     def test_refused_before_building(self, monkeypatch, call, error, message):
         import qbsc.comparator as comparator
 
@@ -514,6 +522,16 @@ class TestMalformedSweepArguments:
 
     def test_zero_samples_is_an_empty_check(self):
         assert soundness_check_random(4, 0) == (0, 0)
+
+    def test_numpy_integer_seed_draws_as_its_int(self, monkeypatch):
+        import qbsc.comparator as comparator
+
+        drawn = []
+        original = comparator._random_pairs
+        monkeypatch.setattr(comparator, "_random_pairs",
+                            lambda n, samples, seed: drawn.append(seed) or original(n, samples, seed))
+        assert soundness_check_random(40, 30, np.int64(3)) == soundness_check_random(40, 30, 3)
+        assert drawn == [3, 3] and type(drawn[0]) is int
 
 
 class TestOneOperandShapeRule:

@@ -38,6 +38,12 @@ class TestFormulaReport:
         assert formula_report(Method.PROPOSED, 2, Case.UNEQUAL).delay == 9
         assert formula_report(Method.PROPOSED, 2, Case.UNEQUAL).cost == 29
 
+    @pytest.mark.parametrize("n", [2**53 + 2, 2**53 + 3])
+    def test_proposed_unequal_correction_exact_past_float_range(self, n):
+        # ceil((n - 1) / 2) is 2^52 + 1 at both widths; a float (n - 1) / 2 rounds it down
+        estimate = formula_report("Proposed", n, Case.UNEQUAL)
+        assert (estimate.cost, estimate.delay) == (14 * n + 2**52 + 1, 4 * n + 2**52 + 1)
+
     def test_proposed_defaults_to_unequal(self):
         assert formula_report(Method.PROPOSED, 10).delay == 45
 

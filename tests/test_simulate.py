@@ -1,5 +1,6 @@
 """Backends: dense statevector, classical fast path, sampling, and noise."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbsc import circuit as circuit_module
-from qbsc.circuit import ClassicalCondition, GateKind, GateOp, new_circuit
+from qbsc.circuit import (BarrierOp, Circuit, ClassicalCondition, GateKind, GateOp,
+                          MeasureOp, new_circuit)
 from qbsc import simulate
 from qbsc.comparator import Operands, build_gqbsc, compare, encode_operands
 from qbsc.errors import (NonClassicalGate, NormDrift, QbscError, SimulationArgumentError,
@@ -276,6 +278,12 @@ class TestLaneInterpreter:
             with pytest.raises(SimulationError):
                 runner.run_lanes([0], lanes)
 
+    def test_numpy_condition_guards_lanes_past_64_bits(self):
+        cond = ClassicalCondition((np.int64(0),), np.int64(1))
+        circuit = new_circuit(2, 1).measure(0, 0).x(1, cond).measure(1, 0)
+        lanes = 1 << 99 | 1
+        assert ClassicalRunner(circuit).run_lanes([lanes, 0], 100) == ([lanes, lanes], [lanes])
+
     @pytest.mark.parametrize("qubits", [[0], [0, 4], [0, -1], [0, 1.0]])
     def test_lane_ints_validated(self, qubits):
         with pytest.raises(SimulationError):
@@ -365,6 +373,68 @@ class TestBackendAgreement:
         assert classical.executed_census == dense.executed_census
 
 
+class _TaggedGate(GateOp):
+    """A gate of another class, as a front end outside the library might make."""
+
+
+class _TaggedMeasure(MeasureOp):
+    """A measurement of another class."""
+
+
+def _recast(circuit: Circuit, gate_cls=GateOp, measure_cls=MeasureOp) -> Circuit:
+    """The circuit with each gate and measurement remade as the given classes."""
+    out = []
+    for instr in circuit.instructions:
+        if isinstance(instr, GateOp):
+            instr = gate_cls(instr.gate, instr.targets, instr.condition)
+        elif isinstance(instr, MeasureOp):
+            instr = measure_cls(instr.qubit, instr.clbit)
+        out.append(instr)
+    return Circuit(circuit.num_qubits, circuit.num_clbits, out)
+
+
+class TestRunsTheCircuitsObjects:
+    """The interpreters run the gate and measurement objects the circuit held
+    when the runner was built, whatever their class."""
+
+    @pytest.mark.parametrize("cls", [ClassicalRunner, DenseRunner])
+    def test_appending_after_the_runner_is_built_changes_nothing(self, cls):
+        circuit, noise = build_gqbsc(encode_operands(5, 6)), NoiseModel(0.05, 0.05)
+        runner = cls(circuit)
+        before = runner.run(), simulate._sample(runner, None, 200, noise, 3)
+        r1 = circuit.num_qubits - 1
+        circuit.instructions += [GateOp(GateKind.X, (r1,)), MeasureOp(r1, 1)]
+        assert (runner.run(), simulate._sample(runner, None, 200, noise, 3)) == before
+        c0, c1 = before[0].classical_bits
+        assert cls(circuit).run().classical_bits == (c0, 1 - c1)  # a new runner sees them
+
+    def _assert_runs_alike(self, recast, circuit, runners):
+        noise = NoiseModel(0.05, 0.05)
+        for cls in runners:
+            got, want = cls(recast), cls(circuit)
+            for a, b in itertools.product(range(4), repeat=2):
+                bits = bits_for(a, b, 2)
+                assert got.run(bits, seed=1) == want.run(bits, seed=1), (cls, a, b)
+                assert (simulate._sample(got, bits, 100, noise, a + 4 * b)
+                        == simulate._sample(want, bits, 100, noise, a + 4 * b)), (cls, a, b)
+
+    def test_a_gate_subclass_runs_like_a_gate(self):
+        body = build_gqbsc(Operands((0,) * 2, (0,) * 2))
+        tagged = _recast(body, gate_cls=_TaggedGate)
+        assert {type(i) for i in tagged.instructions} == {_TaggedGate, MeasureOp, BarrierOp}
+        self._assert_runs_alike(tagged, body, [ClassicalRunner, DenseRunner])
+        self._assert_runs_alike(_recast(lower_circuit(body), gate_cls=_TaggedGate),
+                                lower_circuit(body), [DenseRunner])
+
+    def test_a_measure_subclass_runs_like_a_measurement(self):
+        body = build_gqbsc(Operands((0,) * 2, (0,) * 2))
+        tagged = _recast(body, measure_cls=_TaggedMeasure)
+        assert {type(i) for i in tagged.instructions} == {GateOp, _TaggedMeasure, BarrierOp}
+        self._assert_runs_alike(tagged, body, [ClassicalRunner, DenseRunner])
+        self._assert_runs_alike(_recast(lower_circuit(body), measure_cls=_TaggedMeasure),
+                                lower_circuit(body), [DenseRunner])
+
+
 class TestBackendSelection:
     def test_auto_prefers_classical_for_permutation_circuits(self):
         assert type(simulate._runner(build_gqbsc(encode_operands(3, 1)))) is ClassicalRunner
@@ -383,8 +453,12 @@ class TestBackendSelection:
         lowered = lower_circuit(body)
         for circuit, cls in [(body, ClassicalRunner), (lowered, DenseRunner)]:
             walks.clear()
-            assert type(simulate._runner(circuit)) is cls
+            runner = simulate._runner(circuit)
+            assert type(runner) is cls
             assert len(walks) == 1, cls
+            # what it runs is the circuit's own gates and measurements
+            ops = [i for i in circuit.instructions if not isinstance(i, BarrierOp)]
+            assert list(map(id, runner._prog)) == list(map(id, ops)), cls
             walks.clear()
             sample(circuit, shots=8, noise=NoiseModel(0.01, 0.02), seed=1)
             assert len(walks) == 1
