@@ -18,7 +18,6 @@ from .circuit import (
     MeasureOp,
     circuit_from_json,
     circuit_to_json,
-    new_circuit,
     static_census,
     structural_depth,
 )
@@ -34,7 +33,7 @@ from .comparator import (
     interpret,
     reference_flags,
 )
-from .gates import decompose_ccx, lower_circuit, unitary_of
+from .gates import lower_circuit, unitary_of
 from .qasm import export as export_qasm
 from .qasm import parse as parse_qasm
 from .resources import (
@@ -83,7 +82,6 @@ __all__ = [
     "circuit_from_json",
     "circuit_to_json",
     "compare",
-    "decompose_ccx",
     "encode_operands",
     "export_qasm",
     "formula_report",
@@ -91,7 +89,6 @@ __all__ = [
     "interpret",
     "lower_circuit",
     "measured_report",
-    "new_circuit",
     "parse_qasm",
     "reference_flags",
     "run_classical",

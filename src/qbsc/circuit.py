@@ -259,8 +259,9 @@ def _non_bits(bits: Sequence) -> set[str]:
 class Circuit:
     """Ordered dynamic circuit over ``num_qubits`` qubits and ``num_clbits`` bits.
 
-    ``labels`` optionally names qubits for display/serialization; it does not
-    participate in structural equality.
+    ``labels`` optionally names qubits for display/serialization: a dict from
+    qubit index (an integer, see :func:`_is_int`, in [0, num_qubits)) to a
+    string. It does not participate in structural equality.
     """
 
     num_qubits: int
@@ -276,14 +277,21 @@ class Circuit:
         _check_cap(self.num_qubits, self.num_clbits)
         for instr in self.instructions:
             _check_instruction(instr, self.num_qubits, self.num_clbits)
+        if self.labels is not None:
+            if not isinstance(self.labels, dict):
+                raise CircuitError(f"labels must be a dict or None, got {self.labels!r}")
+            for q, name in self.labels.items():
+                _check_int(q, "label qubit", self.num_qubits)
+                if not isinstance(name, str):
+                    raise CircuitError(f"label of qubit {q} must be a string, got {name!r}")
 
     @classmethod
     def _trusted(cls, num_qubits: int, num_clbits: int, instructions: list[Instruction],
                  labels: dict[int, str] | None = None) -> "Circuit":
-        """A circuit over ``instructions`` that are valid by construction (the
-        builders' and the parser's), skipping the per-instruction check."""
-        circuit = cls(num_qubits, num_clbits, labels=labels)
-        circuit.instructions = instructions
+        """A circuit over ``instructions`` and ``labels`` that are valid by
+        construction (the builders' and the parser's), skipping their checks."""
+        circuit = cls(num_qubits, num_clbits)
+        circuit.instructions, circuit.labels = instructions, labels
         return circuit
 
     # -- construction --------------------------------------------------------
@@ -321,11 +329,6 @@ class Circuit:
     @property
     def width_total(self) -> int:
         return self.num_qubits + self.num_clbits
-
-
-def new_circuit(num_qubits: int, num_clbits: int) -> Circuit:
-    """Empty circuit with fixed register widths."""
-    return Circuit(num_qubits, num_clbits)
 
 
 @dataclass(frozen=True)
@@ -467,17 +470,10 @@ def circuit_to_json(circuit: Circuit) -> dict:
     return doc
 
 
-def _labels_from_json(labels: dict, num_qubits: int) -> dict[int, str]:
-    """Qubit labels keyed by index: a key must be an integer (or its decimal
-    string) in [0, num_qubits), a name a string."""
-    out = {}
-    for key, name in labels.items():
-        q = int(key) if isinstance(key, str) else key
-        _check_int(q, "label qubit", num_qubits)
-        if not isinstance(name, str):
-            raise CircuitError(f"label of qubit {q} must be a string, got {name!r}")
-        out[q] = name
-    return out
+def _labels_from_json(labels: dict) -> dict:
+    """``labels`` with each decimal-string key read as its integer;
+    :class:`Circuit` checks the rest."""
+    return {int(key) if isinstance(key, str) else key: name for key, name in labels.items()}
 
 
 # A gate entry's table key reads an absent "if" as this condition; the key's
@@ -494,9 +490,8 @@ def circuit_from_json(doc: dict) -> Circuit:
     condition share one :class:`ClassicalCondition`.
     """
     try:
-        circuit = Circuit(doc["qubits"], doc["clbits"])
-        if "labels" in doc:
-            circuit.labels = _labels_from_json(doc["labels"], circuit.num_qubits)
+        labels = _labels_from_json(doc["labels"]) if "labels" in doc else None
+        circuit = Circuit(doc["qubits"], doc["clbits"], labels=labels)
         nq, nc, instructions = circuit.num_qubits, circuit.num_clbits, circuit.instructions
         made: dict = {}  # key of exact ints -> the instruction made for it
         # Keyed with the value types too unless they are exact ints: 1.0 and

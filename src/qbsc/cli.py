@@ -155,8 +155,8 @@ def cmd_compare(a, b, variant, fmt, out):
 @click.option("--a", type=_Operand(), required=True)
 @click.option("--b", type=_Operand(), required=True)
 @variant_option
-@click.option("--format", "--emit", "fmt", type=click.Choice(["text", "json"]),
-              default="text", show_default=True)
+@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text",
+              show_default=True)
 @out_option
 def cmd_build(a, b, variant, fmt, out):
     """Build the comparator circuit and print a summary or its JSON form."""
@@ -290,14 +290,14 @@ def cmd_sweep(metric, n_values, methods, case, fmt, out):
 def cmd_census(n_values, variant, fmt, out):
     """Gate census of the built comparator body at each width."""
     ns = list(n_values) if n_values else list(_CENSUS_GRID)
-    growth = gate_growth(ns, BuilderVariant(variant))
     rows = []
-    for g in growth:
-        for metric, value in (("x", g.x_gates), ("ccx", g.ccx_gates),
-                              ("1bc", g.blocks_1bc), ("block_measures", g.block_measures),
-                              ("total_measures", g.total_measures), ("qubits", g.qubits),
-                              ("width", g.width)):
-            rows.append(SweepRow(Method.PROPOSED.value, g.n, "-", metric, value))
+    for n, census in gate_growth(ns, BuilderVariant(variant)):
+        for metric, value in (("x", census.x), ("ccx", census.ccx),
+                              ("1bc", census.block_count_1bc),
+                              ("block_measures", census.block_measure_count),
+                              ("total_measures", census.measure_count),
+                              ("qubits", census.width_qubits), ("width", census.width_total)):
+            rows.append(SweepRow(Method.PROPOSED.value, n, "-", metric, value))
     _emit(_rows_payload(rows, fmt), out)
 
 

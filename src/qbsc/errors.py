@@ -26,10 +26,6 @@ class DuplicateTarget(CircuitError):
     """The same qubit appears twice in one instruction."""
 
 
-class NotACCX(CircuitError):
-    """decompose_ccx was given something other than an unconditioned CCX."""
-
-
 class SimulationError(QbscError):
     """Execution-time failure in a backend."""
 

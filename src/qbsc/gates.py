@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circuit import Circuit, GateKind, GateOp, Instruction
-from .errors import CircuitError, NotACCX
+from .circuit import Circuit, GateKind, GateOp
+from .errors import CircuitError
 
 # GateKind members read per instruction, bound once: a member read is a call.
 _CX, _CCX, _CV, _CVDG = GateKind.CX, GateKind.CCX, GateKind.CV, GateKind.CVDG
@@ -48,23 +48,10 @@ def unitary_of(kind: GateKind) -> np.ndarray:
     return _UNITARIES[kind].copy()
 
 
-def decompose_ccx(instr: Instruction) -> list[GateOp]:
-    """Expand one unconditioned CCX into its five-gate primitive sequence.
-
-    Emits [CV(a→c), CV(b→c), CX(a→b), CV†(b→c), CX(a→b)] for CCX on (a, b, c);
-    total unit cost 5, and the composed unitary equals the Toffoli.
-    """
-    if not isinstance(instr, GateOp) or instr.gate is not _CCX:
-        raise NotACCX(f"expected a CCX gate, got {instr!r}")
-    if instr.condition is not None:
-        raise NotACCX("expected an unconditioned CCX (lower_circuit handles conditions)")
-    a, b, c = instr.targets
-    return _ccx_expansion(a, b, c, None)
-
-
 def _ccx_expansion(a: int, b: int, c: int, condition) -> list[GateOp]:
-    """The expansion of a valid CCX on (a, b, c): its qubits are distinct, so
-    each gate is made unchecked."""
+    """The expansion of a valid CCX on (a, b, c), [CV(a→c), CV(b→c), CX(a→b),
+    CV†(b→c), CX(a→b)]: total unit cost 5, and the composed unitary equals the
+    Toffoli. Its qubits are distinct, so each gate is made unchecked."""
     gate = GateOp._trusted
     cx = gate(_CX, (a, b), condition)
     return [

@@ -220,38 +220,12 @@ def sweep_notes(rows: Sequence[SweepRow]) -> list[str]:
     return notes
 
 
-@dataclass(frozen=True)
-class GrowthRow:
-    """Gate census of the built comparator body at one width."""
-
-    n: int
-    x_gates: int
-    ccx_gates: int
-    blocks_1bc: int
-    block_measures: int
-    total_measures: int
-    qubits: int
-    width: int
-
-
 def gate_growth(n_values: Sequence[int],
-                variant: BuilderVariant = BuilderVariant.FIGURE) -> list[GrowthRow]:
-    """Build the value-independent comparator body at each width and count.
+                variant: BuilderVariant = BuilderVariant.FIGURE) -> list[tuple[int, GateCensus]]:
+    """Build the value-independent comparator body at each width and count:
+    (n, census) pairs in ascending n.
 
     Zero operands carry no input-prep X gates, so the census reflects the
     body only; an over-cap width raises before its body is allocated.
     """
-    rows = []
-    for n in sorted(set(_check_arguments(n_values))):
-        census = static_census(_body(n, variant))
-        rows.append(GrowthRow(
-            n=n,
-            x_gates=census.x,
-            ccx_gates=census.ccx,
-            blocks_1bc=census.block_count_1bc,
-            block_measures=census.block_measure_count,
-            total_measures=census.measure_count,
-            qubits=census.width_qubits,
-            width=census.width_total,
-        ))
-    return rows
+    return [(n, static_census(_body(n, variant))) for n in sorted(set(_check_arguments(n_values)))]

@@ -103,7 +103,7 @@ _NORM_TOL = 1e-6
 
 _X, _CX, _CCX, _CV = GateKind.X, GateKind.CX, GateKind.CCX, GateKind.CV
 
-#: Most lanes (inputs) one bit-sliced ``ClassicalRunner.run_lanes`` call takes.
+#: Most lanes (inputs) one bit-sliced ``ClassicalRunner._run_lanes`` pass takes.
 MAX_LANES = 1 << 16
 
 # numpy's seeding of ``default_rng(entropy)``: SeedSequence hashes the entropy
@@ -203,11 +203,18 @@ def _words(n: int) -> list[int]:
     return words
 
 
+def _check_seed(seed) -> int:
+    """A run's seed as a Python int: an integer >= 0 (:func:`_is_int`: numpy's
+    too, not a bool), else :class:`SimulationArgumentError`."""
+    if not _is_int(seed) or seed < 0:
+        raise SimulationArgumentError(f"seed must be an integer >= 0, got {seed!r}")
+    return operator.index(seed)
+
+
 def _seed_words(seed) -> list[int]:
-    """Entropy words of ``seed`` in ``default_rng([seed, s])``; a seed numpy
-    rejects raises numpy's own error."""
-    np.random.SeedSequence([seed, 0])
-    return _words(operator.index(seed))
+    """Entropy words of ``seed`` in ``default_rng([seed, s])``, checked by
+    :func:`_check_seed`."""
+    return _words(_check_seed(seed))
 
 
 def _hash_pool(entropy: list) -> list:
@@ -400,9 +407,12 @@ class _Runner:
 
     def run(self, initial_bits=None, seed: int | None = None,
             noise: NoiseModel | None = None) -> RunResult:
-        """One run with its measurement trace and executed census; a noisy
-        run without a seed draws fresh entropy."""
+        """One run with its measurement trace and executed census; ``seed``
+        is None or as :func:`_check_seed` takes it, and a noisy run without a
+        seed draws fresh entropy."""
         bits = _coerce_bits(initial_bits, self.num_qubits, noise)
+        if seed is not None:
+            seed = _check_seed(seed)
         rng = None if seed is None and noise is None else np.random.default_rng(seed)
         # GateCensus field names; a gate kind's field is its name
         counters = dict.fromkeys([*KIND_NAMES.values(), "measure_count", "conditional_x_count"], 0)
@@ -439,26 +449,12 @@ class ClassicalRunner(_Runner):
             first = next(op.gate for op in self._prog if op.gate not in (None, _X, _CX, _CCX))
             raise NonClassicalGate(f"{first.value} is not a classical permutation gate")
 
-    def run_lanes(self, qubits, lanes: int) -> tuple[list[int], list[int]]:
-        """Run ``lanes`` basis inputs at once, bit-sliced.
-
-        ``qubits[q]`` is an int whose bit l is qubit q's initial value in
-        lane l. Returns the final qubit and clbit lane ints in the same form.
-        At most ``MAX_LANES`` lanes per call.
-        """
-        if not _is_int(lanes) or not 1 <= lanes <= MAX_LANES:
-            raise SimulationArgumentError(f"lane count {lanes} outside [1, {MAX_LANES}]")
-        lanes = operator.index(lanes)  # numpy's would wrap the lane masks
-        q = list(qubits)
-        if len(q) != self.num_qubits:
-            raise SimulationArgumentError(f"{len(q)} qubit lane ints != {self.num_qubits} qubits")
-        if any(not isinstance(v, int) or isinstance(v, bool) or v < 0 or v >> lanes for v in q):
-            raise SimulationArgumentError(f"qubit lane ints must lie in [0, 2^{lanes})")
-        return self._run_lanes(q, lanes)
-
     def _run_lanes(self, q: list[int], lanes: int, draw=None,
                    noise: NoiseModel | None = None, start=None, fired=None):
-        """The interpreter. A condition becomes the mask of lanes where it
+        """The interpreter: runs ``lanes`` (at most ``MAX_LANES``) basis inputs
+        at once, ``q[i]`` an int whose bit l is qubit i's value in lane l, and
+        returns the final qubit and clbit lane ints. It XORs into ``q``, so
+        pass a fresh list. A condition becomes the mask of lanes where it
         holds. With ``draw`` (one lane only) it draws ``noise`` in the dense
         backend's order: per fired gate and touched qubit one depolarizing
         draw, plus the Pauli draw when it hits; per measurement one readout-flip
@@ -669,10 +665,10 @@ def sample(circuit: Circuit, initial_bits=None, shots: int = 1,
     """Repeat execution ``shots`` times with per-shot derived seeds.
 
     Shot s draws from ``np.random.default_rng([seed, s])``, so histograms are
-    reproducible and independent of execution order; a seed numpy rejects
-    raises numpy's error. A shot whose uniforms clear their draws' bounds in
-    the quiet run ends as that run, any other resumes from a mark of it
-    (module docstring).
+    reproducible and independent of execution order; ``seed`` is an integer
+    >= 0 (:func:`_check_seed`). A shot whose uniforms clear their draws'
+    bounds in the quiet run ends as that run, any other resumes from a mark of
+    it (module docstring).
     """
     return _sample(_runner(circuit), initial_bits, shots, noise, seed)
 

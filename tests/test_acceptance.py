@@ -11,7 +11,7 @@ import time
 import numpy as np
 from click.testing import CliRunner
 
-from qbsc.circuit import GateKind, GateOp, static_census
+from qbsc.circuit import Circuit, GateKind, static_census
 from qbsc.cli import main as cli_main
 from qbsc.comparator import (
     BuilderVariant,
@@ -23,7 +23,7 @@ from qbsc.comparator import (
     soundness_check_exhaustive,
     soundness_check_random,
 )
-from qbsc.gates import V, VDG, decompose_ccx, lower_circuit, unitary_of
+from qbsc.gates import V, VDG, lower_circuit, unitary_of
 from qbsc.qasm import export, parse
 from qbsc.resources import Case, Method, formula_report, gate_growth
 from qbsc.simulate import ClassicalRunner, DenseRunner, NoiseModel, sample
@@ -214,16 +214,16 @@ def test_criterion_04_formula_fidelity():
 
 def test_criterion_05_census_fidelity():
     bad = []
-    growth = {row.n: row for row in gate_growth(range(1, 101))}
+    growth = dict(gate_growth(range(1, 101)))
     for n in (1, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100):
-        row = growth[n]
+        census = growth[n]
         expected_x = 4 * n + (n - 1 + 1) // 2  # 4n + ceil((n-1)/2)
-        if (row.x_gates, row.ccx_gates, row.blocks_1bc, row.block_measures) \
+        if (census.x, census.ccx, census.block_count_1bc, census.block_measure_count) \
                 != (expected_x, 2 * n, n, 2 * n):
             bad.append(n)
     for n in range(1, 11):
-        row = growth[n]
-        if (row.qubits, row.width) != (2 * n + 2, 2 * n + 4):
+        census = growth[n]
+        if (census.width_qubits, census.width_total) != (2 * n + 2, 2 * n + 4):
             bad.append(("width", n))
     _report(5, "census fidelity", not bad, f"gate counts at 11 widths,"
             f" register widths at 10; failures: {bad}")
@@ -250,7 +250,7 @@ def test_criterion_07_gate_algebra():
     v_squared_exact = bool(np.array_equal(V @ V, unitary_of(GateKind.X)))
 
     composed = compose_circuit_unitary(
-        decompose_ccx(GateOp(GateKind.CCX, (0, 1, 2))), 3, unitary_of)
+        lower_circuit(Circuit(3, 0).ccx(0, 1, 2)).instructions, 3, unitary_of)
     toffoli = embed_unitary(unitary_of(GateKind.CCX), (0, 1, 2), 3)
     decomposition_err = float(np.max(np.abs(composed - toffoli)))
 

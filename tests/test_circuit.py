@@ -5,6 +5,7 @@ import dataclasses
 import pickle
 import weakref
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +22,6 @@ from qbsc.circuit import (
     MeasureOp,
     circuit_from_json,
     circuit_to_json,
-    new_circuit,
     static_census,
     structural_depth,
 )
@@ -59,7 +59,7 @@ def fires(cond: ClassicalCondition, clbits: list[int]) -> bool:
     """Whether an X guarded by ``cond`` fires once the register reads
     ``clbits``, on both runners; the reference engine must agree."""
     k = len(clbits)
-    c = new_circuit(k + 1, k)
+    c = Circuit(k + 1, k)
     for i in range(k):
         c.measure(i, i)
     c.x(k, cond)
@@ -73,30 +73,30 @@ def fires(cond: ClassicalCondition, clbits: list[int]) -> bool:
 
 
 class TestConstruction:
-    def test_new_circuit_widths(self):
-        c = new_circuit(4, 2)
+    def test_empty_circuit_widths(self):
+        c = Circuit(4, 2)
         assert (c.num_qubits, c.num_clbits, c.width_total) == (4, 2, 6)
         assert c.instructions == []
 
     def test_empty_circuit_is_legal(self):
-        c = new_circuit(0, 0)
+        c = Circuit(0, 0)
         assert c.width_total == 0
 
     def test_comparator_scale_width(self):
         # the n=10 comparator needs 22 qubits and width 24
-        assert new_circuit(22, 2).width_total == 24
+        assert Circuit(22, 2).width_total == 24
 
     def test_negative_width_rejected(self):
         with pytest.raises(CircuitError):
-            new_circuit(-1, 0)
+            Circuit(-1, 0)
 
     def test_append_grows_by_one(self):
-        c = new_circuit(3, 0)
+        c = Circuit(3, 0)
         c.ccx(0, 1, 2)
         assert len(c.instructions) == 1
 
     def test_duplicate_target_rejected(self):
-        c = new_circuit(6, 0)
+        c = Circuit(6, 0)
         with pytest.raises(DuplicateTarget):
             c.cx(5, 5)
 
@@ -107,22 +107,22 @@ class TestConstruction:
                 GateOp(kind, tuple(range(count)))
 
     def test_qubit_index_out_of_range(self):
-        c = new_circuit(2, 0)
+        c = Circuit(2, 0)
         with pytest.raises(IndexOutOfRange):
             c.x(2)
 
     def test_measure_within_widths_is_legal(self):
-        c = new_circuit(4, 2)
+        c = Circuit(4, 2)
         c.measure(3, 0)
         assert c.instructions == [MeasureOp(3, 0)]
 
     def test_measure_bad_clbit(self):
-        c = new_circuit(4, 2)
+        c = Circuit(4, 2)
         with pytest.raises(IndexOutOfRange):
             c.measure(0, 2)
 
     def test_condition_reads_declared_bits_only(self):
-        c = new_circuit(2, 1)
+        c = Circuit(2, 1)
         with pytest.raises(IndexOutOfRange):
             c.x(0, condition=ClassicalCondition((0, 1), 0))
 
@@ -159,11 +159,11 @@ class TestClassicalCondition:
 
 class TestCensus:
     def test_empty_circuit_all_zero(self):
-        census = static_census(new_circuit(3, 1))
+        census = static_census(Circuit(3, 1))
         assert census == GateCensus(width_qubits=3, width_total=4)
 
     def test_counts_every_instruction_fired_or_not(self):
-        c = new_circuit(3, 2)
+        c = Circuit(3, 2)
         c.x(0)
         c.x(1, condition=ClassicalCondition((0, 1), 3))  # could never fire
         c.ccx(0, 1, 2)
@@ -173,7 +173,7 @@ class TestCensus:
         assert census.conditional_x_count == 1
 
     def test_block_measures_counted_inside_spans_only(self):
-        c = new_circuit(4, 2)
+        c = Circuit(4, 2)
         c.measure(0, 0)                      # outside any block
         c.barrier(BLOCK_BEGIN)
         c.measure(1, 1)
@@ -200,13 +200,13 @@ class TestCensus:
 
 class TestStructuralDepth:
     def test_single_gate(self):
-        assert structural_depth(new_circuit(1, 0).x(0)) == 1
+        assert structural_depth(Circuit(1, 0).x(0)) == 1
 
     def test_disjoint_gates_share_a_layer(self):
-        assert structural_depth(new_circuit(2, 0).x(0).x(1)) == 1
+        assert structural_depth(Circuit(2, 0).x(0).x(1)) == 1
 
     def test_shared_qubit_serializes(self):
-        assert structural_depth(new_circuit(1, 0).x(0).x(0)) == 2
+        assert structural_depth(Circuit(1, 0).x(0).x(0)) == 2
 
     def test_one_bit_block_is_13(self):
         # X; CCX; X and X in parallel; CCX; X on the shared operand qubits
@@ -215,7 +215,7 @@ class TestStructuralDepth:
         assert brute_force_depth(c, UNIT_DELAYS) == 13
 
     def test_condition_waits_for_its_measurement(self):
-        c = new_circuit(2, 1)
+        c = Circuit(2, 1)
         c.x(0)
         c.measure(0, 0)
         c.x(1, condition=ClassicalCondition((0,), 1))
@@ -231,8 +231,8 @@ class TestStructuralDepth:
             assert structural_depth(c) == kind.unit_cost == UNIT_DELAYS[kind]
 
     def test_barriers_do_not_schedule(self):
-        plain = new_circuit(2, 0).x(0).x(1)
-        fenced = new_circuit(2, 0).x(0).barrier().x(1)
+        plain = Circuit(2, 0).x(0).x(1)
+        fenced = Circuit(2, 0).x(0).barrier().x(1)
         assert structural_depth(plain) == structural_depth(fenced) == 1
 
 
@@ -304,7 +304,7 @@ class TestDepthAndCensusProperties:
 
 class TestJsonInterchange:
     def test_schema_field_names(self):
-        c = new_circuit(3, 2)
+        c = Circuit(3, 2)
         c.ccx(0, 1, 2)
         c.measure(2, 0)
         c.x(2, condition=ClassicalCondition((0, 1), 2))
@@ -591,6 +591,72 @@ class TestConstructorChecks:
         assert build_gqbsc(encode_operands(5, 3)) == built
         assert lower_circuit(built).num_qubits == built.num_qubits
         assert qasm.parse(text) == built
+
+
+class TestLabelChecks:
+    """``Circuit`` checks its labels as the JSON loader did: a dict from an
+    integer qubit in range to a string, so every accepted circuit writes a
+    document that loads back with the same labels."""
+
+    @pytest.mark.parametrize("labels, message", [
+        (5, "labels must be a dict or None, got 5"),
+        (["a"], "labels must be a dict or None, got ['a']"),
+        ({9: "x"}, "label qubit 9 outside [0, 2)"),
+        ({-1: "x"}, "label qubit -1 outside [0, 2)"),
+        ({0: 3}, "label of qubit 0 must be a string, got 3"),
+        ({True: "a"}, "label qubit must be an integer, got True"),
+        ({0.0: "a"}, "label qubit must be an integer, got 0.0"),
+    ], ids=repr)
+    def test_bad_labels_refused_at_construction(self, labels, message):
+        with pytest.raises(CircuitError) as refused:
+            Circuit(2, 0, labels=labels)
+        assert str(refused.value) == message
+        # the loader applies the same rule through the constructor
+        doc = {"qubits": 2, "clbits": 0, "instr": [], "labels": labels}
+        with pytest.raises(CircuitError):
+            circuit_from_json(doc)
+
+    def test_decimal_string_key_is_the_loaders_alone(self):
+        with pytest.raises(CircuitError, match="^label qubit must be an integer, got '0'$"):
+            Circuit(2, 0, labels={"0": "a"})
+        assert circuit_from_json({"qubits": 2, "clbits": 0, "instr": [],
+                                  "labels": {"0": "a"}}).labels == {0: "a"}
+
+    @pytest.mark.parametrize("labels", [None, {}, {0: "a", 1: ""}, {np.int64(1): "b"}],
+                             ids=repr)
+    def test_accepted_labels_round_trip(self, labels):
+        c = Circuit(2, 0, labels=labels)
+        assert circuit_from_json(circuit_to_json(c)).labels == (labels or None)
+
+    def test_loader_checks_each_label_once(self, monkeypatch):
+        from qbsc import circuit as circuit_module
+
+        checked = []
+        check_int = circuit_module._check_int
+
+        def counting(value, what, size=None):
+            if what == "label qubit":
+                checked.append(value)
+            check_int(value, what, size)
+
+        monkeypatch.setattr(circuit_module, "_check_int", counting)
+        assert circuit_from_json({"qubits": 3, "clbits": 0, "instr": [],
+                                  "labels": {"2": "c", "0": "a"}}).labels == {2: "c", 0: "a"}
+        assert sorted(checked) == [0, 2]
+
+    def test_trusted_circuits_skip_the_check(self, monkeypatch):
+        from qbsc import circuit as circuit_module
+        from qbsc.comparator import build_gqbsc, encode_operands
+        from qbsc.gates import lower_circuit
+
+        def fail(value, what, size=None):
+            if what == "label qubit":
+                raise AssertionError("checked a label")
+
+        monkeypatch.setattr(circuit_module, "_check_int", fail)
+        built = build_gqbsc(encode_operands(5, 3))
+        assert lower_circuit(built).labels == built.labels == {
+            0: "a_0", 1: "a_1", 2: "a_2", 3: "b_0", 4: "b_1", 5: "b_2", 6: "r_0", 7: "r_1"}
 
 
 class TestSharedEntries:

@@ -70,7 +70,8 @@ class TestCompare:
     def test_retired_flags_exit_2(self, runner):
         for args in (["compare", "--a", "3", "--b", "5", "--seed", "5"],
                      ["compare", "--a", "3", "--b", "5", "--backend", "dense"],
-                     ["verify", "--backend", "dense"]):
+                     ["verify", "--backend", "dense"],
+                     ["build", "--a", "1", "--b", "2", "--emit", "json"]):
             proc = subprocess.run([sys.executable, "-m", "qbsc", *args],
                                   capture_output=True, text=True)
             assert proc.returncode == 2, args
@@ -122,10 +123,6 @@ class TestVerify:
         assert sampled == [5, 10, 20, 24]
         assert payload["pairs"] == 4 + 16 + 64 + 256 + 4 * 5
         assert payload["mismatches"] == 0
-
-    def test_build_accepts_emit_alias(self, runner):
-        result = invoke(runner, "build", "--a", "1", "--b", "0", "--emit", "json")
-        assert json.loads(result.output)["qubits"] == 4
 
     def test_both_variants(self, runner):
         result = invoke(runner, "verify", "--max-bits", "2", "--variant", "both",

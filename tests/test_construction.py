@@ -31,7 +31,6 @@ from qbsc.circuit import (
     census_walk,
     circuit_from_json,
     circuit_to_json,
-    new_circuit,
     static_census,
 )
 from qbsc.cli import EXIT_BAD_INPUT, main
@@ -45,7 +44,7 @@ from qbsc.errors import (
     ResourceArgumentError,
     SimulationArgumentError,
 )
-from qbsc.gates import decompose_ccx, lower_circuit
+from qbsc.gates import lower_circuit
 from qbsc.simulate import ClassicalRunner, DenseRunner, Histogram, sample
 
 from _oracles import (
@@ -124,7 +123,7 @@ class TestTrustedConstruction:
             assert circuit_to_json(built) == circuit_to_json(reference)
             assert circuit_to_json(lowered) == circuit_to_json(lowered_reference)
         block = comparator.build_1bc(0, 1, 2, 3, 0, 1)
-        assert decompose_ccx(block[1]) and not checked
+        assert lower_circuit(Circuit(4, 2, block)).instructions and not checked
         with pytest.raises(DuplicateTarget):  # the public constructor still checks
             GateOp(GateKind.CX, (0, 0))
         assert len(checked) == 1
@@ -281,14 +280,14 @@ class TestOneIntegerRule:
         pytest.param(lambda: resources.gate_growth([np.True_]),
                      ResourceArgumentError, id="gate_growth-np.True_"),
         pytest.param(lambda: Circuit(np.True_, 0), CircuitError, id="circuit-width-np.True_"),
-        pytest.param(lambda: new_circuit(2, 0).x(np.True_),
+        pytest.param(lambda: Circuit(2, 0).x(np.True_),
                      CircuitError, id="appended-target-np.True_"),
         pytest.param(lambda: circuit_from_json({"qubits": 2, "clbits": 0,
                                                 "instr": [{"g": "x", "t": [np.True_]}]}),
                      CircuitError, id="json-target-np.True_"),
         pytest.param(lambda: Histogram(np.True_, {0: 1}),
                      SimulationArgumentError, id="histogram-shots-np.True_"),
-        pytest.param(lambda: sample(new_circuit(1, 1), shots=np.True_),
+        pytest.param(lambda: sample(Circuit(1, 1), shots=np.True_),
                      SimulationArgumentError, id="sample-shots-np.True_"),
         pytest.param(lambda: comparator.encode_operands(np.True_, 1),
                      InvalidBitstring, id="operand-np.True_"),
@@ -317,15 +316,12 @@ def _ints(result) -> list:
 
 # Each call takes a width or count from ``to_int``; numpy's must not wrap
 # (the formulas at the dtype's largest value overflow it) or leak into results.
-_WIDE = 2**64 - 1  # a lane int over all 64 lanes
 NUMPY_INT_CALLS = {
     "formula_report": lambda to_int, top: resources.formula_report("Wang", to_int(top)),
     "formula_report-Thapliyal": lambda to_int, top: resources.formula_report(
         "Thapliyal", to_int(top)),
     "sweep": lambda to_int, top: resources.sweep(["Wang", "Proposed"], [to_int(top)], "cost"),
     "gate_growth": lambda to_int, top: resources.gate_growth([to_int(3)]),
-    "run_lanes": lambda to_int, top: ClassicalRunner(comparator._body(2, BuilderVariant.FIGURE))
-    .run_lanes([_WIDE, 0, 0, _WIDE >> 1, 0, 0], to_int(64)),
     "soundness_check_exhaustive": lambda to_int, top: comparator.soundness_check_exhaustive(
         to_int(3)),
     "soundness_check_random-samples": lambda to_int, top: comparator.soundness_check_random(

@@ -7,15 +7,12 @@ from qbsc.circuit import (
     Circuit,
     ClassicalCondition,
     GateKind,
-    GateOp,
-    MeasureOp,
-    new_circuit,
     static_census,
     structural_depth,
 )
 from qbsc.comparator import BuilderVariant, Operands, build_gqbsc
-from qbsc.errors import CircuitError, NotACCX
-from qbsc.gates import V, VDG, decompose_ccx, lower_circuit, unitary_of
+from qbsc.errors import CircuitError
+from qbsc.gates import V, VDG, lower_circuit, unitary_of
 from qbsc.simulate import DenseRunner
 
 from _oracles import compose_circuit_unitary, embed_unitary
@@ -80,53 +77,45 @@ class TestUnitaries:
             unitary_of(kind)
 
 
-class TestDecomposeCCX:
+def expand_ccx(targets) -> list:
+    """The lowering of a circuit holding one unconditioned CCX on ``targets``."""
+    return lower_circuit(Circuit(3, 0).ccx(*targets)).instructions
+
+
+class TestToffoliExpansion:
     def test_exact_sequence(self):
-        out = decompose_ccx(GateOp(GateKind.CCX, (0, 1, 2)))
-        assert [(g.gate, g.targets) for g in out] == [
-            (GateKind.CV, (0, 2)),
-            (GateKind.CV, (1, 2)),
-            (GateKind.CX, (0, 1)),
-            (GateKind.CVDG, (1, 2)),
-            (GateKind.CX, (0, 1)),
+        out = expand_ccx((0, 1, 2))
+        assert [(g.gate, g.targets, g.condition) for g in out] == [
+            (GateKind.CV, (0, 2), None),
+            (GateKind.CV, (1, 2), None),
+            (GateKind.CX, (0, 1), None),
+            (GateKind.CVDG, (1, 2), None),
+            (GateKind.CX, (0, 1), None),
         ]
 
     def test_cost_is_five(self):
-        out = decompose_ccx(GateOp(GateKind.CCX, (0, 1, 2)))
+        out = expand_ccx((0, 1, 2))
         assert sum(g.gate.unit_cost for g in out) == 5 == GateKind.CCX.unit_cost
 
     def test_composition_equals_toffoli(self):
         # independent oracle: embed each factor into the 8x8 space and multiply
-        out = decompose_ccx(GateOp(GateKind.CCX, (0, 1, 2)))
-        composed = compose_circuit_unitary(out, 3, unitary_of)
+        composed = compose_circuit_unitary(expand_ccx((0, 1, 2)), 3, unitary_of)
         target = embed_unitary(unitary_of(GateKind.CCX), (0, 1, 2), 3)
         assert np.max(np.abs(composed - target)) < 1e-12
 
     def test_composition_on_scrambled_targets(self):
-        out = decompose_ccx(GateOp(GateKind.CCX, (2, 0, 1)))
-        composed = compose_circuit_unitary(out, 3, unitary_of)
+        composed = compose_circuit_unitary(expand_ccx((2, 0, 1)), 3, unitary_of)
         target = embed_unitary(unitary_of(GateKind.CCX), (2, 0, 1), 3)
         assert np.max(np.abs(composed - target)) < 1e-12
 
     def test_decomposed_sequence_flips_110(self):
         c = Circuit(3, 3)
-        for g in decompose_ccx(GateOp(GateKind.CCX, (0, 1, 2))):
+        for g in expand_ccx((0, 1, 2)):
             c.append(g)
         for q in range(3):
             c.measure(q, q)
         result = DenseRunner(c).run((1, 1, 0))
         assert result.classical_bits == (1, 1, 1)
-
-    def test_rejects_non_ccx(self):
-        with pytest.raises(NotACCX):
-            decompose_ccx(GateOp(GateKind.X, (0,)))
-        with pytest.raises(NotACCX):
-            decompose_ccx(MeasureOp(0, 0))
-
-    def test_rejects_conditioned_ccx(self):
-        conditioned = GateOp(GateKind.CCX, (0, 1, 2), ClassicalCondition((0,), 1))
-        with pytest.raises(NotACCX):
-            decompose_ccx(conditioned)
 
 
 class TestLowerCircuit:
@@ -136,7 +125,7 @@ class TestLowerCircuit:
         assert (census.ccx, census.cx, census.cv, census.cvdg) == (0, 4, 4, 2)
 
     def test_no_ccx_means_identity_pass(self):
-        c = new_circuit(2, 1).x(0).cx(0, 1).measure(1, 0)
+        c = Circuit(2, 1).x(0).cx(0, 1).measure(1, 0)
         assert lower_circuit(c) == c
 
     def test_total_cost_preserved(self):

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbsc.circuit import (BarrierOp, ClassicalCondition, circuit_from_json, circuit_to_json,
-                          new_circuit)
+from qbsc.circuit import (BarrierOp, Circuit, ClassicalCondition, circuit_from_json,
+                          circuit_to_json)
 from qbsc.comparator import BuilderVariant, Operands, build_gqbsc, encode_operands
 from qbsc import qasm
 from qbsc.errors import (
@@ -30,10 +30,10 @@ from test_circuit import circuit_strategy
 
 class TestExport:
     def test_minimal_circuit(self):
-        assert export(new_circuit(1, 0).x(0)) == "OPENQASM 3.0;\nqubit[1] q;\nx q[0];\n"
+        assert export(Circuit(1, 0).x(0)) == "OPENQASM 3.0;\nqubit[1] q;\nx q[0];\n"
 
     def test_empty_circuit_is_header_only(self):
-        assert export(new_circuit(0, 0)) == "OPENQASM 3.0;\n"
+        assert export(Circuit(0, 0)) == "OPENQASM 3.0;\n"
 
     def test_one_bit_comparator_statement_counts(self):
         text = export(build_gqbsc(encode_operands(0, 0)))
@@ -55,7 +55,7 @@ class TestExport:
         assert text.count("if (cr == 2) {") == 1
 
     def test_barriers_exported_as_comments(self):
-        text = export(new_circuit(1, 0).barrier("1bc").x(0).barrier())
+        text = export(Circuit(1, 0).barrier("1bc").x(0).barrier())
         assert "// barrier 1bc\n" in text
         assert "\n// barrier\n" in text
 
@@ -64,7 +64,7 @@ class TestExport:
         assert export(circuit).encode() == export(circuit).encode()
 
     def test_partial_mask_condition_unsupported(self):
-        c = new_circuit(1, 2)
+        c = Circuit(1, 2)
         c.x(0, condition=ClassicalCondition((1,), 1))
         with pytest.raises(UnsupportedInstruction):
             export(c)
@@ -84,7 +84,7 @@ class TestBarrierLabels:
 
     @pytest.mark.parametrize("label", ACCEPTED)
     def test_accepted_label_round_trips(self, label):
-        circuit = new_circuit(1, 0).barrier(label).x(0).barrier(label)
+        circuit = Circuit(1, 0).barrier(label).x(0).barrier(label)
         assert parse(export(circuit)) == circuit
         assert circuit_from_json(circuit_to_json(circuit)) == circuit
 
@@ -92,7 +92,7 @@ class TestBarrierLabels:
     @given(st.text())
     def test_every_accepted_text_round_trips(self, label):
         try:
-            circuit = new_circuit(1, 0).barrier(label)
+            circuit = Circuit(1, 0).barrier(label)
         except CircuitError:
             return
         assert parse(export(circuit)) == circuit
@@ -102,7 +102,7 @@ class TestBarrierLabels:
         with pytest.raises(CircuitError, match="barrier label"):
             BarrierOp(label)
         with pytest.raises(CircuitError, match="barrier label"):
-            new_circuit(1, 0).barrier(label)
+            Circuit(1, 0).barrier(label)
         with pytest.raises(CircuitError, match="barrier label"):
             circuit_from_json({"qubits": 1, "clbits": 0, "instr": [{"b": label}]})
 
@@ -385,7 +385,7 @@ class TestLineReplay:
         body = ["x q[0];", "if (cr == 1) {", "x q[0];", "}", "x q[0];", "if (cr == 2) {",
                 "x q[0];", "}", "if (cr == 1) {", "x q[0];", "}", "x q[0];", "cx q[0], q[1];",
                 "if (cr == 2) {", "cx q[0], q[1];", "}"]
-        expected = new_circuit(3, 2)
+        expected = Circuit(3, 2)
         for value in (None, 1, None, 2, 1, None):
             expected.x(0, None if value is None else ClassicalCondition((0, 1), value))
         expected.cx(0, 1).cx(0, 1, ClassicalCondition((0, 1), 2))

@@ -2,7 +2,8 @@
 
 import pytest
 
-from qbsc.comparator import BuilderVariant, Operands, build_gqbsc, encode_operands
+from qbsc.circuit import static_census
+from qbsc.comparator import BuilderVariant, Operands, _body, build_gqbsc, encode_operands
 from qbsc.errors import QbscError, ResourceArgumentError, UnknownMethod
 from qbsc.resources import (
     Case,
@@ -215,34 +216,38 @@ class TestSweep:
 
 class TestGateGrowth:
     def test_width_one(self):
-        row = gate_growth([1])[0]
-        assert (row.x_gates, row.ccx_gates, row.blocks_1bc, row.block_measures) \
-            == (4, 2, 1, 2)
+        n, census = gate_growth([1])[0]
+        assert (n, census.x, census.ccx, census.block_count_1bc, census.block_measure_count) \
+            == (1, 4, 2, 1, 2)
 
     def test_width_hundred(self):
-        row = gate_growth([100])[0]
-        assert (row.x_gates, row.ccx_gates, row.blocks_1bc, row.block_measures) \
+        _, census = gate_growth([100])[0]
+        assert (census.x, census.ccx, census.block_count_1bc, census.block_measure_count) \
             == (450, 200, 100, 200)
 
     def test_register_widths(self):
-        rows = {r.n: r for r in gate_growth(range(1, 11))}
+        growth = dict(gate_growth(range(1, 11)))
         for n in range(1, 11):
-            assert rows[n].qubits == 2 * n + 2
-            assert rows[n].width == 2 * n + 4
+            assert growth[n].width_qubits == 2 * n + 2
+            assert growth[n].width_total == 2 * n + 4
 
     def test_total_measures_include_correction_sites(self):
-        row = gate_growth([10])[0]
-        assert row.total_measures == 25
-        assert row.block_measures == 20
+        _, census = gate_growth([10])[0]
+        assert census.measure_count == 25
+        assert census.block_measure_count == 20
 
     def test_rows_sorted_and_deduplicated(self):
-        assert [r.n for r in gate_growth([5, 1, 5, 3])] == [1, 3, 5]
+        assert [n for n, _ in gate_growth([5, 1, 5, 3])] == [1, 3, 5]
 
     def test_algorithmic_variant_pays_more_sites(self):
-        figure = gate_growth([10], BuilderVariant.FIGURE)[0]
-        algo = gate_growth([10], BuilderVariant.ALGORITHMIC)[0]
-        assert algo.x_gates == 4 * 10 + 9
-        assert figure.x_gates == 4 * 10 + 5
+        _, figure = gate_growth([10], BuilderVariant.FIGURE)[0]
+        _, algo = gate_growth([10], BuilderVariant.ALGORITHMIC)[0]
+        assert algo.x == 4 * 10 + 9
+        assert figure.x == 4 * 10 + 5
+
+    def test_census_is_the_bodys_static_census(self):
+        for variant in BuilderVariant:
+            assert gate_growth([7], variant) == [(7, static_census(_body(7, variant)))]
 
 
 class TestReportFromARun:

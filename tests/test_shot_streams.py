@@ -16,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbsc import simulate
-from qbsc.circuit import new_circuit
+from qbsc.circuit import Circuit
 from qbsc.comparator import BuilderVariant, Operands, build_gqbsc, encode_operands
+from qbsc.errors import SimulationArgumentError
 from qbsc.gates import lower_circuit
 from qbsc.simulate import (ClassicalRunner, DenseRunner, Histogram, NoiseModel, run_classical,
                            sample)
@@ -97,16 +98,24 @@ class TestSeedingPinnedToNumpy:
         start = 2**32 - 2
         assert rows(seed, start, start + 7) == numpy_rows(seed, start, start + 7)
 
-    @pytest.mark.parametrize("seed", [-1, 1.5])
+    @pytest.mark.parametrize("seed", [-1, 1.5, "x", None, True, np.True_, np.int64(-1)], ids=repr)
     @pytest.mark.parametrize("backend, noise", [("classical", None), ("classical", BENCH_NOISE),
                                                 ("dense", None), ("dense", BENCH_NOISE)])
-    def test_rejected_seeds_raise_numpys_error(self, seed, backend, noise):
-        with pytest.raises(Exception) as numpy_error:
-            np.random.default_rng([seed, 0])
-        assert numpy_error.type in (ValueError, TypeError)
-        circuit = build_gqbsc(encode_operands(1, 0))
-        with pytest.raises(numpy_error.type):
+    def test_rejected_seeds_raise_the_typed_error(self, seed, backend, noise):
+        circuit, refused = build_gqbsc(encode_operands(1, 0)), "^seed must be an integer >= 0, got "
+        with pytest.raises(SimulationArgumentError, match=refused):
             sample_on(backend, circuit, None, 4, noise, seed)
+        if seed is not None:  # run's None means fresh entropy
+            with pytest.raises(SimulationArgumentError, match=refused):
+                RUNNERS[backend](circuit).run(None, seed, noise)
+
+    @pytest.mark.parametrize("integer", [np.int64, np.uint8, np.uint64])
+    def test_numpy_integer_seed_draws_as_its_int(self, integer):
+        circuit = build_gqbsc(encode_operands(5, 6))
+        assert (sample(circuit, shots=256, noise=NOISES[0], seed=integer(7))
+                == sample(circuit, shots=256, noise=NOISES[0], seed=7))
+        for runner in (ClassicalRunner(circuit), DenseRunner(circuit)):
+            assert runner.run(None, integer(7), NOISES[0]) == runner.run(None, 7, NOISES[0])
 
 
 class TestShotsValidated:
@@ -186,7 +195,7 @@ class TestDifferentialHistograms:
     def test_draw_bound_reached(self):
         # every touched qubit hits and the measured qubit is superposed, so a
         # shot draws exactly K = 2 * (1 + 2) + 2 uniforms
-        circuit = new_circuit(2, 1).x(0).cv(0, 1).measure(1, 0)
+        circuit = Circuit(2, 1).x(0).cv(0, 1).measure(1, 0)
         noise = NoiseModel(1.0, 0.5)
         assert simulate._draw_bound(DenseRunner(circuit)._static) == 8
         for seed in range(3):
@@ -386,7 +395,7 @@ class TestPerDrawBounds:
 
 
 # CV on a set control leaves the target even, so its measurement is a Born draw
-BORN = new_circuit(2, 1).x(0).cv(0, 1).measure(1, 0)
+BORN = Circuit(2, 1).x(0).cv(0, 1).measure(1, 0)
 
 
 class TestResumedShots:
@@ -498,7 +507,7 @@ class TestResumedShots:
 
     def test_dense_marks_charged_by_amplitude(self):
         # CV on a set control doubles the amplitudes: 2^9 after nine of them
-        circuit = new_circuit(14, 1).x(0)
+        circuit = Circuit(14, 1).x(0)
         for t in range(1, 10):
             circuit.cv(0, t)
         for _ in range(300):
@@ -523,4 +532,4 @@ class TestResumedShots:
 
     @pytest.mark.parametrize("noise", [None, BENCH_NOISE], ids=repr)
     def test_zero_width_circuit(self, noise):
-        assert sample(new_circuit(0, 0), shots=4, noise=noise, seed=1) == Histogram(4, {0: 4})
+        assert sample(Circuit(0, 0), shots=4, noise=noise, seed=1) == Histogram(4, {0: 4})

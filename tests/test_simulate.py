@@ -10,14 +10,13 @@ from hypothesis import strategies as st
 
 from qbsc import circuit as circuit_module
 from qbsc.circuit import (BarrierOp, Circuit, ClassicalCondition, GateKind, GateOp,
-                          MeasureOp, new_circuit)
+                          MeasureOp)
 from qbsc import simulate
 from qbsc.comparator import Operands, build_gqbsc, compare, encode_operands
 from qbsc.errors import (NonClassicalGate, NormDrift, QbscError, SimulationArgumentError,
                          SimulationError, TooManyQubits)
 from qbsc.gates import lower_circuit
 from qbsc.simulate import (
-    MAX_LANES,
     ClassicalRunner,
     DenseRunner,
     Histogram,
@@ -46,52 +45,52 @@ class TestDenseBackend:
         assert result.classical_bits == (0, 0)
 
     def test_x_only_circuit_has_empty_register(self):
-        c = new_circuit(3, 0).x(0).x(2)
+        c = Circuit(3, 0).x(0).x(2)
         result = run_dense(c)
         assert result.classical_bits == ()
         assert result.measurement_trace == ()
 
     def test_initial_bits_set_the_basis_state(self):
-        c = new_circuit(2, 2).measure(0, 0).measure(1, 1)
+        c = Circuit(2, 2).measure(0, 0).measure(1, 1)
         assert run_dense(c, "10").classical_bits == (1, 0)
 
     def test_initial_bits_length_checked(self):
         with pytest.raises(SimulationError):
-            run_dense(new_circuit(2, 0), "1")
+            run_dense(Circuit(2, 0), "1")
 
     def test_qubit_cap(self):
         with pytest.raises(TooManyQubits):
-            run_dense(new_circuit(25, 0))
+            run_dense(Circuit(25, 0))
 
     def test_measurement_of_basis_state_is_seed_independent(self):
-        c = new_circuit(1, 1).x(0).measure(0, 0)
+        c = Circuit(1, 1).x(0).measure(0, 0)
         values = {run_dense(c, seed=s).classical_bits for s in range(5)}
         assert values == {(1,)}
 
     def test_measurement_of_superposition_follows_born_rule(self):
         # CV on a set control leaves the target in an even superposition
-        c = new_circuit(2, 1).x(0).cv(0, 1).measure(1, 0)
+        c = Circuit(2, 1).x(0).cv(0, 1).measure(1, 0)
         outcomes = [run_dense(c, seed=s).classical_bits[0] for s in range(200)]
         assert 60 < sum(outcomes) < 140  # ~Binomial(200, 1/2)
 
     def test_superposition_measurement_requires_seed(self):
-        c = new_circuit(2, 1).x(0).cv(0, 1).measure(1, 0)
+        c = Circuit(2, 1).x(0).cv(0, 1).measure(1, 0)
         with pytest.raises(SimulationError):
             run_dense(c)
 
     def test_no_reset_after_measurement(self):
         # measuring twice without gates in between reads the same value
-        c = new_circuit(1, 2).x(0).measure(0, 0).measure(0, 1)
+        c = Circuit(1, 2).x(0).measure(0, 0).measure(0, 1)
         assert run_dense(c).classical_bits == (1, 1)
 
     def test_condition_gates_on_current_register(self):
-        c = new_circuit(2, 2)
+        c = Circuit(2, 2)
         c.x(0)
         c.measure(0, 0)
         c.x(1, condition=ClassicalCondition((0, 1), 1))
         c.measure(1, 1)
         assert run_dense(c).classical_bits == (1, 1)
-        skip = new_circuit(2, 2)
+        skip = Circuit(2, 2)
         skip.measure(0, 0)
         skip.x(1, condition=ClassicalCondition((0, 1), 1))
         skip.measure(1, 1)
@@ -99,7 +98,7 @@ class TestDenseBackend:
 
     def test_long_v_chain_preserves_norm(self):
         # 200 alternating CV/CV† pairs; the internal norm guard must not trip
-        c = new_circuit(2, 1).x(0)
+        c = Circuit(2, 1).x(0)
         for _ in range(200):
             c.cv(0, 1)
             c.cvdg(0, 1)
@@ -113,14 +112,14 @@ class TestNormDrift:
 
     def test_after_a_born_measurement(self, monkeypatch):
         monkeypatch.setattr(simulate, "_NORM_TOL", -1.0)
-        born = new_circuit(2, 1).x(0).cv(0, 1).measure(1, 0)
+        born = Circuit(2, 1).x(0).cv(0, 1).measure(1, 0)
         with pytest.raises(NormDrift, match="after measuring qubit 1"):
             run_dense(born, seed=3)
 
     def test_at_the_end_of_a_run(self, monkeypatch):
         monkeypatch.setattr(simulate, "_NORM_TOL", -1.0)
         with pytest.raises(NormDrift, match="final norm"):
-            run_dense(new_circuit(2, 1).x(0).measure(0, 0))
+            run_dense(Circuit(2, 1).x(0).measure(0, 0))
 
 
 class TestClassicalBackend:
@@ -159,13 +158,13 @@ class TestClassicalBackend:
         for _ in range(50):
             a, b = int(rng.integers(0, 1 << n)), int(rng.integers(0, 1 << n))
             bits = bits_for(a, b, n)
-            final = runner.run_lanes(bits, 1)[0]
+            final = runner._run_lanes(list(bits), 1)[0]
             assert tuple(final[:2 * n]) == bits[:2 * n]
 
     @pytest.mark.parametrize("bits", [[0.5, 0], "0x", ["0", "1"], 5, [0, 2], (True, 0),
                                       (np.True_, 0)])
     def test_malformed_initial_bits_rejected(self, bits):
-        c = new_circuit(2, 0)
+        c = Circuit(2, 0)
         with pytest.raises(SimulationError):
             run_classical(c, bits)
 
@@ -176,7 +175,7 @@ def permutation_circuits(draw, max_qubits=6, max_clbits=3, max_len=24):
     several gates, and mid-circuit measurements."""
     nq = draw(st.integers(1, max_qubits))
     nc = draw(st.integers(0, max_clbits))
-    circuit = new_circuit(nq, nc)
+    circuit = Circuit(nq, nc)
     conditions = []  # drawn for this circuit; a later gate may reuse one object
     kinds = [k for k in (GateKind.X, GateKind.CX, GateKind.CCX) if k.arity <= nq]
     for _ in range(draw(st.integers(0, max_len))):
@@ -207,11 +206,11 @@ class TestLaneInterpreter:
         batch = data.draw(st.lists(st.tuples(*[st.integers(0, 1)] * nq), min_size=1, max_size=20))
         lane_ints = [sum(bits[q] << lane for lane, bits in enumerate(batch)) for q in range(nq)]
         classical, dense = ClassicalRunner(circuit), DenseRunner(circuit)
-        final_q, cl = classical.run_lanes(lane_ints, len(batch))
+        final_q, cl = classical._run_lanes(lane_ints, len(batch))  # a fresh list
         for lane, bits in enumerate(batch):
             expected = dense.run(bits)
             assert tuple((c >> lane) & 1 for c in cl) == expected.classical_bits
-            assert [(q >> lane) & 1 for q in final_q] == classical.run_lanes(bits, 1)[0]
+            assert [(q >> lane) & 1 for q in final_q] == classical._run_lanes(list(bits), 1)[0]
         one, reference = classical.run(batch[0]), dense.run(batch[0])
         assert one.executed_census == reference.executed_census
         assert one.measurement_trace == reference.measurement_trace
@@ -271,23 +270,11 @@ class TestLaneInterpreter:
         assert got == Histogram(64, {value: 64})
         assert len(calls) == 1
 
-    def test_lane_count_capped(self):
-        runner = ClassicalRunner(new_circuit(1, 0))
-        runner.run_lanes([0], MAX_LANES)
-        for lanes in (0, MAX_LANES + 1):
-            with pytest.raises(SimulationError):
-                runner.run_lanes([0], lanes)
-
     def test_numpy_condition_guards_lanes_past_64_bits(self):
         cond = ClassicalCondition((np.int64(0),), np.int64(1))
-        circuit = new_circuit(2, 1).measure(0, 0).x(1, cond).measure(1, 0)
+        circuit = Circuit(2, 1).measure(0, 0).x(1, cond).measure(1, 0)
         lanes = 1 << 99 | 1
-        assert ClassicalRunner(circuit).run_lanes([lanes, 0], 100) == ([lanes, lanes], [lanes])
-
-    @pytest.mark.parametrize("qubits", [[0], [0, 4], [0, -1], [0, 1.0]])
-    def test_lane_ints_validated(self, qubits):
-        with pytest.raises(SimulationError):
-            ClassicalRunner(new_circuit(2, 0)).run_lanes(qubits, 2)
+        assert ClassicalRunner(circuit)._run_lanes([lanes, 0], 100) == ([lanes, lanes], [lanes])
 
 
 def held_condition_circuit():
@@ -295,7 +282,7 @@ def held_condition_circuit():
     on qubit 2; between them a measurement turns c0 from qubit 0's input b
     into its complement. Noiseless, the final clbits read (b, not b)."""
     cond = ClassicalCondition((0,), 1)
-    return (new_circuit(3, 2).measure(0, 0).x(1, cond).x(0).measure(0, 0).x(2, cond)
+    return (Circuit(3, 2).measure(0, 0).x(1, cond).x(0).measure(0, 0).x(2, cond)
             .measure(1, 0).measure(2, 1))
 
 
@@ -305,7 +292,7 @@ class TestHeldCondition:
 
     def test_lanes_that_disagree(self):
         # lane 0 reads b = 1, lane 1 b = 0
-        final_q, cl = ClassicalRunner(held_condition_circuit()).run_lanes([0b01, 0, 0], 2)
+        final_q, cl = ClassicalRunner(held_condition_circuit())._run_lanes([0b01, 0, 0], 2)
         assert cl == [0b01, 0b10]
         assert final_q == [0b10, 0b01, 0b10]
 
@@ -484,12 +471,7 @@ class TestArgumentErrors:
         "bool bit in sample": lambda c: sample(c, (True, 0, 0, 0), shots=2),
         "float bit": lambda c: run_classical(c, (0.5, 0, 0, 0)),
         "bits too short": lambda c: run_classical(c, (1, 0)),
-        "lane count": lambda c: ClassicalRunner(c).run_lanes([0, 0, 0, 0], 0),
-        "float lane count": lambda c: ClassicalRunner(c).run_lanes([0, 0, 0, 0], 1.0),
-        "bool lane count": lambda c: ClassicalRunner(c).run_lanes([0, 0, 0, 0], True),
-        "lane int count": lambda c: ClassicalRunner(c).run_lanes([0, 0], 1),
-        "lane int range": lambda c: ClassicalRunner(c).run_lanes([2, 0, 0, 0], 1),
-        "bool lane int": lambda c: ClassicalRunner(c).run_lanes([True, 0, 0, 0], 1),
+        "negative seed": lambda c: sample(c, seed=-1),
         "noisy run without generator": lambda c: ClassicalRunner(c).run_value(
             None, None, NoiseModel(0.1, 0.1)),
     }

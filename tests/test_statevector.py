@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbsc.circuit import ClassicalCondition, GateKind, GateOp, new_circuit
+from qbsc.circuit import Circuit, ClassicalCondition, GateKind, GateOp
 from qbsc.comparator import BuilderVariant, _body, build_gqbsc, encode_operands, reference_flags
 from qbsc.errors import SimulationArgumentError, SimulationError
 from qbsc.gates import lower_circuit
@@ -33,7 +33,7 @@ def statevector_circuits(draw, max_qubits=6, max_clbits=3, max_len=24):
     shared by several gates, and mid-circuit measurements."""
     nq = draw(st.integers(1, max_qubits))
     nc = draw(st.integers(0, max_clbits))
-    circuit = new_circuit(nq, nc)
+    circuit = Circuit(nq, nc)
     conditions = []  # drawn for this circuit; a later gate may reuse one object
     kinds = [k for k in GATES if k.arity <= nq]
     for _ in range(draw(st.integers(0, max_len))):
@@ -120,7 +120,7 @@ class TestSparseState:
 
 class TestSeedlessRun:
     def test_superposed_measurement_is_an_argument_error(self):
-        circuit = new_circuit(2, 1).x(0).cv(0, 1).measure(1, 0)
+        circuit = Circuit(2, 1).x(0).cv(0, 1).measure(1, 0)
         with pytest.raises(SimulationArgumentError, match="needs a seed"):
             DenseRunner(circuit).run()
 
