@@ -18,12 +18,11 @@ Conventions fixed here and asserted by the test suite:
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import Sequence, Union
-
-import numpy as np
 
 from .errors import (
     ArityMismatch,
@@ -233,9 +232,23 @@ def _index_tuple(indices, what: str) -> tuple:
         raise CircuitError(f"{what} must be a sequence of integers, got {indices!r}") from None
 
 
+def _numpy_scalar(x, kind: str) -> bool:
+    """Whether ``x`` is a numpy scalar of the abstract type ``kind``
+    ("integer" or "floating"). One can exist only once numpy is in
+    ``sys.modules``, so asking there is exact and never imports numpy."""
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(x, getattr(np, kind))
+
+
 def _is_int(x) -> bool:
     """An integer, Python's or numpy's, but not a bool (nor numpy's)."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+    return not isinstance(x, bool) and (isinstance(x, int) or _numpy_scalar(x, "integer"))
+
+
+def _check_circuit(circuit) -> None:
+    """Refuse an argument that is not a :class:`Circuit`."""
+    if not isinstance(circuit, Circuit):
+        raise CircuitError(f"expected a Circuit, got {type(circuit).__name__}")
 
 
 def _check_int(value, what: str, size: int | None = None) -> None:
@@ -373,6 +386,7 @@ def static_census(circuit: Circuit) -> GateCensus:
 def census_walk(circuit: Circuit) -> tuple[GateCensus, list]:
     """The one walk over the instructions: the static census and a new list
     of the gates and measurements in order, the circuit's own objects."""
+    _check_circuit(circuit)
     counts = {kind: 0 for kind in GateKind}
     measures = block_measures = cond_x = blocks = 0
     in_block = False
@@ -418,6 +432,7 @@ def structural_depth(circuit: Circuit) -> int:
     that last wrote its condition bits. Barriers are census markers only and
     do not schedule.
     """
+    _check_circuit(circuit)
     qubit_free = [0] * circuit.num_qubits
     clbit_written = [0] * circuit.num_clbits
     depth = 0
@@ -453,6 +468,7 @@ def structural_depth(circuit: Circuit) -> int:
 # The optional "labels" key maps qubit indices (as strings) to display names.
 
 def circuit_to_json(circuit: Circuit) -> dict:
+    _check_circuit(circuit)
     instr: list[dict] = []
     for op in circuit.instructions:
         if isinstance(op, GateOp):
@@ -471,9 +487,16 @@ def circuit_to_json(circuit: Circuit) -> dict:
 
 
 def _labels_from_json(labels: dict) -> dict:
-    """``labels`` with each decimal-string key read as its integer;
-    :class:`Circuit` checks the rest."""
-    return {int(key) if isinstance(key, str) else key: name for key, name in labels.items()}
+    """``labels`` with each key read as its qubit q: a key must be ``str(q)``
+    of an int, as :func:`circuit_to_json` writes it (``int`` alone also reads
+    " 1", "01" or "1_0"); :class:`Circuit` checks q's range and the rest."""
+    out = {}
+    for key, name in labels.items():
+        q = int(key) if type(key) is str else None  # the caller reports int's ValueError
+        if q is None or str(q) != key:
+            raise CircuitError(f"label key must be str(q) of an integer qubit q, got {key!r}")
+        out[q] = name
+    return out
 
 
 # A gate entry's table key reads an absent "if" as this condition; the key's

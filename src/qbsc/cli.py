@@ -229,6 +229,8 @@ def cmd_verify(max_bits, samples, exhaustive_limit, variant, seed, fmt, out):
     widths = [(n, True) for n in range(1, min(max_bits, exhaustive_limit) + 1)]
     if samples > 0:
         widths += [(n, False) for n in _random_widths(exhaustive_limit, max_bits)]
+    # the sweeps compute with numpy: load it before the clock, which times the sweeps only
+    import numpy  # noqa: F401
     started = time.monotonic()
     per_n = []
     total_pairs = total_mismatches = 0

@@ -29,8 +29,6 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 
-import numpy as np
-
 from .circuit import (
     BLOCK_BEGIN,
     BLOCK_END,
@@ -122,8 +120,10 @@ def _check_width(n: int) -> int:
 
 
 def _check_operands(ops: Operands) -> None:
-    """Refuse operands no comparator reads: no bits, unequal widths, or a bit
-    other than the integers (``_is_int``) 0 and 1."""
+    """Refuse operands no comparator reads: not :class:`Operands`, no bits,
+    unequal widths, or a bit other than the integers (``_is_int``) 0 and 1."""
+    if not isinstance(ops, Operands):
+        raise OperandError(f"expected Operands, got {type(ops).__name__}")
     n = ops.n
     if n < 1:
         raise EmptyOperand("comparator needs at least one bit")
@@ -256,8 +256,9 @@ def compare(a, b, variant: BuilderVariant = BuilderVariant.FIGURE) -> Comparison
 
 # -- verification sweeps -------------------------------------------------------
 
-def _lane_mask(flags: np.ndarray) -> int:
+def _lane_mask(flags) -> int:
     """Boolean array as a lane int: element l becomes bit l."""
+    import numpy as np
     return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
 
@@ -282,6 +283,7 @@ def _reference_flag_lanes(a_lanes: list[int], b_lanes: list[int], full: int,
 def _transpose(values, n: int) -> list[int]:
     """Lane ints of n-bit Python ints, MSB first: bit l of entry i is bit
     n-1-i of values[l]. The values go in as big-endian byte rows."""
+    import numpy as np
     width = (n + 7) // 8
     rows = np.frombuffer(b"".join(v.to_bytes(width, "big") for v in values),
                          np.uint8).reshape(-1, width)
@@ -333,6 +335,7 @@ def soundness_check_exhaustive(n: int,
     a's column i is index bit 2n-1-i, b's is bit n-1-i); its integer oracle
     compares the halves of an index array.
     """
+    import numpy as np
     n = _check_width(n)
     runner = ClassicalRunner(_body(n, variant))
     total = 1 << 2 * n

@@ -35,9 +35,11 @@ from .circuit import (
     GateKind,
     GateOp,
     MeasureOp,
+    _check_circuit,
 )
 from .errors import (
     IndexOutOfRange,
+    QasmError,
     QasmSyntaxError,
     UndeclaredRegister,
     UnsupportedInstruction,
@@ -57,6 +59,7 @@ def export(circuit: Circuit) -> str:
     dialect notes). Raises UnsupportedInstruction for conditions that do not
     cover the whole classical register.
     """
+    _check_circuit(circuit)
     lines = ["OPENQASM 3.0;"]
     if circuit.num_qubits:
         lines.append(f"qubit[{circuit.num_qubits}] q;")
@@ -377,4 +380,6 @@ class _Parser:
 
 def parse(text: str) -> Circuit:
     """Parse the subset grammar back into a circuit."""
+    if not isinstance(text, str):
+        raise QasmError(f"expected the source text as a str, got {type(text).__name__}")
     return _Parser(text).parse()

@@ -31,7 +31,7 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 from .circuit import Circuit, GateCensus, _is_int, static_census, structural_depth
-from .comparator import BuilderVariant, Operands, _body
+from .comparator import BuilderVariant, Operands, _body, _check_operands
 from .errors import ResourceArgumentError, UnknownMethod
 from .simulate import ClassicalRunner, RunResult
 
@@ -155,6 +155,7 @@ def measured_report(circuit: Circuit, inputs: Operands | None = None,
     """
     census = static_census(circuit)
     if run is None and inputs is not None:
+        _check_operands(inputs)
         run = ClassicalRunner(circuit).run(inputs.initial_qubit_bits())
     executed_cost = None if run is None else run.executed_census.total_unit_cost
     return MeasuredResources(

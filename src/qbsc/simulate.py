@@ -54,10 +54,8 @@ Born draw. It reads its uniforms from one pre-drawn row, ``rng.random(K)``,
 K being the most one shot can consume: 2 per touched qubit of a fired gate
 (the depolarizing draw and, on a hit, the Pauli draw) and 2 per measurement
 (the Born draw and the readout flip). Shot s of ``sample`` reads the row of
-``np.random.default_rng([seed, s])``; ``sample`` seeds those generators for
-a block of shots at once, transcribing numpy's seeding (PCG64's 128-bit words
-as uint64 halves) in array arithmetic, so a shot costs no generator
-construction and its row is identical to that generator's.
+``np.random.default_rng([seed, s])``, which ``streams`` builds for a block
+of shots at once, so a shot costs no generator construction.
 
 ``sample`` runs the quiet trajectory first, every draw 1.0, which fires no
 event (draws are tested with ``<`` and p, q, p1 <= 1); it takes d uniforms,
@@ -67,10 +65,15 @@ bound j for every j < d is calm and ends as the quiet run; any other follows
 it up to its first event, the first uniform below its bound, and resumes
 from the quiet run's last mark (its state after an op that drew) at or
 before it. Where a seeding block's expected calm shots, size * prod(1 -
-bound j), outweigh ``_STEP_SHOTS`` per draw, the block steps its shots'
-PCG64 streams d times in array arithmetic, else one numpy test per block of
-rows finds the events; only the other shots get a row. A block of rows
-holds at most ``_ROW_BYTES``, and so do the marks.
+bound j), outweigh ``streams._STEP_SHOTS`` per draw, the block steps its
+shots' PCG64 streams d times in array arithmetic, else one numpy test per
+block of rows finds the events; only the other shots get a row. A block of
+rows holds at most ``streams._ROW_BYTES``, and so do the marks.
+
+numpy is imported only where arrays are computed: by a seeded or noisy
+``run`` and by ``sample``. An unseeded noiseless run, and so ``compare`` and
+the CLI's build, export, sweep and census, never load it (``import qbsc.cli``
+fell from 0.160 to 0.095 s of CPU in a fresh process; README, Install).
 """
 from __future__ import annotations
 
@@ -79,8 +82,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .circuit import (
     Circuit,
@@ -89,10 +91,14 @@ from .circuit import (
     KIND_NAMES,
     _is_int,
     _non_bits,
+    _numpy_scalar,
     census_walk,
 )
 from .errors import NonClassicalGate, NormDrift, SimulationArgumentError, TooManyQubits
 from .gates import V, VDG
+
+if TYPE_CHECKING:  # imported where arrays are computed (module docstring)
+    import numpy as np
 
 DENSE_CAP = 24
 
@@ -106,27 +112,8 @@ _X, _CX, _CCX, _CV = GateKind.X, GateKind.CX, GateKind.CCX, GateKind.CV
 #: Most lanes (inputs) one bit-sliced ``ClassicalRunner._run_lanes`` pass takes.
 MAX_LANES = 1 << 16
 
-# numpy's seeding of ``default_rng(entropy)``: SeedSequence hashes the entropy
-# words into a pool of 4 uint32 words and expands it to PCG64's 128-bit state
-# and increment, which srandom steps through the LCG twice.
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_M32 = 0xFFFFFFFF
-# PCG64 runs on uint64 (high, low) halves of its 128-bit words; every operand
-# stays np.uint64, since numpy 1.24 turns uint64 mixed with int64 into float64.
-_U1, _U11, _U32, _U58, _U63, _U64, _U_M32 = (np.uint64(c) for c in (1, 11, 32, 58, 63, 64, _M32))
-_PCG_MULT_HI, _PCG_MULT_LO = np.uint64(2549297995355413924), np.uint64(4865540595714422341)
-# Shots seeded per vectorised pass, and the bytes of pre-drawn rows one block
-# holds (K is ~30,000 at n=1000); they bound ``sample``'s memory, not its result.
-_SEED_BLOCK = 1024
-_ROW_BYTES = 1 << 16
 # Words a dense mark keeps per amplitude: a dict slot, its int key and complex.
 _AMP_WORDS = 13
-# An array step of a 1,024-shot seeding block costs what setting the generator
-# and filling the row of this many shots does (41 us vs 5.2 us).
-_STEP_SHOTS = 8
 
 
 @dataclass(frozen=True)
@@ -139,7 +126,7 @@ class NoiseModel:
     def __post_init__(self):
         p, q = self.depolarizing_per_gate, self.readout_flip
         for name, x in (("depolarizing", p), ("readout-flip", q)):
-            if not (_is_int(x) or isinstance(x, (float, np.floating))):  # numpy's, not bools
+            if not (_is_int(x) or isinstance(x, float) or _numpy_scalar(x, "floating")):
                 raise SimulationArgumentError(f"{name} probability must be a number: {x!r}")
             if not 0.0 <= x <= 1.0:
                 raise SimulationArgumentError(f"{name} probability out of range: {x}")
@@ -195,138 +182,12 @@ def _coerce_bits(initial_bits, num_qubits: int, noise=None) -> tuple[int, ...]:
     return tuple(map(int, bits))
 
 
-def _words(n: int) -> list[int]:
-    """numpy's entropy words of a non-negative int: 32 bits each, low first."""
-    words = [n & _M32]
-    while n := n >> 32:
-        words.append(n & _M32)
-    return words
-
-
 def _check_seed(seed) -> int:
     """A run's seed as a Python int: an integer >= 0 (:func:`_is_int`: numpy's
     too, not a bool), else :class:`SimulationArgumentError`."""
     if not _is_int(seed) or seed < 0:
         raise SimulationArgumentError(f"seed must be an integer >= 0, got {seed!r}")
     return operator.index(seed)
-
-
-def _seed_words(seed) -> list[int]:
-    """Entropy words of ``seed`` in ``default_rng([seed, s])``, checked by
-    :func:`_check_seed`."""
-    return _words(_check_seed(seed))
-
-
-def _hash_pool(entropy: list) -> list:
-    """SeedSequence's pool from its entropy words, each word a uint32 array
-    with one element per shot (uint32 arithmetic wraps as numpy's C does)."""
-    h = _INIT_A
-
-    def hashmix(value):
-        nonlocal h
-        value = value ^ h
-        h = h * _MULT_A & _M32
-        value = value * h
-        return value ^ value >> 16
-
-    def mix(x, y):
-        r = _MIX_L * x - _MIX_R * y
-        return r ^ r >> 16
-
-    zero = np.zeros_like(entropy[0])
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    return pool
-
-
-def _pcg_words(pool: list) -> list:
-    """``generate_state(4, np.uint64)`` of the pool: four uint64 arrays, the
-    initial state's high and low halves, then the stream's."""
-    h = _INIT_B
-    out = []
-    for i in range(8):
-        value = pool[i % _POOL_SIZE] ^ h
-        h = h * _MULT_B & _M32
-        value = value * h
-        out.append((value ^ value >> 16).astype(np.uint64))
-    return [out[i] | out[i + 1] << 32 for i in range(0, 8, 2)]
-
-
-def _step(hi, lo, inc_hi, inc_lo):
-    """PCG64's LCG step, state * mult + inc mod 2^128, on uint64 halves."""
-    # the high half of lo * mult_lo, from 32-bit pieces (Hacker's Delight mulhi)
-    m0, m1 = _PCG_MULT_LO & _U_M32, _PCG_MULT_LO >> _U32
-    l0, l1 = lo & _U_M32, lo >> _U32
-    t = l1 * m0 + (l0 * m0 >> _U32)
-    carry = ((t & _U_M32) + l0 * m1) >> _U32
-    hi = l1 * m1 + (t >> _U32) + carry + hi * _PCG_MULT_LO + lo * _PCG_MULT_HI + inc_hi
-    lo = lo * _PCG_MULT_LO + inc_lo
-    return hi + (lo < inc_lo), lo
-
-
-def _block_states(seed_words: list[int], start: int, end: int) -> list:
-    """PCG64 as ``default_rng([seed, s])`` seeds it, for the shots s in
-    [start, end), which share every entropy word but the lowest: uint64
-    arrays of the state's high and low halves, then the increment's."""
-    size = end - start
-    low = np.arange(size, dtype=np.uint32) + np.uint32(start & _M32)
-    high = _words(start >> 32) if start >> 32 else []
-    entropy = ([np.full(size, w, np.uint32) for w in seed_words] + [low]
-               + [np.full(size, w, np.uint32) for w in high])
-    s_hi, s_lo, i_hi, i_lo = _pcg_words(_hash_pool(entropy))
-    inc_hi, inc_lo = i_hi << _U1 | i_lo >> _U63, i_lo << _U1 | _U1
-    lo = inc_lo + s_lo  # srandom: state 0 steps to inc, takes the seed, steps
-    return [*_step(inc_hi + s_hi + (lo < s_lo), lo, inc_hi, inc_lo), inc_hi, inc_lo]
-
-
-def _uniforms(state: list, d: int):
-    """Yield ``d`` draws of ``random()`` from ``_block_states``, an array each:
-    a step, its XSL-RR output, numpy's 53-bit double."""
-    hi, lo, inc_hi, inc_lo = state
-    for _ in range(d):
-        hi, lo = _step(hi, lo, inc_hi, inc_lo)
-        x, rot = hi ^ lo, hi >> _U58
-        yield ((x >> rot | x << (_U64 - rot & _U63)) >> _U11) * 2.0 ** -53
-
-
-def _shot_rows(seed_words: list[int], start: int, stop: int, k: int, bounds=None):
-    """Yield the shots s in [start, stop) as blocks, each a float64 array
-    whose rows are ``np.random.default_rng([seed, s]).random(k)``,
-    ``seed_words`` being ``_seed_words(seed)``; given the quiet run's
-    ``bounds``, a seeding block that pays to step leaves out its calm shots
-    (module docstring). A block holds at most ``_ROW_BYTES`` of rows (one row
-    at least), and its shots share their entropy word count and every word
-    but the lowest, so a block never straddles a multiple of 2^32.
-    """
-    gen = np.random.Generator(np.random.PCG64())
-    bitgen = gen.bit_generator
-    block = max(1, _ROW_BYTES // (8 * max(k, 1)))
-    d = 0 if bounds is None else len(bounds)
-    calm_share = 0.0 if bounds is None else float(np.prod(1.0 - bounds))
-    while start < stop:
-        end = min(stop, start + _SEED_BLOCK, ((start >> 32) + 1) << 32)
-        state = _block_states(seed_words, start, end)
-        if (end - start) * calm_share > _STEP_SHOTS * d:
-            calm = np.ones(end - start, bool)  # one boolean per shot, no shots x d matrix
-            for u, bound in zip(_uniforms(state, d), bounds):
-                calm &= u >= bound
-            state = [w[~calm] for w in state]
-        for i in range(0, len(state[0]), block):
-            part = [w[i:i + block].tolist() for w in state]
-            rows = np.empty((len(part[0]), k))
-            for row, s_hi, s_lo, i_hi, i_lo in zip(rows, *part):
-                bitgen.state = {"bit_generator": "PCG64",
-                                "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo},
-                                "has_uint32": 0, "uinteger": 0}
-                gen.random(out=row)
-            yield rows
-        start = end
 
 
 class _QuietDraw(float):
@@ -343,9 +204,11 @@ def _quiet_run(runner: _Runner, bits: tuple[int, ...], noise: NoiseModel | None)
 
     Every draw is tested once, so the bounds recorded so far count the draws
     taken. After each op that drew, while the marks hold at most
-    ``_ROW_BYTES`` of state (a word per qubit and clbit, ``_AMP_WORDS`` per
-    dense amplitude), a mark (draws taken, start) keeps the next op's index
-    and a copy of the state."""
+    ``streams._ROW_BYTES`` of state (a word per qubit and clbit,
+    ``_AMP_WORDS`` per dense amplitude), a mark (draws taken, start) keeps
+    the next op's index and a copy of the state."""
+    import numpy as np
+    from .streams import _ROW_BYTES
     one = _QuietDraw(1.0)
     bounds = one.bounds = []
     marks = [(0, None)]
@@ -411,9 +274,10 @@ class _Runner:
         is None or as :func:`_check_seed` takes it, and a noisy run without a
         seed draws fresh entropy."""
         bits = _coerce_bits(initial_bits, self.num_qubits, noise)
-        if seed is not None:
-            seed = _check_seed(seed)
-        rng = None if seed is None and noise is None else np.random.default_rng(seed)
+        rng = None
+        if seed is not None or noise is not None:
+            import numpy as np
+            rng = np.random.default_rng(None if seed is None else _check_seed(seed))
         # GateCensus field names; a gate kind's field is its name
         counters = dict.fromkeys([*KIND_NAMES.values(), "measure_count", "conditional_x_count"], 0)
         trace, prog = [], self._prog
@@ -516,7 +380,7 @@ class ClassicalRunner(_Runner):
 
 # V, V-dagger and the Paulis Y and Z as row-major Python complex tuples
 # (m00, m01, m10, m11).
-_V, _VDG = (tuple(complex(x) for x in m.ravel()) for m in (V, VDG))
+_V, _VDG = (m[0] + m[1] for m in (V, VDG))
 _Y, _Z = (0j, -1j, 1j, 0j), (1 + 0j, 0j, 0j, -1 + 0j)
 
 
@@ -680,16 +544,18 @@ def _sample(runner: _Runner, initial_bits, shots, noise, seed) -> Histogram:
     shots = operator.index(shots)
     if shots < 1:
         raise SimulationArgumentError("shots must be >= 1")
-    seed_words = _seed_words(seed)  # checked even where no shot draws
+    seed = _check_seed(seed)  # checked even where no shot draws
     bits = _coerce_bits(initial_bits, runner.num_qubits, noise)
     quiet, bounds, marks = _quiet_run(runner, bits, noise)
     d = len(bounds)
     if not d:  # no shot draws: one run
         return Histogram(shots, {_register(quiet): shots})
+    import numpy as np
+    from .streams import _shot_rows
     taken = np.array([offset for offset, _ in marks])
     counts: dict[tuple[int, ...], int] = {}  # by final clbits
     shot = runner._execute
-    for rows in _shot_rows(seed_words, 0, shots, _draw_bound(runner._static), bounds):
+    for rows in _shot_rows(seed, 0, shots, _draw_bound(runner._static), bounds):
         below = rows[:, :d] < bounds
         hit = below.any(axis=1)
         # the last mark at or before each shot's first event

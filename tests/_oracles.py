@@ -24,8 +24,10 @@ from qbsc.circuit import (
     static_census,
 )
 from qbsc.errors import NormDrift, SimulationError
-from qbsc.gates import V, VDG
+from qbsc import gates
 from qbsc.simulate import _BASIS_EPS, _NORM_TOL, Histogram, RunResult
+
+V, VDG = np.array(gates.V), np.array(gates.VDG)
 
 
 def embed_unitary(matrix: np.ndarray, targets: tuple[int, ...], n: int) -> np.ndarray:

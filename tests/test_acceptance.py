@@ -23,12 +23,12 @@ from qbsc.comparator import (
     soundness_check_exhaustive,
     soundness_check_random,
 )
-from qbsc.gates import V, VDG, lower_circuit, unitary_of
+from qbsc.gates import lower_circuit, unitary_of
 from qbsc.qasm import export, parse
 from qbsc.resources import Case, Method, formula_report, gate_growth
 from qbsc.simulate import ClassicalRunner, DenseRunner, NoiseModel, sample
 
-from _oracles import compose_circuit_unitary, embed_unitary
+from _oracles import V, VDG, compose_circuit_unitary, embed_unitary
 
 FIGURE, ALGORITHMIC = BuilderVariant.FIGURE, BuilderVariant.ALGORITHMIC
 

@@ -12,10 +12,10 @@ from qbsc.circuit import (
 )
 from qbsc.comparator import BuilderVariant, Operands, build_gqbsc
 from qbsc.errors import CircuitError
-from qbsc.gates import V, VDG, lower_circuit, unitary_of
+from qbsc.gates import lower_circuit, unitary_of
 from qbsc.simulate import DenseRunner
 
-from _oracles import compose_circuit_unitary, embed_unitary
+from _oracles import V, VDG, compose_circuit_unitary, embed_unitary
 
 
 class TestExactAlgebra:

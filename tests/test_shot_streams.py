@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbsc import simulate
+from qbsc import simulate, streams
 from qbsc.circuit import Circuit
 from qbsc.comparator import BuilderVariant, Operands, build_gqbsc, encode_operands
 from qbsc.errors import SimulationArgumentError
@@ -45,7 +45,7 @@ def sample_on(backend: str, circuit, bits, shots: int, noise, seed) -> Histogram
 
 
 def rows(seed, start: int, stop: int, k: int = K) -> list[list[float]]:
-    return [row.tolist() for block in simulate._shot_rows(simulate._seed_words(seed), start, stop, k)
+    return [row.tolist() for block in streams._shot_rows(int(seed), start, stop, k)
             for row in block]
 
 
@@ -83,7 +83,7 @@ def _basis_input(data, nq: int) -> tuple[int, ...]:
 class TestSeedingPinnedToNumpy:
     @pytest.mark.parametrize("seed", SEEDS, ids=repr)
     def test_rows_across_block_boundaries(self, seed, monkeypatch):
-        monkeypatch.setattr(simulate, "_SEED_BLOCK", 3)
+        monkeypatch.setattr(streams, "_SEED_BLOCK", 3)
         assert rows(seed, 0, 10) == numpy_rows(seed, 0, 10)
 
     @pytest.mark.parametrize("seed", SEEDS, ids=repr)
@@ -94,7 +94,7 @@ class TestSeedingPinnedToNumpy:
     @pytest.mark.parametrize("seed", [0, 2**64 + 3])
     def test_block_starting_below_2_32(self, seed, block, monkeypatch):
         # shot 2^32 is the first with two entropy words
-        monkeypatch.setattr(simulate, "_SEED_BLOCK", block)
+        monkeypatch.setattr(streams, "_SEED_BLOCK", block)
         start = 2**32 - 2
         assert rows(seed, start, start + 7) == numpy_rows(seed, start, start + 7)
 
@@ -263,7 +263,7 @@ class TestCalmShots:
         for row in rows:
             value = simulate._register(runner._execute(bits, iter(row).__next__, noise))
             counts[value] = counts.get(value, 0) + 1
-        monkeypatch.setattr(simulate, "_shot_rows", lambda *args: iter([np.array(rows)]))
+        monkeypatch.setattr(streams, "_shot_rows", lambda *args: iter([np.array(rows)]))
         entered = count_lanes(monkeypatch)
         assert sample(circuit, shots=3, noise=noise) == Histogram(3, dict(sorted(counts.items())))
         assert len(entered) == 2  # the quiet run and the second row
@@ -285,7 +285,7 @@ class TestCalmShots:
         body = build_gqbsc(Operands((0,) * 3, (0,) * 3))
         bits = bits_for(5, 6, 3)
         want = per_shot(ClassicalRunner(body), bits, 300, BENCH_NOISE, 4)
-        monkeypatch.setattr(simulate, "_ROW_BYTES", row_bytes)
+        monkeypatch.setattr(streams, "_ROW_BYTES", row_bytes)
         assert sample(body, bits, shots=300, noise=BENCH_NOISE, seed=4) == want
 
     def test_row_blocks_capped_at_n1000(self):
@@ -306,7 +306,7 @@ class TestCalmShots:
 
 
 # the most quiet-run draws one full seeding block can pay to step
-PAY_BOUND = simulate._SEED_BLOCK // simulate._STEP_SHOTS
+PAY_BOUND = streams._SEED_BLOCK // streams._STEP_SHOTS
 
 
 class TestArrayStreams:
@@ -315,30 +315,28 @@ class TestArrayStreams:
 
     @pytest.mark.parametrize("seed", SEEDS, ids=repr)
     def test_stepped_prefix_equals_numpy(self, seed):
-        state = simulate._block_states(simulate._seed_words(seed), 0, 40)
-        got = np.stack(list(simulate._uniforms(state, PAY_BOUND)), axis=1)
+        state = streams._block_states(streams._words(int(seed)), 0, 40)
+        got = np.stack(list(streams._uniforms(state, PAY_BOUND)), axis=1)
         assert got.tolist() == numpy_rows(seed, 0, 40, PAY_BOUND)
 
     @pytest.mark.parametrize("block", [3, 1024])
     def test_prefix_rows_across_2_32_for_every_d(self, block, monkeypatch):
-        monkeypatch.setattr(simulate, "_SEED_BLOCK", block)
-        monkeypatch.setattr(simulate, "_STEP_SHOTS", 0)  # every block steps
+        monkeypatch.setattr(streams, "_SEED_BLOCK", block)
+        monkeypatch.setattr(streams, "_STEP_SHOTS", 0)  # every block steps
         seed, start, stop = 2**64 + 3, 2**32 - 2, 2**32 + 5  # 4, then 5 entropy words
         full = numpy_rows(seed, start, stop, PAY_BOUND)
-        words = simulate._seed_words(seed)
         for d in range(1, PAY_BOUND + 1):
-            got = [row.tolist() for rows in simulate._shot_rows(words, start, stop, d,
+            got = [row.tolist() for rows in streams._shot_rows(seed, start, stop, d,
                                                                 np.full(d, 0.02))
                    for row in rows]
             assert got == [row[:d] for row in full if min(row[:d]) < 0.02], d
 
     def test_prefix_uniform_at_its_bound_is_calm(self, monkeypatch):
-        monkeypatch.setattr(simulate, "_STEP_SHOTS", 0)  # every block steps
-        words, d = simulate._seed_words(7), 20
+        monkeypatch.setattr(streams, "_STEP_SHOTS", 0)  # every block steps
+        d = 20
         row = numpy_rows(7, 3, 4, d)[0]
-        at = [r.tolist() for rows in simulate._shot_rows(words, 3, 4, d, np.array(row))
-              for r in rows]
-        above = [r.tolist() for rows in simulate._shot_rows(words, 3, 4, d, np.nextafter(row, 1))
+        at = [r.tolist() for rows in streams._shot_rows(7, 3, 4, d, np.array(row)) for r in rows]
+        above = [r.tolist() for rows in streams._shot_rows(7, 3, 4, d, np.nextafter(row, 1))
                  for r in rows]
         assert at == [] and above == [row]
 
@@ -370,7 +368,7 @@ class TestPerDrawBounds:
         row[draw] = 0.015  # below max(p, q), not below the draw's own bound
         quiet = runner._execute(bits, None, None)
         assert runner._execute(bits, iter(row).__next__, noise) == quiet
-        monkeypatch.setattr(simulate, "_shot_rows", lambda *args: iter([np.array([row] * 16)]))
+        monkeypatch.setattr(streams, "_shot_rows", lambda *args: iter([np.array([row] * 16)]))
         entered = count_lanes(monkeypatch)
         want = Histogram(16, {simulate._register(quiet): 16})
         assert sample(circuit, shots=16, noise=noise) == want
@@ -384,11 +382,11 @@ class TestPerDrawBounds:
         bits = bits_for(5, 6, 3)
         want = per_shot(RUNNERS[backend](body), bits, 200, noise, 4)
         stepped = []
-        uniforms = simulate._uniforms
-        monkeypatch.setattr(simulate, "_uniforms",
+        uniforms = streams._uniforms
+        monkeypatch.setattr(streams, "_uniforms",
                             lambda *args: stepped.append(1) or uniforms(*args))
-        monkeypatch.setattr(simulate, "_SEED_BLOCK", 64)
-        monkeypatch.setattr(simulate, "_STEP_SHOTS", step_shots)
+        monkeypatch.setattr(streams, "_SEED_BLOCK", 64)
+        monkeypatch.setattr(streams, "_STEP_SHOTS", step_shots)
         assert sample_on(backend, body, bits, 200, noise, 4) == want
         # a bound of 1.0 leaves no shot calm, so no block steps
         assert bool(stepped) == (step_shots == 0 and noise.depolarizing_per_gate < 1)
@@ -416,8 +414,8 @@ class TestResumedShots:
         shots = data.draw(st.integers(1, 40))
         runner = (DenseRunner if dense else ClassicalRunner)(circuit)
         # seeding blocks of 8 shots; some samples step every block
-        with mock.patch.object(simulate, "_SEED_BLOCK", 8), \
-                mock.patch.object(simulate, "_STEP_SHOTS", data.draw(st.sampled_from([0, 8]))):
+        with mock.patch.object(streams, "_SEED_BLOCK", 8), \
+                mock.patch.object(streams, "_STEP_SHOTS", data.draw(st.sampled_from([0, 8]))):
             got = simulate._sample(runner, bits, shots, noise, seed)
         assert got == per_shot(runner, bits, shots, noise, seed)
 
@@ -498,12 +496,12 @@ class TestResumedShots:
         width = circuit.num_qubits + circuit.num_clbits
         bits = (0,) * circuit.num_qubits
         _, bounds, marks = simulate._quiet_run(runner, bits, BENCH_NOISE)
-        assert (len(marks) - 1) * 8 * width <= simulate._ROW_BYTES
+        assert (len(marks) - 1) * 8 * width <= streams._ROW_BYTES
         assert [offset for offset, _ in marks] == sorted({offset for offset, _ in marks})
         for _, start in marks[1:]:
             assert len(start[1]) == circuit.num_qubits and len(start[2]) == circuit.num_clbits
         # marks are taken until the budget runs out
-        assert len(marks) == 1 + simulate._ROW_BYTES // (8 * width) > 2
+        assert len(marks) == 1 + streams._ROW_BYTES // (8 * width) > 2
 
     def test_dense_marks_charged_by_amplitude(self):
         # CV on a set control doubles the amplitudes: 2^9 after nine of them
@@ -521,8 +519,8 @@ class TestResumedShots:
         finally:
             tracemalloc.stop()
         words = [simulate._AMP_WORDS * len(amps) + len(cl) for _, (_, amps, cl) in marks[1:]]
-        assert sum(words) * 8 <= simulate._ROW_BYTES
-        assert held - bounds.nbytes <= simulate._ROW_BYTES  # the charge is not below the cost
+        assert sum(words) * 8 <= streams._ROW_BYTES
+        assert held - bounds.nbytes <= streams._ROW_BYTES  # the charge is not below the cost
         assert marks[-1][0] < len(bounds) // 2  # the budget runs out early in the run
         for offset, start in marks:
             assert runner._execute((0,) * 14, iter([1.0] * len(bounds)).__next__, BENCH_NOISE,
