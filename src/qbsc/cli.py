@@ -69,7 +69,11 @@ def _emit(payload: str, out: str | None):
         click.echo(payload, nl=False)
         return
     directory = os.path.dirname(os.path.abspath(out))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qbsc-")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qbsc-")
+    except OSError as exc:  # a missing or unwritable directory
+        raise click.BadParameter(f"cannot write in {directory}: {exc.strerror}",
+                                 param_hint="'--out'")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(payload)

@@ -154,6 +154,8 @@ def measured_report(circuit: Circuit, inputs: Operands | None = None,
     running it again.
     """
     census = static_census(circuit)
+    if run is not None and not isinstance(run, RunResult):
+        raise ResourceArgumentError(f"run must be a RunResult or None, got {run!r}")
     if run is None and inputs is not None:
         _check_operands(inputs)
         run = ClassicalRunner(circuit).run(inputs.initial_qubit_bits())

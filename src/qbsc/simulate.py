@@ -34,12 +34,12 @@ measurement, the only op that writes a clbit (a readout flip included),
 drops it. The front ends share one condition object among the gates it
 guards, so a comparator block's six gates cost one test.
 
-A backend is a ``_Runner`` subclass and supplies two things: its name,
-``backend``, and ``_execute``, the interpreter that runs one basis input to
-its final clbit tuple. The base walks the circuit once and owns everything
-else, so ``run(initial_bits, seed, noise)``, ``run_value`` and ``sample``'s
-shots behave the same on both backends. The circuit picks its runner
-(``_runner``): classical iff it is permutation-only, else dense.
+A backend is a ``_Runner`` subclass and supplies its name, ``backend``, its
+mark size, ``_ENTRY_WORDS``, and ``_execute``, the interpreter that runs one
+basis input to its final clbit tuple. The base walks the circuit once and
+owns everything else, so ``run(initial_bits, seed, noise)``, ``run_value``
+and ``sample``'s shots behave the same on both backends. The circuit picks
+its runner (``_runner``): classical iff it is permutation-only, else dense.
 
 Noise is a stochastic trajectory model: after each fired gate every touched
 qubit is depolarized with probability p (a uniformly random Pauli X/Y/Z is
@@ -48,31 +48,33 @@ permutation circuits the Pauli trajectory keeps the state in the basis, so
 the classical backend applies the identical model (X/Y flip the bit, Z is a
 pure phase) and reproduces the dense backend draw-for-draw under one seed.
 
-A run draws when it is noisy, or when it is seeded and its circuit can
-superpose (it has CV or CV-dagger), since only then can a measurement need a
-Born draw. It reads its uniforms from one pre-drawn row, ``rng.random(K)``,
-K being the most one shot can consume: 2 per touched qubit of a fired gate
-(the depolarizing draw and, on a hit, the Pauli draw) and 2 per measurement
-(the Born draw and the readout flip). Shot s of ``sample`` reads the row of
-``np.random.default_rng([seed, s])``, which ``streams`` builds for a block
-of shots at once, so a shot costs no generator construction.
+A run draws (``_Runner._draws``) when it is noisy, or when it is seeded and
+its circuit can superpose (it has CV or CV-dagger), since only then can a
+measurement need a Born draw. It reads its uniforms from one pre-drawn row,
+``rng.random(K)``, K being the most one shot can consume: 2 per touched
+qubit of a fired gate (the depolarizing draw and, on a hit, the Pauli draw)
+and 2 per measurement (the Born draw and the readout flip). Shot s of
+``sample`` reads the row of ``np.random.default_rng([seed, s])``, built for
+a block of shots at once (``streams``), so a shot builds no generator.
 
-``sample`` runs the quiet trajectory first, every draw 1.0, which fires no
-event (draws are tested with ``<`` and p, q, p1 <= 1); it takes d uniforms,
-each tested against its bound: p (depolarizing), q (readout flip) or p1
-(Born). If d is 0, that run is the sample. A shot whose uniform j is >=
-bound j for every j < d is calm and ends as the quiet run; any other follows
-it up to its first event, the first uniform below its bound, and resumes
-from the quiet run's last mark (its state after an op that drew) at or
-before it. Where a seeding block's expected calm shots, size * prod(1 -
-bound j), outweigh ``streams._STEP_SHOTS`` per draw, the block steps its
-shots' PCG64 streams d times in array arithmetic, else one numpy test per
-block of rows finds the events; only the other shots get a row. A block of
-rows holds at most ``streams._ROW_BYTES``, and so do the marks.
+A ``sample`` that cannot draw is one plain run; any other runs the quiet
+trajectory first, every draw 1.0, which fires no event (draws are tested
+with ``<`` and p, q, p1 <= 1). It takes d uniforms, each tested against its
+bound: p (depolarizing), q (readout flip) or p1 (Born). If d is 0, that run
+is the sample. A shot whose uniform j is >= bound j for every j < d is calm
+and ends as the quiet run; any other follows it up to its first event, the
+first uniform below its bound, and resumes from the quiet run's last mark
+(its state after an op that drew) at or before it. Where a seeding block's
+expected calm shots, size * prod(1 - bound j), outweigh
+``streams._STEP_SHOTS`` per draw, the block steps its shots' PCG64 streams d
+times in array arithmetic, else one numpy test per block of rows finds the
+events; only the other shots get a row. A block of rows holds at most
+``streams._ROW_BYTES``, and so do the marks, each state entry costing
+``_ENTRY_WORDS``: 1 for a lane int, 13 for a dense amplitude.
 
-numpy is imported only where arrays are computed: by a seeded or noisy
-``run`` and by ``sample``. An unseeded noiseless run, and so ``compare`` and
-the CLI's build, export, sweep and census, never load it (``import qbsc.cli``
+numpy is imported only where arrays are computed: by a ``run`` or ``sample``
+that draws. One that cannot, seeded or not, and so ``compare`` and the
+CLI's build, export, sweep and census, never load it (``import qbsc.cli``
 fell from 0.160 to 0.095 s of CPU in a fresh process; README, Install).
 """
 from __future__ import annotations
@@ -81,6 +83,7 @@ import dataclasses
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -111,9 +114,6 @@ _X, _CX, _CCX, _CV = GateKind.X, GateKind.CX, GateKind.CCX, GateKind.CV
 
 #: Most lanes (inputs) one bit-sliced ``ClassicalRunner._run_lanes`` pass takes.
 MAX_LANES = 1 << 16
-
-# Words a dense mark keeps per amplitude: a dict slot, its int key and complex.
-_AMP_WORDS = 13
 
 
 @dataclass(frozen=True)
@@ -204,28 +204,25 @@ def _quiet_run(runner: _Runner, bits: tuple[int, ...], noise: NoiseModel | None)
 
     Every draw is tested once, so the bounds recorded so far count the draws
     taken. After each op that drew, while the marks hold at most
-    ``streams._ROW_BYTES`` of state (a word per qubit and clbit,
-    ``_AMP_WORDS`` per dense amplitude), a mark (draws taken, start) keeps
-    the next op's index and a copy of the state."""
+    ``streams._ROW_BYTES`` of state (a word per clbit, ``_ENTRY_WORDS`` per
+    state entry), a mark (draws taken, start) keeps the next op's index and
+    a copy of the state."""
     import numpy as np
     from .streams import _ROW_BYTES
     one = _QuietDraw(1.0)
     bounds = one.bounds = []
     marks = [(0, None)]
     room = _ROW_BYTES // 8
-    entry = _AMP_WORDS if runner.backend == "dense" else 1
 
     def mark(ops, state, cl):
         nonlocal room
-        taken, words = len(bounds), entry * len(state) + len(cl)
+        taken, words = len(bounds), runner._ENTRY_WORDS * len(state) + len(cl)
         if taken > marks[-1][0] and words <= room:
             room -= words
             i = len(runner._prog) - operator.length_hint(ops)  # the next op
             marks.append((taken, (i, state.copy(), tuple(cl))))
 
-    drawing = noise is not None or runner._superposes  # as ``_Runner._draw`` with a generator
-    draw = itertools.repeat(one).__next__ if drawing else None
-    quiet = runner._execute(bits, draw, noise, fired=mark)
+    quiet = runner._execute(bits, itertools.repeat(one).__next__, noise, fired=mark)
     return quiet, np.array(bounds, dtype=float), marks
 
 
@@ -243,8 +240,9 @@ def _register(cl) -> int:
 class _Runner:
     """One backend's executor of a circuit's gates and measurements, ``_prog``,
     as listed by ``census_walk`` (``_walked``, if given) when it was built.
-    A backend supplies ``backend``, its name, and ``_execute(bits, draw,
-    noise, start=None, fired=None)``: the final clbit tuple of one run from basis
+    A backend supplies ``backend``, its name, ``_ENTRY_WORDS``, the words a
+    mark keeps per state entry, and ``_execute(bits, draw, noise, start=None,
+    fired=None)``: the final clbit tuple of one run from basis
     input ``bits`` or from ``start``, a mark's (op index, state, clbits),
     ``draw`` giving its uniforms. Its one observer, ``fired(ops, state, cl)``,
     runs after each fired op and that op's noise draws, ``ops`` iterating
@@ -257,12 +255,18 @@ class _Runner:
         self.num_qubits = circuit.num_qubits
         self.num_clbits = circuit.num_clbits
         self._static, self._prog = _walked or census_walk(circuit)
-        self._superposes = not self._static.permutation_only
+
+    def _draws(self, seeded: bool, noise: NoiseModel | None) -> bool:
+        """Whether a run draws: it is noisy, or seeded and can superpose."""
+        return noise is not None or seeded and not self._static.permutation_only
 
     def _draw(self, rng: np.random.Generator | None, noise: NoiseModel | None):
-        """Draw function over one pre-drawn row of ``rng``, or None where the
-        run draws nothing (module docstring)."""
-        if noise is None and (rng is None or not self._superposes):
+        """Draw function over one pre-drawn row of ``rng`` (None or a numpy
+        Generator), or None where the run draws nothing."""
+        random = sys.modules.get("numpy.random")  # a Generator exists only once it is loaded
+        if rng is not None and (random is None or not isinstance(rng, random.Generator)):
+            raise SimulationArgumentError(f"rng must be a numpy Generator or None, got {rng!r}")
+        if not self._draws(rng is not None, noise):
             return None
         if rng is None:
             raise SimulationArgumentError("a noisy run needs a generator, got rng=None")
@@ -274,10 +278,10 @@ class _Runner:
         is None or as :func:`_check_seed` takes it, and a noisy run without a
         seed draws fresh entropy."""
         bits = _coerce_bits(initial_bits, self.num_qubits, noise)
-        rng = None
-        if seed is not None or noise is not None:
+        seed, rng = None if seed is None else _check_seed(seed), None
+        if self._draws(seed is not None, noise):
             import numpy as np
-            rng = np.random.default_rng(None if seed is None else _check_seed(seed))
+            rng = np.random.default_rng(seed)
         # GateCensus field names; a gate kind's field is its name
         counters = dict.fromkeys([*KIND_NAMES.values(), "measure_count", "conditional_x_count"], 0)
         trace, prog = [], self._prog
@@ -306,10 +310,11 @@ class ClassicalRunner(_Runner):
     """Bit-level executor for permutation-only circuits."""
 
     backend = "classical"
+    _ENTRY_WORDS = 1  # a qubit's lane int
 
     def __init__(self, circuit: Circuit, _walked=None):
         super().__init__(circuit, _walked)
-        if self._superposes:
+        if not self._static.permutation_only:
             first = next(op.gate for op in self._prog if op.gate not in (None, _X, _CX, _CCX))
             raise NonClassicalGate(f"{first.value} is not a classical permutation gate")
 
@@ -446,6 +451,7 @@ class DenseRunner(_Runner):
     index (bit q is qubit q) to nonzero amplitude."""
 
     backend = "dense"
+    _ENTRY_WORDS = 13  # an amplitude: a dict slot, its int key and complex
 
     def __init__(self, circuit: Circuit, _walked=None):
         if circuit.num_qubits > DENSE_CAP:
@@ -546,7 +552,8 @@ def _sample(runner: _Runner, initial_bits, shots, noise, seed) -> Histogram:
         raise SimulationArgumentError("shots must be >= 1")
     seed = _check_seed(seed)  # checked even where no shot draws
     bits = _coerce_bits(initial_bits, runner.num_qubits, noise)
-    quiet, bounds, marks = _quiet_run(runner, bits, noise)
+    quiet, bounds, marks = (_quiet_run(runner, bits, noise) if runner._draws(True, noise)
+                            else (runner._execute(bits, None, None), (), None))  # one plain run
     d = len(bounds)
     if not d:  # no shot draws: one run
         return Histogram(shots, {_register(quiet): shots})

@@ -90,6 +90,8 @@ ROWS = [
     ("lower_circuit", "instruction list", lambda: qbsc.lower_circuit(BODY.instructions), None),
     ("measured_report", "None", lambda: qbsc.measured_report(None), None),
     ("measured_report", "inputs int", lambda: qbsc.measured_report(BODY, 5), None),
+    ("measured_report", "run int", lambda: qbsc.measured_report(BODY, run=5), None),
+    ("measured_report", "run str", lambda: qbsc.measured_report(BODY, run="run"), None),
     ("parse_qasm", "garbage", lambda: qbsc.parse_qasm("garbage"), None),
     ("parse_qasm", "None", lambda: qbsc.parse_qasm(None), None),
     ("parse_qasm", "bytes", lambda: qbsc.parse_qasm(b"OPENQASM 3.0;\n"), None),

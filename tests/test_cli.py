@@ -6,11 +6,14 @@ import sys
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qbsc.circuit import MAX_WIDTH
 from qbsc.cli import main
 from qbsc.errors import OperandError, SimulationError, TooManyQubits
 from qbsc.qasm import parse
+from qbsc.resources import Method
 
 
 @pytest.fixture()
@@ -215,6 +218,14 @@ class TestBuildAndExport:
             invoke(runner, "sweep", "--metric", "cost", "--n", "80", "--out", str(target))
         assert list(tmp_path.iterdir()) == []
 
+    def test_out_in_a_missing_directory_exits_2(self, runner, tmp_path):
+        target = tmp_path / "missing" / "sweep.csv"
+        result = invoke(runner, "sweep", "--metric", "cost", "--n", "80", "--out", str(target))
+        assert result.exit_code == 2 and result.stdout == ""
+        assert (f"Invalid value for '--out': cannot write in {target.parent}:"
+                f" No such file or directory") in result.stderr
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("args", [
@@ -367,3 +378,72 @@ class TestErrorBoundary:
         assert result.exit_code == 1
         assert result.stdout.endswith("total: 4 pairs, 1 mismatches\n")
         assert "error:" not in result.stderr
+
+
+# Junk flag values: text (empty, non-ASCII, ``bin:`` and other characters),
+# floats, and zero and negative integers.
+JUNK = st.one_of(st.text(max_size=8), st.text(max_size=8).map("bin:".__add__),
+                 st.floats().map(str), st.integers(max_value=0).map(str))
+OVER_CAP = TestErrorBoundary.OVER_CAP
+PAST_CAP = st.integers(OVER_CAP, 2**1100).map(str)
+
+
+def _ints(lo: int, hi: int):
+    return st.integers(lo, hi).map(str)
+
+
+def _choice(*names):
+    return st.one_of(JUNK, st.sampled_from(names))
+
+
+# Valid widths stay at 16 and below: one near the cap runs for minutes.
+WIDTH = st.one_of(JUNK, _ints(1, 16), PAST_CAP)
+OPERAND = st.one_of(JUNK, _ints(0, 16), st.text("01", min_size=1, max_size=16).map("bin:".__add__),
+                    st.just("bin:" + "1" * OVER_CAP), st.just("9" * 160_000))
+VARIANT = _choice("figure", "algorithmic")
+BUILD_FLAGS = {"--a": OPERAND, "--b": OPERAND, "--variant": VARIANT}
+FLAGS = {
+    "build": {**BUILD_FLAGS, "--format": _choice("text", "json")},
+    "census": {"--n": WIDTH, "--variant": VARIANT, "--format": _choice("csv", "json")},
+    "compare": {**BUILD_FLAGS, "--format": _choice("text", "json")},
+    "export": BUILD_FLAGS,
+    "sweep": {"--metric": _choice("ancilla", "cost", "delay"), "--n": WIDTH,
+              "--method": _choice(*(m.value for m in Method)),
+              "--case": _choice("equal", "unequal", "both"), "--format": _choice("csv", "json")},
+    # an --exhaustive-limit of 9 to 12 sweeps 4^n pairs at each width up to it
+    "verify": {"--max-bits": WIDTH, "--samples": st.one_of(JUNK, _ints(0, 16)),
+               "--exhaustive-limit": st.one_of(JUNK, _ints(0, 8), _ints(13, 16), PAST_CAP),
+               "--variant": _choice("figure", "algorithmic", "both"),
+               "--seed": st.one_of(JUNK, st.integers().map(str)),
+               "--format": _choice("text", "json")},
+}
+
+
+class TestJunkFlags:
+    """Every subcommand, given junk flag values, exits 0-3 with no exception
+    escaping click, and prints nothing to stdout when it exits 2 or 3. A flag
+    is left out, given once or given twice; ``--out`` names a file, a
+    directory or a file in a missing directory, all under a temporary one."""
+
+    @pytest.fixture(scope="class")
+    def out_dir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("out")
+
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    @settings(max_examples=40, deadline=5000,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(data=st.data())
+    def test_exits_0_to_3(self, command, data, out_dir):
+        args = [command]
+        for flag, values in FLAGS[command].items():
+            for value in data.draw(st.lists(values, max_size=2), label=flag):
+                args += [flag, value]
+        out = data.draw(st.sampled_from([None, "out.txt", ".", "missing/out.txt"]), label="--out")
+        if out is not None:
+            args += ["--out", str(out_dir / out)]
+        result = CliRunner().invoke(main, args)
+        assert result.exception is None or isinstance(result.exception, SystemExit), (
+            result.exc_info)
+        assert result.exit_code in (0, 1, 2, 3) and "Traceback" not in result.stderr
+        if result.exit_code in (2, 3):
+            assert result.stdout == ""

@@ -76,6 +76,14 @@ def count_lanes(monkeypatch, cls=ClassicalRunner, name="_run_lanes") -> list:
     return entered
 
 
+def count_quiet_runs(monkeypatch) -> list:
+    """Record each quiet run ``sample`` takes from here on."""
+    quiet_runs, quiet_run = [], simulate._quiet_run
+    monkeypatch.setattr(simulate, "_quiet_run",
+                        lambda *args: quiet_runs.append(1) or quiet_run(*args))
+    return quiet_runs
+
+
 def _basis_input(data, nq: int) -> tuple[int, ...]:
     return tuple(data.draw(st.lists(st.integers(0, 1), min_size=nq, max_size=nq)))
 
@@ -146,6 +154,21 @@ class TestNoiselessClassicalSample:
         assert len(entered) == 1
         value = sum(b << k for k, b in enumerate(run_classical(circuit).classical_bits))
         assert histogram == Histogram(1024, {value: 1024})
+
+    def test_one_plain_run_and_no_quiet_run(self, monkeypatch):
+        circuit = build_gqbsc(encode_operands(5, 6))
+        value = sum(b << k for k, b in enumerate(run_classical(circuit).classical_bits))
+        calls, quiet_runs = [], count_quiet_runs(monkeypatch)
+        execute = ClassicalRunner._execute
+
+        def recorded(self, bits, draw, noise, start=None, fired=None):
+            calls.append((draw, noise, start, fired))
+            return execute(self, bits, draw, noise, start, fired)
+
+        monkeypatch.setattr(ClassicalRunner, "_execute", recorded)
+        histogram = simulate._sample(ClassicalRunner(circuit), None, 64, None, 3)
+        assert histogram == Histogram(64, {value: 64})
+        assert calls == [(None, None, None, None)] and quiet_runs == []
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_equals_per_shot_runs(self, variant):
@@ -444,6 +467,20 @@ class TestResumedShots:
         assert sample(body, bits, shots=16, seed=2) == want
         assert len(entered) == 1
 
+    # every noisy sample, and a noiseless one of a lowered body, which can superpose
+    @pytest.mark.parametrize("backend, noise", [
+        ("classical", NoiseModel(0, 0)), ("classical", BENCH_NOISE),
+        ("dense", None), ("dense", NoiseModel(0, 0)), ("dense", BENCH_NOISE)], ids=repr)
+    def test_samples_that_can_draw_take_the_quiet_run(self, backend, noise, monkeypatch):
+        body = build_gqbsc(Operands((0,) * 3, (0,) * 3))
+        if backend == "dense":
+            body = lower_circuit(body)
+        bits = bits_for(5, 6, 3)
+        want = per_shot(RUNNERS[backend](body), bits, 32, noise, 2)
+        quiet_runs = count_quiet_runs(monkeypatch)
+        assert sample(body, bits, shots=32, noise=noise, seed=2) == want
+        assert quiet_runs == [1]
+
     @pytest.mark.parametrize("backend", ["classical", "dense"])
     def test_every_mark_resumes_to_the_quiet_run(self, backend):
         body = build_gqbsc(Operands((0,) * 3, (0,) * 3))
@@ -518,7 +555,7 @@ class TestResumedShots:
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        words = [simulate._AMP_WORDS * len(amps) + len(cl) for _, (_, amps, cl) in marks[1:]]
+        words = [DenseRunner._ENTRY_WORDS * len(amps) + len(cl) for _, (_, amps, cl) in marks[1:]]
         assert sum(words) * 8 <= streams._ROW_BYTES
         assert held - bounds.nbytes <= streams._ROW_BYTES  # the charge is not below the cost
         assert marks[-1][0] < len(bounds) // 2  # the budget runs out early in the run

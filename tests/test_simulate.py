@@ -474,6 +474,9 @@ class TestArgumentErrors:
         "negative seed": lambda c: sample(c, seed=-1),
         "noisy run without generator": lambda c: ClassicalRunner(c).run_value(
             None, None, NoiseModel(0.1, 0.1)),
+        "int generator": lambda c: ClassicalRunner(c).run_value(None, 5, NoiseModel(0.1, 0.1)),
+        "int generator on dense": lambda c: DenseRunner(c).run_value(
+            None, 5, NoiseModel(0.1, 0.1)),
     }
 
     @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())

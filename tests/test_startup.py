@@ -1,6 +1,7 @@
-"""Start-up without numpy: ``import qbsc`` and the CLI commands that compute
-with no array leave numpy unloaded, and the paths that do load it on first
-use give the results they give with numpy loaded up front.
+"""Start-up without numpy: ``import qbsc``, the CLI commands that compute
+with no array and the runs and samples that cannot draw leave numpy
+unloaded, and the paths that do load it on first use give the results they
+give with numpy loaded up front.
 
 Each check runs in a fresh interpreter, since this process has numpy loaded.
 This module imports no numpy, so the second check can import its
@@ -16,6 +17,7 @@ import qbsc
 from qbsc import (GateKind, NoiseModel, Operands, build_gqbsc, encode_operands, lower_circuit,
                   sample, unitary_of)
 from qbsc.comparator import soundness_check_exhaustive
+from qbsc.simulate import ClassicalRunner
 
 N64 = ("bin:" + "10" * 32, "bin:" + "10" * 31 + "01")
 
@@ -63,6 +65,20 @@ assert runner.invoke(qbsc.cli.main, ["verify", "--max-bits", "2"]).exit_code == 
 print(reads)
 """)
     assert out == "False\n[True, True]\n"
+
+
+def test_runs_that_cannot_draw_leave_numpy_unloaded():
+    # a noiseless sample and a seeded noiseless run of a circuit that cannot superpose
+    out = fresh("""
+import sys
+from qbsc import build_gqbsc, encode_operands, sample
+from qbsc.simulate import ClassicalRunner
+print(repr(sample(build_gqbsc(encode_operands(5, 6)), shots=10)))
+print(repr(ClassicalRunner(build_gqbsc(encode_operands(5, 6))).run(seed=3)))
+print("numpy" in sys.modules)
+""")
+    body = build_gqbsc(encode_operands(5, 6))
+    assert out == f"{sample(body, shots=10)!r}\n{ClassicalRunner(body).run(seed=3)!r}\nFalse\n"
 
 
 def test_paths_that_load_numpy_give_the_same_results():
