@@ -50,17 +50,19 @@ EXIT_BACKEND = 3
 
 
 class _Operand(click.ParamType):
-    """A decimal operand, or ``bin:<bits>``; click names the flag of a bad one."""
+    """A decimal operand of ASCII digits, or ``bin:<bits>``; click names the flag of a bad one."""
 
     name = "operand"
 
     def convert(self, value, param, ctx):
         if value.startswith("bin:"):
             return value[len("bin:"):]
-        try:
-            return int(value, 10)
-        except ValueError:
-            self.fail(f"operand must be decimal or bin:<bits>, got {value!r}", param, ctx)
+        if value.isascii() and value.isdecimal():  # [0-9]+: no sign, space or "_"
+            try:
+                return int(value)
+            except ValueError:  # more digits than int() converts
+                pass
+        self.fail(f"operand must be decimal or bin:<bits>, got {value!r}", param, ctx)
 
 
 def _emit(payload: str, out: str | None):

@@ -189,7 +189,8 @@ def build_gqbsc(ops: Operands, variant: BuilderVariant = BuilderVariant.FIGURE) 
     correction sites follow. Built for zero operands the circuit is the
     value-independent body, which is what the census reporting uses.
     Indices are in range by construction, so the list skips the check;
-    equal instructions are one shared object, which runners compile once.
+    equal instructions and conditions are shared objects, so a runner tests
+    a block's condition once for its six gates.
     """
     _check_operands(ops)
     n = ops.n

@@ -34,10 +34,6 @@ class SimulationArgumentError(SimulationError, ValueError):
     """A noise probability, shot count or other run argument out of range."""
 
 
-class TooManyQubits(SimulationError):
-    """Circuit exceeds the dense backend's qubit cap."""
-
-
 class NormDrift(SimulationError):
     """Statevector norm drifted beyond tolerance during execution."""
 

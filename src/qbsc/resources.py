@@ -181,7 +181,7 @@ class SweepRow:
 
 def sweep(methods: Iterable | None, n_values: Sequence[int], metric: str,
           case: Case | None = None) -> list[SweepRow]:
-    """Formula values as flat rows, ordered by method then n.
+    """Formula values as flat rows, ordered by method then n, each method and width once.
 
     For the Proposed method with ``case=None`` both cases are emitted; other
     methods carry "-" in the case column.
@@ -191,8 +191,8 @@ def sweep(methods: Iterable | None, n_values: Sequence[int], metric: str,
     if not n_values:
         raise ResourceArgumentError("no widths given")
     n_values = _check_arguments(n_values, case)
-    chosen = [Method.from_name(m) for m in methods] if methods else list(METHOD_ORDER)
-    chosen.sort(key=METHOD_ORDER.index)
+    chosen = sorted({Method.from_name(m) for m in methods} if methods else METHOD_ORDER,
+                    key=METHOD_ORDER.index)
     rows: list[SweepRow] = []
     for method in chosen:
         for n in sorted(set(n_values)):

@@ -22,7 +22,8 @@ The dense backend runs any gate set. It stores only the nonzero amplitudes,
 as a map from basis index to amplitude, and from a basis input the
 comparator, lowered or noisy, keeps only a few. X/CX/CCX re-key the map
 (``_flip``) and every other gate, CV/CV-dagger and noise Y/Z alike, applies
-its 2x2 through ``_mix``. The qubit cap is 24.
+its 2x2 through ``_mix``, the only kernel that grows the map; it raises
+:class:`SimulationError` past ``MAX_AMPS`` amplitudes, at any qubit count.
 
 Both interpreters run the circuit's own gate and measurement objects, the
 list ``census_walk`` returns with the static census; nothing is compiled. An
@@ -97,13 +98,11 @@ from .circuit import (
     _numpy_scalar,
     census_walk,
 )
-from .errors import NonClassicalGate, NormDrift, SimulationArgumentError, TooManyQubits
+from .errors import NonClassicalGate, NormDrift, SimulationArgumentError, SimulationError
 from .gates import V, VDG
 
 if TYPE_CHECKING:  # imported where arrays are computed (module docstring)
     import numpy as np
-
-DENSE_CAP = 24
 
 # Measurement is treated as deterministic when one outcome carries at least
 # this much probability mass; below it the Born rule draws from the RNG.
@@ -114,6 +113,7 @@ _X, _CX, _CCX, _CV = GateKind.X, GateKind.CX, GateKind.CCX, GateKind.CV
 
 #: Most lanes (inputs) one bit-sliced ``ClassicalRunner._run_lanes`` pass takes.
 MAX_LANES = 1 << 16
+MAX_AMPS = 1 << 16  #: Most amplitudes the dense state may hold (``_mix``).
 
 
 @dataclass(frozen=True)
@@ -396,7 +396,7 @@ def _flip(amps: dict, ctrl: int, flip: int) -> dict:
 
 def _mix(amps: dict, ctrl: int, tgt: int, m: tuple) -> dict:
     """Apply the 2x2 ``m`` to the target pair of every index holding all
-    ``ctrl`` bits (every index for 0). Exact zeros drop out of the map."""
+    ``ctrl`` bits (every index for 0); exact zeros drop out, past ``MAX_AMPS`` it raises."""
     m00, m01, m10, m11 = m
     out = {}
     for k, v in amps.items():
@@ -409,7 +409,10 @@ def _mix(amps: dict, ctrl: int, tgt: int, m: tuple) -> dict:
         c0, c1 = (m01 * v, m11 * v) if k & tgt else (m00 * v, m10 * v)
         out[k0] = out.get(k0, 0j) + c0
         out[k1] = out.get(k1, 0j) + c1
-    return {k: v for k, v in out.items() if v}
+    out = {k: v for k, v in out.items() if v}
+    if len(out) > MAX_AMPS:
+        raise SimulationError(f"dense state holds {len(out)} amplitudes, more than {MAX_AMPS}")
+    return out
 
 
 def _mass(amps: dict, bit: int = 0) -> float:
@@ -452,11 +455,6 @@ class DenseRunner(_Runner):
 
     backend = "dense"
     _ENTRY_WORDS = 13  # an amplitude: a dict slot, its int key and complex
-
-    def __init__(self, circuit: Circuit, _walked=None):
-        if circuit.num_qubits > DENSE_CAP:
-            raise TooManyQubits(f"{circuit.num_qubits} qubits exceeds dense cap {DENSE_CAP}")
-        super().__init__(circuit, _walked)
 
     def _execute(self, bits, draw, noise, start=None, fired=None):
         """The interpreter; ``draw`` None (no seed) fails a Born draw. The state

@@ -9,11 +9,12 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qbsc.circuit import MAX_WIDTH
+from qbsc.circuit import MAX_WIDTH, Circuit
 from qbsc.cli import main
-from qbsc.errors import OperandError, SimulationError, TooManyQubits
+from qbsc.errors import OperandError, SimulationError
 from qbsc.qasm import parse
 from qbsc.resources import Method
+from qbsc.simulate import run_dense
 
 
 @pytest.fixture()
@@ -63,12 +64,15 @@ class TestCompare:
 
     @pytest.mark.parametrize("command", ["compare", "build", "export"])
     @pytest.mark.parametrize("flag", ["--a", "--b"])
-    def test_invalid_operand_names_its_flag(self, runner, command, flag):
-        args = {"--a": "1", "--b": "1", flag: "0b1"}
+    # a decimal operand is ASCII 0-9 only: no "_", space, sign or other script's digits
+    @pytest.mark.parametrize("value", ["0b1", "1_2", " 12", "+5", "\u0661\u0662", "\uff11\uff12"],
+                             ids=["0b1", "underscore", "space", "plus", "arabic-indic", "fullwidth"])
+    def test_invalid_operand_names_its_flag(self, runner, command, flag, value):
+        args = {"--a": "1", "--b": "1", flag: value}
         result = runner.invoke(main, [command, "--a", args["--a"], "--b", args["--b"]])
         assert result.exit_code == 2 and result.stdout == ""
         assert f"Invalid value for '{flag}'" in result.stderr
-        assert "operand must be decimal or bin:<bits>, got '0b1'" in result.stderr
+        assert f"operand must be decimal or bin:<bits>, got {value!r}" in result.stderr
 
     def test_retired_flags_exit_2(self, runner):
         for args in (["compare", "--a", "3", "--b", "5", "--seed", "5"],
@@ -83,15 +87,17 @@ class TestCompare:
         # verify's seed picks its random pairs through random.Random, which takes any int
         assert invoke(runner, "verify", "--max-bits", "2", "--seed", "-1").exit_code == 0
 
-    def test_dense_backend_cap_exits_3(self, runner, monkeypatch):
-        # no flag reaches the dense engine, so its cap error is injected
-        def too_wide(*args, **kwargs):
-            raise TooManyQubits("202 qubits exceeds dense cap 24")
+    def test_dense_amplitude_bound_exits_3(self, runner, monkeypatch):
+        # no flag reaches the dense engine, so a run past its amplitude bound
+        # (lowered to 1 here) is injected
+        def too_many_amplitudes(*args, **kwargs):
+            run_dense(Circuit(2, 0).x(0).cv(0, 1))
 
-        monkeypatch.setattr("qbsc.cli.compare", too_wide)
+        monkeypatch.setattr("qbsc.simulate.MAX_AMPS", 1)
+        monkeypatch.setattr("qbsc.cli.compare", too_many_amplitudes)
         result = runner.invoke(main, ["compare", "--a", str(2**99), "--b", "1"])
         assert result.exit_code == 3 and result.stdout == ""
-        assert result.stderr == "error: 202 qubits exceeds dense cap 24\n"
+        assert result.stderr == "error: dense state holds 2 amplitudes, more than 1\n"
 
 
 class TestVerify:

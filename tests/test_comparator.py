@@ -34,8 +34,9 @@ from qbsc.comparator import (
 )
 from qbsc.errors import (DuplicateTarget, EmptyOperand, InvalidBitstring, OperandError,
                          SimulationArgumentError)
+from qbsc.gates import lower_circuit
 from qbsc.resources import gate_growth
-from qbsc.simulate import DENSE_CAP, ClassicalRunner, DenseRunner, run_classical, run_dense
+from qbsc.simulate import ClassicalRunner, DenseRunner, run_classical, run_dense
 
 from _oracles import int_compare_class
 
@@ -445,23 +446,25 @@ class TestSweepsCatchBrokenCircuits:
         assert soundness_check_exhaustive(9) == (4 ** 9, 0)
 
 
-class TestDenseAtTheCap:
-    """The widest comparator the dense runner takes (2n + 2 = 24 qubits at
-    n = 11) reads the flags the classical runner and the oracle read."""
+class TestDenseOnTheLoweredBody:
+    """The lowered CV/CV-dagger/CX body the cost model charges for, at the
+    paper's width n = 1000 (2002 qubits), reads on the dense runner the flags
+    the classical runner reads on the unlowered body and the oracle reads."""
 
     @pytest.mark.parametrize("variant", [FIGURE, ALGORITHMIC])
     def test_dense_equals_classical_and_oracle(self, variant):
         from qbsc.comparator import _random_pairs
 
-        n = 11
+        n = 1000
         body = build_gqbsc(Operands((0,) * n, (0,) * n), variant)
-        assert body.num_qubits == DENSE_CAP
-        dense, classical = DenseRunner(body), ClassicalRunner(body)
-        for a, b in _random_pairs(n, 20, 1234):
+        dense, classical = DenseRunner(lower_circuit(body)), ClassicalRunner(body)
+        live = []  # amplitudes held after each fired op
+        for a, b in _random_pairs(n, 20, 7):
             ops = encode_operands(format(a, f"0{n}b"), format(b, f"0{n}b"))
             bits = ops.initial_qubit_bits()
-            assert (dense.run(bits).classical_bits == classical.run_bits(bits)
-                    == reference_flags(ops, variant)), (a, b)
+            got = dense._execute(bits, None, None, fired=lambda _, amps, cl: live.append(len(amps)))
+            assert got == classical.run_bits(bits) == reference_flags(ops, variant), (a, b)
+        assert max(live) == 2
 
 
 class TestMalformedSweepArguments:

@@ -186,6 +186,10 @@ class TestSweep:
         assert [(r.method, r.n) for r in rows] \
             == [("Wang", 1), ("Wang", 10), ("Xia", 1), ("Xia", 10)]
 
+    def test_repeated_methods_and_widths_give_one_row_each(self):
+        rows = sweep(["wang", Method.XIA, "Wang", Method.WANG], [2, 2], "cost")
+        assert [(r.method, r.n) for r in rows] == [("Wang", 2), ("Xia", 2)]
+
     def test_empty_widths_rejected(self):
         with pytest.raises(ValueError):
             sweep(None, [], "cost")

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,9 +13,9 @@ from qbsc import circuit as circuit_module
 from qbsc.circuit import (BarrierOp, Circuit, ClassicalCondition, GateKind, GateOp,
                           MeasureOp)
 from qbsc import simulate
-from qbsc.comparator import Operands, build_gqbsc, compare, encode_operands
+from qbsc.comparator import Operands, build_gqbsc, compare, encode_operands, reference_flags
 from qbsc.errors import (NonClassicalGate, NormDrift, QbscError, SimulationArgumentError,
-                         SimulationError, TooManyQubits)
+                         SimulationError)
 from qbsc.gates import lower_circuit
 from qbsc.simulate import (
     ClassicalRunner,
@@ -58,9 +59,25 @@ class TestDenseBackend:
         with pytest.raises(SimulationError):
             run_dense(Circuit(2, 0), "1")
 
-    def test_qubit_cap(self):
-        with pytest.raises(TooManyQubits):
-            run_dense(Circuit(25, 0))
+    def test_amplitude_bound(self):
+        # CVs from one set control leave each target superposed: each doubles the map
+        fan_out = Circuit(30, 0).x(0)
+        for t in range(1, 30):
+            fan_out.cv(0, t)
+            if t == 16:  # 2^16 amplitudes, the most the map may hold
+                assert run_dense(fan_out).classical_bits == ()
+        tracemalloc.start()
+        try:
+            with pytest.raises(SimulationError,
+                               match="^dense state holds 131072 amplitudes, more than 65536$") as info:
+                run_dense(fan_out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert type(info.value) is SimulationError
+        assert peak < 64 << 20
+        # 30 qubits of basis states hold one amplitude each
+        assert run_dense(Circuit(30, 1).x(29).measure(29, 0)).classical_bits == (1,)
 
     def test_measurement_of_basis_state_is_seed_independent(self):
         c = Circuit(1, 1).x(0).measure(0, 0)
@@ -452,9 +469,11 @@ class TestBackendSelection:
         # the runners keep their refusals, classes and messages
         with pytest.raises(NonClassicalGate, match="^cv is not a classical permutation gate$"):
             ClassicalRunner(lowered)
-        wide = lower_circuit(build_gqbsc(encode_operands(2**11, 1)))
-        with pytest.raises(TooManyQubits, match=f"^{wide.num_qubits} qubits exceeds dense cap 24$"):
-            simulate._runner(wide)
+        # past 24 qubits (n = 12) the lowered body runs on the dense runner too
+        ops = encode_operands(2**11, 1)
+        wide = simulate._runner(lower_circuit(build_gqbsc(ops)))
+        assert type(wide) is DenseRunner and wide.num_qubits == 26
+        assert wide.run().classical_bits == reference_flags(ops)
 
 
 class TestArgumentErrors:

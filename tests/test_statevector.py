@@ -107,7 +107,7 @@ class TestAgainstNumpyReference:
 
 
 class TestSparseState:
-    def test_lowered_comparator_at_the_cap(self):
+    def test_lowered_comparator_at_24_qubits(self):
         # 24 qubits: 2^24 amplitudes if stored densely, a few in the map
         n = 11
         lowered = lower_circuit(build_gqbsc(encode_operands("0" * n, "0" * n)))
